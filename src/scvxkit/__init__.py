@@ -7,139 +7,33 @@ a box-constrained LP with a built-in two-phase simplex, and accepts or
 rejects the step on the ratio of actual to predicted decrease.  A
 diagnostics layer estimates sharpness and growth constants near the
 solution and checks the convergence guarantees they imply.
+
+The names below are the documented API; everything else is importable from
+its submodule.
 """
 
-from .composite import (
-    CompositeError,
-    CompositeObjective,
-    ConvexOuter,
-    DimensionMismatchError,
-    Linearization,
-    NonFiniteError,
-    SmoothMap,
-    evaluate_model,
-    evaluate_objective,
-    fd_check_jacobian,
-    linearize,
-)
-from .diagnostics import (
-    ActiveSetReport,
-    LevelSetReport,
-    RateEstimate,
-    RhoTailReport,
-    SharpMinimumCertificate,
-    SmallStepReport,
-    StrongConvergenceReport,
-    SubdifferentialReport,
-    active_set_report,
-    check_level_set,
-    check_ratio_limit,
-    check_small_step,
-    check_strong_convergence,
-    check_subdifferential_inequality,
-    estimate_growth_constant,
-    estimate_rate,
-    estimate_sharp_minimum,
-    find_small_step_eta,
-    fit_convergence_order,
-    model_discrepancy,
-    unit_directions,
-)
-from .loop import (
-    IterationRecord,
-    SolveResult,
-    TrustRegionParams,
-    check_stationarity,
-    run_scvx,
-    trust_region_ratio,
-    update_radius,
-)
-from .problems import (
-    BUILTIN_NAMES,
-    Benchmark,
-    DiscretizedProblem,
-    OptimalControlProblem,
-    PathConstraint,
-    builtin,
-    simulate_rollout,
-    transcribe,
-)
-from .simplex import (
-    BoxLpSolution,
-    InfeasibleError,
-    SimplexError,
-    SimplexIterationLimitError,
-    solve_box_lp,
-)
-from .subproblem import (
-    SubproblemError,
-    SubproblemSolution,
-    TrustRegionSubproblem,
-    build_lp,
-    solve_min_norm_step,
-    solve_subproblem,
-)
+from .composite import CompositeError, CompositeObjective, ConvexOuter, SmoothMap
+from .diagnostics import check_strong_convergence, estimate_sharp_minimum, find_small_step_eta
+from .loop import SolveResult, TrustRegionParams, check_stationarity, run_scvx
+from .problems import OptimalControlProblem, builtin, transcribe
+from .subproblem import SubproblemError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSetReport",
-    "BUILTIN_NAMES",
-    "Benchmark",
-    "BoxLpSolution",
     "CompositeError",
     "CompositeObjective",
     "ConvexOuter",
-    "DimensionMismatchError",
-    "DiscretizedProblem",
-    "InfeasibleError",
-    "IterationRecord",
-    "LevelSetReport",
-    "Linearization",
-    "NonFiniteError",
     "OptimalControlProblem",
-    "PathConstraint",
-    "RateEstimate",
-    "RhoTailReport",
-    "SharpMinimumCertificate",
-    "SimplexError",
-    "SimplexIterationLimitError",
-    "SmallStepReport",
     "SmoothMap",
     "SolveResult",
-    "StrongConvergenceReport",
-    "SubdifferentialReport",
     "SubproblemError",
-    "SubproblemSolution",
     "TrustRegionParams",
-    "TrustRegionSubproblem",
-    "active_set_report",
     "builtin",
-    "build_lp",
-    "check_level_set",
-    "check_ratio_limit",
-    "check_small_step",
     "check_stationarity",
     "check_strong_convergence",
-    "check_subdifferential_inequality",
-    "estimate_growth_constant",
-    "estimate_rate",
     "estimate_sharp_minimum",
-    "evaluate_model",
-    "evaluate_objective",
-    "fd_check_jacobian",
     "find_small_step_eta",
-    "fit_convergence_order",
-    "linearize",
-    "model_discrepancy",
     "run_scvx",
-    "simulate_rollout",
-    "solve_box_lp",
-    "solve_min_norm_step",
-    "solve_subproblem",
     "transcribe",
-    "trust_region_ratio",
-    "unit_directions",
-    "update_radius",
-    "__version__",
 ]

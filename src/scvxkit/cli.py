@@ -4,7 +4,8 @@ Configs are strict JSON: unknown keys are rejected with their path, and the
 schema_version field must match SCHEMA_VERSION.  The trace is JSON Lines
 with one fixed-field record per iteration; iterate vectors go to a separate
 sidecar file so trace size stays bounded.  Identical configs (seeds
-included) produce byte-identical traces.
+included) produce byte-identical traces.  Every JSON artifact is strict
+JSON: non-finite floats are written as null.
 
 Exit codes: 0 converged, 1 config or parse error, 2 iteration limit,
 3 assumption violation (level set or norm budget), 4 solver failure.
@@ -13,8 +14,10 @@ Exit codes: 0 converged, 1 config or parse error, 2 iteration limit,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -66,6 +69,19 @@ class ConfigError(Exception):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """JSON true and false are not numbers here, though Python bools are ints."""
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     enabled: bool = True
@@ -79,6 +95,23 @@ class DiagnosticsConfig:
     small_step: bool = True
     epsilon: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("enabled", "small_step"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be true or false")
+        if self.seed is not None and not _is_int(self.seed):
+            raise TypeError("seed must be an integer or null")
+        for name in ("n_samples", "n_directions", "n_probes", "m_tail"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer")
+        if not _is_positive(self.delta):
+            raise ValueError("delta must be a positive number")
+        if self.epsilon is not None and not _is_positive(self.epsilon):
+            raise ValueError("epsilon must be a positive number or null")
+        if self.norm not in diag.NORMS:
+            raise ValueError(f"norm must be one of {diag.NORMS}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
@@ -87,6 +120,11 @@ class OutputConfig:
     summary: Optional[str] = None
     report: Optional[str] = None
     plot_dir: Optional[str] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), (str, type(None))):
+                raise TypeError(f"{f.name} must be a string path")
 
 
 @dataclass(frozen=True)
@@ -108,15 +146,31 @@ def _require_keys(data: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"unknown config key '{path}{key}'")
 
 
-def _number(data: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in data or data[key] is None:
-        if required:
-            raise ConfigError(f"missing config key '{path}{key}'")
+def _number(data: dict, key: str, default=None):
+    value = data.get(key)
+    if value is None:
         return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key '{path}{key}' must be a number")
+    if not _is_number(value):
+        raise ConfigError(f"config key '{key}' must be a number")
     return float(value)
+
+
+def _section(data: dict, key: str, cls):
+    """Build the dataclass cls from the optional object data[key].
+
+    Unknown keys are named by their path; the dataclass validates its own
+    values, and whatever it rejects becomes a ConfigError.
+    """
+    section = data.get(key)
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key '{key}' must be an object")
+    _require_keys(section, {f.name for f in fields(cls)}, key + ".")
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} settings: {exc}") from None
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -142,60 +196,18 @@ def parse_config(data: dict) -> RunConfig:
     seed = data.get("seed", 0)
     if seed is None:
         seed = 0
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("config key 'seed' must be an integer")
-
-    tr_data = data.get("trust_region") or {}
-    if not isinstance(tr_data, dict):
-        raise ConfigError("config key 'trust_region' must be an object")
-    tr_fields = {f.name for f in fields(TrustRegionParams)}
-    _require_keys(tr_data, tr_fields, "trust_region.")
-    try:
-        trust = TrustRegionParams(**tr_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad trust_region settings: {exc}") from None
-
-    dg_data = data.get("diagnostics") or {}
-    if not isinstance(dg_data, dict):
-        raise ConfigError("config key 'diagnostics' must be an object")
-    dg_fields = {f.name for f in fields(DiagnosticsConfig)}
-    _require_keys(dg_data, dg_fields, "diagnostics.")
-    norm = dg_data.get("norm", "inf")
-    if norm not in diag.NORMS:
-        raise ConfigError(f"diagnostics.norm must be one of {diag.NORMS}")
-    diagnostics = DiagnosticsConfig(
-        enabled=bool(dg_data.get("enabled", True)),
-        seed=dg_data.get("seed"),
-        delta=_number(dg_data, "delta", "diagnostics.", default=0.1),
-        n_samples=int(_number(dg_data, "n_samples", "diagnostics.", default=64)),
-        n_directions=int(_number(dg_data, "n_directions", "diagnostics.", default=64)),
-        n_probes=int(_number(dg_data, "n_probes", "diagnostics.", default=64)),
-        m_tail=int(_number(dg_data, "m_tail", "diagnostics.", default=5)),
-        norm=norm,
-        small_step=bool(dg_data.get("small_step", True)),
-        epsilon=_number(dg_data, "epsilon", "diagnostics."),
-    )
-
-    out_data = data.get("output") or {}
-    if not isinstance(out_data, dict):
-        raise ConfigError("config key 'output' must be an object")
-    out_fields = {f.name for f in fields(OutputConfig)}
-    _require_keys(out_data, out_fields, "output.")
-    for key in out_fields:
-        value = out_data.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"config key 'output.{key}' must be a string path")
-    output = OutputConfig(**{k: out_data.get(k) for k in out_fields})
 
     return RunConfig(
         problem_name=name,
         overrides=overrides,
-        penalty_weight=_number(data, "lambda", ""),
+        penalty_weight=_number(data, "lambda"),
         seed=seed,
-        start_jitter=_number(data, "start_jitter", "", default=0.0),
-        trust_region=trust,
-        diagnostics=diagnostics,
-        output=output,
+        start_jitter=_number(data, "start_jitter", default=0.0),
+        trust_region=_section(data, "trust_region", TrustRegionParams),
+        diagnostics=_section(data, "diagnostics", DiagnosticsConfig),
+        output=_section(data, "output", OutputConfig),
     )
 
 
@@ -220,30 +232,51 @@ def load_config(path: str) -> RunConfig:
     return config
 
 
-def _record_dict(rec: IterationRecord) -> dict:
-    return {
-        "k": rec.k,
-        "J": rec.J,
-        "L": rec.model_value,
-        "rho": rec.rho,
-        "radius": rec.radius,
-        "step_norm": rec.step_norm,
-        "accepted": rec.accepted,
-        "predicted_decrease": rec.predicted_decrease,
-        "actual_decrease": rec.actual_decrease,
-    }
+def _jsonable(obj):
+    """obj as plain JSON values: arrays and tuples become lists, numpy
+    scalars Python scalars, and non-finite floats None."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _write_json(path: Optional[str], obj) -> None:
+    """Write obj as indented strict JSON and a newline to path, or to stdout if None."""
+    if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as handle:
+        json.dump(_jsonable(obj), handle, indent=2, allow_nan=False)
+        handle.write("\n")
+
+
+def _write_jsonl(path: str, rows) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as handle:
+        for row in rows:
+            handle.write(json.dumps(_jsonable(row), allow_nan=False) + "\n")
+
+
+# trace.jsonl key -> IterationRecord field, in the order the keys are written.
+_TRACE_FIELDS = {
+    "k": "k", "J": "J", "L": "model_value", "rho": "rho", "radius": "radius",
+    "step_norm": "step_norm", "accepted": "accepted",
+    "predicted_decrease": "predicted_decrease", "actual_decrease": "actual_decrease",
+}
 
 
 def write_trace(path: str, trace: List[IterationRecord]) -> None:
-    with open(path, "w") as handle:
-        for rec in trace:
-            handle.write(json.dumps(_record_dict(rec)) + "\n")
+    _write_jsonl(path, ({key: getattr(rec, name) for key, name in _TRACE_FIELDS.items()}
+                        for rec in trace))
 
 
 def write_iterates(path: str, trace: List[IterationRecord]) -> None:
-    with open(path, "w") as handle:
-        for rec in trace:
-            handle.write(json.dumps({"k": rec.k, "z": list(rec.z)}) + "\n")
+    _write_jsonl(path, ({"k": rec.k, "z": rec.z} for rec in trace))
 
 
 def read_trace(trace_path: str, iterates_path: Optional[str] = None) -> List[IterationRecord]:
@@ -259,11 +292,8 @@ def read_trace(trace_path: str, iterates_path: Optional[str] = None) -> List[Ite
         for line in handle:
             row = json.loads(line)
             records.append(IterationRecord(
-                k=row["k"], z=iterates.get(row["k"]), J=row["J"],
-                step_norm=row["step_norm"], model_value=row["L"],
-                predicted_decrease=row["predicted_decrease"],
-                actual_decrease=row["actual_decrease"], rho=row["rho"],
-                radius=row["radius"], accepted=row["accepted"],
+                z=iterates.get(row["k"]),
+                **{name: row[key] for key, name in _TRACE_FIELDS.items()},
             ))
     return records
 
@@ -297,18 +327,28 @@ def _prepare(config: RunConfig):
     return bench, composite, disc, start
 
 
-def _certificate_dict(cert: diag.SharpMinimumCertificate) -> dict:
+# Report keys per diagnostics result type, in the order they are written.
+_REPORT_FIELDS = {
+    diag.LevelSetReport: ("passed", "verdict", "max_objective", "j0", "max_norm", "norm_budget"),
+    diag.RhoTailReport: ("tail_rho", "trending_to_one", "sufficient", "n_defined"),
+    diag.SharpMinimumCertificate: ("beta_hat", "gamma_hat", "delta", "norm", "seed", "n_samples"),
+    diag.StrongConvergenceReport: ("label", "cauchy_ok", "bound_ok", "beta_hat", "m_tail",
+                                   "tail_errors"),
+    diag.RateEstimate: ("order_q", "defined", "reason", "superlinear_evidence", "error_ratios"),
+    diag.SubdifferentialReport: ("passed", "min_estimate", "n_directions", "steps"),
+    diag.SmallStepReport: ("passed", "eta", "epsilon", "max_step_norm", "n_probes", "failures"),
+    diag.ActiveSetReport: ("active_count", "threshold", "verdict", "tolerance", "active_labels"),
+}
+
+
+def _report_section(result, **extra) -> dict:
+    return {**{key: getattr(result, key) for key in _REPORT_FIELDS[type(result)]}, **extra}
+
+
+def _certificate_section(cert: diag.SharpMinimumCertificate) -> dict:
     worst = int(np.argmin(cert.sample_ratios))
-    return {
-        "beta_hat": cert.beta_hat,
-        "gamma_hat": cert.gamma_hat,
-        "delta": cert.delta,
-        "norm": cert.norm,
-        "seed": cert.seed,
-        "n_samples": cert.n_samples,
-        "worst_ratio": float(cert.sample_ratios[worst]),
-        "worst_point": list(cert.sample_points[worst]),
-    }
+    return _report_section(cert, worst_ratio=cert.sample_ratios[worst],
+                           worst_point=cert.sample_points[worst])
 
 
 def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedProblem],
@@ -320,18 +360,10 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
     report: dict = {"status": result.status}
 
     level = diag.check_level_set(result.trace, j0, norm_budget=config.trust_region.norm_budget)
-    report["level_set"] = {
-        "passed": level.passed, "verdict": level.verdict,
-        "max_objective": level.max_objective, "j0": level.j0,
-        "max_norm": level.max_norm, "norm_budget": level.norm_budget,
-    }
-
+    report["level_set"] = _report_section(level)
     ratio = diag.check_ratio_limit(result.trace, m_tail=cfg.m_tail)
-    report["ratio_tail"] = {
-        "tail_rho": list(ratio.tail_rho), "trending_to_one": ratio.trending_to_one,
-        "sufficient": ratio.sufficient, "n_defined": ratio.n_defined,
-        "note": "observational only; no assertion is attached to this limit",
-    }
+    report["ratio_tail"] = _report_section(
+        ratio, note="observational only; no assertion is attached to this limit")
 
     if result.status != STATUS_CONVERGED:
         report["skipped"] = "minimizer-centric probes need a converged run"
@@ -341,49 +373,27 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
                                         n_samples=cfg.n_samples, norm=cfg.norm, seed=seed)
     growth = diag.estimate_growth_constant(composite, z_bar,
                                            d_samples=cfg.n_samples, norm=cfg.norm, seed=seed)
-    report["sharp_minimum"] = _certificate_dict(sharp)
-    report["model_growth"] = _certificate_dict(growth)
+    report["sharp_minimum"] = _certificate_section(sharp)
+    report["model_growth"] = _certificate_section(growth)
 
     strong = diag.check_strong_convergence(result.trace, z_bar, sharp.beta_hat,
                                            m_tail=cfg.m_tail, norm=cfg.norm)
-    report["strong_convergence"] = {
-        "label": strong.label, "cauchy_ok": strong.cauchy_ok, "bound_ok": strong.bound_ok,
-        "beta_hat": strong.beta_hat, "m_tail": strong.m_tail,
-        "tail_errors": list(strong.tail_errors),
-    }
-
+    report["strong_convergence"] = _report_section(strong)
     rate = diag.estimate_rate(result.trace, z_bar, m_tail=cfg.m_tail, norm=cfg.norm)
-    report["rate"] = {
-        "order_q": rate.order_q, "defined": rate.defined, "reason": rate.reason,
-        "superlinear_evidence": rate.superlinear_evidence,
-        "error_ratios": list(rate.error_ratios),
-    }
-
+    report["rate"] = _report_section(rate)
     sub = diag.check_subdifferential_inequality(composite, z_bar,
                                                 n_directions=cfg.n_directions,
                                                 norm=cfg.norm, seed=seed)
-    report["subdifferential"] = {
-        "passed": sub.passed, "min_estimate": sub.min_estimate,
-        "n_directions": sub.n_directions, "steps": list(sub.steps),
-    }
+    report["subdifferential"] = _report_section(sub)
 
     if cfg.small_step:
         epsilon = cfg.epsilon if cfg.epsilon is not None else cfg.delta / 2.0
         small = diag.find_small_step_eta(composite, z_bar, epsilon,
                                          n_probes=cfg.n_probes, seed=seed)
-        report["small_step"] = {
-            "passed": small.passed, "eta": small.eta, "epsilon": small.epsilon,
-            "max_step_norm": small.max_step_norm, "n_probes": small.n_probes,
-            "failures": list(small.failures),
-        }
+        report["small_step"] = _report_section(small)
 
     if disc is not None:
-        active = diag.active_set_report(disc, z_bar)
-        report["active_set"] = {
-            "active_count": active.active_count, "threshold": active.threshold,
-            "verdict": active.verdict, "tolerance": active.tolerance,
-            "active_labels": list(active.active_labels),
-        }
+        report["active_set"] = _report_section(diag.active_set_report(disc, z_bar))
     return report
 
 
@@ -424,29 +434,20 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
 
     trace_target = trace_path or config.output.trace
     if trace_target:
-        Path(trace_target).parent.mkdir(parents=True, exist_ok=True)
         write_trace(trace_target, result.trace)
     if config.output.iterates:
-        Path(config.output.iterates).parent.mkdir(parents=True, exist_ok=True)
         write_iterates(config.output.iterates, result.trace)
     if config.output.summary:
-        Path(config.output.summary).parent.mkdir(parents=True, exist_ok=True)
-        with open(config.output.summary, "w") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
+        _write_json(config.output.summary, summary)
     if config.output.plot_dir:
         write_plot_data(config.output.plot_dir, result.trace)
 
-    report = None
     if config.diagnostics.enabled:
         report = run_diagnostics(composite, disc, result, config, j0)
         summary["diagnostics"] = report
         report_target = report_path or config.output.report
         if report_target:
-            Path(report_target).parent.mkdir(parents=True, exist_ok=True)
-            with open(report_target, "w") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
+            _write_json(report_target, report)
 
     if not quiet:
         print(f"{config.problem_name}: status={result.status} iterations={result.iterations} "
@@ -536,16 +537,9 @@ def cmd_check(args) -> int:
     )
     report = run_diagnostics(composite, disc, result, config, summary["J0"])
     report_target = args.report or config.output.report
-    if report_target:
-        Path(report_target).parent.mkdir(parents=True, exist_ok=True)
-        with open(report_target, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
     print(f"check {config.problem_name}: status={summary['status']} "
           f"report={'written' if report_target else 'stdout only'}")
-    if not report_target:
-        json.dump(report, sys.stdout, indent=2)
-        print()
+    _write_json(report_target or None, report)
     return EXIT_OK
 
 

@@ -215,11 +215,6 @@ class Linearization:
         return self.psi.apply_many(self.g_value[None, :] + steps @ self.g_jacobian.T)
 
 
-def evaluate_objective(objective: CompositeObjective, z) -> float:
-    """Evaluate J(z) = psi(G(z)), rejecting bad dimensions and non-finite values."""
-    return objective.value(z)
-
-
 def linearize(objective: CompositeObjective, z) -> Linearization:
     """Freeze G(z) and its Jacobian at z for use in the convex model."""
     z = as_decision_vector(z, objective.n_z)
@@ -229,11 +224,6 @@ def linearize(objective: CompositeObjective, z) -> Linearization:
         g_jacobian=objective.g.jac(z),
         psi=objective.psi,
     )
-
-
-def evaluate_model(lin: Linearization, d) -> float:
-    """Evaluate the convex model L(d) = psi(G(z) + dG(z) d)."""
-    return lin.model_value(d)
 
 
 def fd_check_jacobian(smooth_map: SmoothMap, z, step: float = 1e-6) -> float:

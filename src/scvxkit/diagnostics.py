@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .composite import CompositeObjective, evaluate_objective, linearize
+from .composite import CompositeObjective, linearize
 from .loop import IterationRecord
 from .subproblem import (
     SubproblemError,
@@ -95,7 +95,7 @@ def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     z_bar = np.asarray(z_bar, dtype=float)
-    j_bar = evaluate_objective(objective, z_bar)
+    j_bar = objective.value(z_bar)
     dirs = unit_directions(z_bar.size, n_samples, norm=norm, seed=seed)
     shells = (delta / 10.0, delta / 3.0, delta)
     points = []
@@ -104,7 +104,7 @@ def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
         for u in dirs:
             z = z_bar + scale * u
             points.append(z)
-            ratios.append((evaluate_objective(objective, z) - j_bar) / scale)
+            ratios.append((objective.value(z) - j_bar) / scale)
     points = np.asarray(points)
     ratios = np.asarray(ratios)
     return SharpMinimumCertificate(
@@ -407,11 +407,11 @@ def check_subdifferential_inequality(objective: CompositeObjective, z_bar,
                                      tol: float = 1e-6) -> SubdifferentialReport:
     """Estimate dJ(z_bar; s) over random unit directions by one-sided differences."""
     z_bar = np.asarray(z_bar, dtype=float)
-    j_bar = evaluate_objective(objective, z_bar)
+    j_bar = objective.value(z_bar)
     dirs = unit_directions(z_bar.size, n_directions, norm=norm, seed=seed)
     smallest = min(steps)
     estimates = np.array([
-        (evaluate_objective(objective, z_bar + smallest * u) - j_bar) / smallest
+        (objective.value(z_bar + smallest * u) - j_bar) / smallest
         for u in dirs
     ])
     threshold = -tol * (1.0 + abs(j_bar))

@@ -4,8 +4,7 @@ Each iteration linearizes the smooth inner map, minimizes the convex model
 over an inf-norm ball, and accepts or rejects the candidate by comparing
 actual to predicted decrease.  After a rejection the linearization is kept
 and only the radius shrinks, so rejected iterations never re-evaluate the
-Jacobian (standard practice; a config knob restores re-linearization for
-comparison runs).
+Jacobian.
 """
 
 from __future__ import annotations
@@ -15,12 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .composite import (
-    CompositeObjective,
-    as_decision_vector,
-    evaluate_objective,
-    linearize,
-)
+from .composite import CompositeObjective, as_decision_vector, linearize
 from .subproblem import SubproblemError, TrustRegionSubproblem, solve_subproblem
 
 # Acceptance at the low ratio threshold additionally requires a strictly
@@ -54,7 +48,6 @@ class TrustRegionParams:
     stop_step_norm: float = 1e-9
     max_iterations: int = 200
     norm_budget: float = 1e4
-    relinearize_after_reject: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.rho0 < self.rho1 < self.rho2 < 1.0):
@@ -163,7 +156,7 @@ def run_scvx(objective: CompositeObjective, z0,
     if params is None:
         params = TrustRegionParams()
     z = as_decision_vector(z0, objective.n_z).copy()
-    J = evaluate_objective(objective, z)
+    J = objective.value(z)
     J0 = J
     radius = params.r_init
     lin = None
@@ -196,7 +189,7 @@ def run_scvx(objective: CompositeObjective, z0,
             return SolveResult(final_z=z, status=STATUS_CONVERGED, trace=trace, J_final=J)
 
         candidate = z + sol.step
-        J_candidate = evaluate_objective(objective, candidate)
+        J_candidate = objective.value(candidate)
         actual = J - J_candidate
         rho = trust_region_ratio(J, J_candidate, sol.predicted_decrease,
                                  min_predicted=stop_tol(J))
@@ -209,8 +202,6 @@ def run_scvx(objective: CompositeObjective, z0,
         if accepted:
             z = candidate
             J = J_candidate
-            lin = None
-        elif params.relinearize_after_reject:
             lin = None
 
         step_norm = float(np.max(np.abs(sol.step), initial=0.0))

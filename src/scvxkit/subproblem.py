@@ -9,12 +9,13 @@ becomes box bounds on the step variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .composite import Linearization
 from .simplex import (
+    BoxLpSolution,
     SimplexError,
     SimplexIterationLimitError,
     solve_box_lp,
@@ -101,14 +102,6 @@ class SubproblemSolution:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    x: np.ndarray
-    objective: float
-    status: str
-    iterations: int
-
-
 def build_lp(sub: TrustRegionSubproblem) -> LpStandardForm:
     """Rewrite the trust-region model minimization as a standard-form LP.
 
@@ -166,17 +159,25 @@ def build_lp(sub: TrustRegionSubproblem) -> LpStandardForm:
     )
 
 
-def lp_solve(lp: LpStandardForm, max_iter: int | None = None) -> LpSolution:
-    """Solve the epigraph LP; the reported objective includes the offset."""
+def _solve_box_lp(what: str, n_step: int, c, a_ub, b_ub, lb, ub,
+                  max_iter: int | None = None) -> BoxLpSolution:
+    """solve_box_lp with failures raised as SubproblemError; an iteration-limit
+    failure keeps the step part (first n_step entries) of its best point."""
     try:
-        sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub, max_iter=max_iter)
+        return solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter=max_iter)
     except SimplexIterationLimitError as exc:
-        best = exc.x_best[:lp.n_step] if exc.x_best is not None else None
+        best = exc.x_best[:n_step] if exc.x_best is not None else None
         raise SubproblemError(str(exc), best_step=best, iterations=exc.iterations) from exc
     except SimplexError as exc:
-        raise SubproblemError(f"LP solve failed: {exc}") from exc
+        raise SubproblemError(f"{what} failed: {exc}") from exc
+
+
+def lp_solve(lp: LpStandardForm, max_iter: int | None = None) -> BoxLpSolution:
+    """Solve the epigraph LP; the reported objective includes the offset."""
+    sol = _solve_box_lp("LP solve", lp.n_step, lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub,
+                        max_iter=max_iter)
     objective = sol.objective + lp.objective_offset if sol.status == "optimal" else -np.inf
-    return LpSolution(x=sol.x, objective=objective, status=sol.status, iterations=sol.iterations)
+    return replace(sol, objective=objective)
 
 
 def solve_subproblem(sub: TrustRegionSubproblem) -> SubproblemSolution:
@@ -249,13 +250,7 @@ def solve_min_norm_step(sub: TrustRegionSubproblem, value_slack: float | None = 
     lb2 = np.concatenate([lp.lb, [0.0]])
     ub2 = np.concatenate([lp.ub, [radius]])
 
-    try:
-        sol = solve_box_lp(c2, a2, b2, lb2, ub2)
-    except SimplexIterationLimitError as exc:
-        best = exc.x_best[:n] if exc.x_best is not None else None
-        raise SubproblemError(str(exc), best_step=best, iterations=exc.iterations) from exc
-    except SimplexError as exc:
-        raise SubproblemError(f"min-norm LP failed: {exc}") from exc
+    sol = _solve_box_lp("min-norm LP", n, c2, a2, b2, lb2, ub2)
 
     step = sol.x[:n].copy()
     model_value = float(lp.c @ sol.x[:n_vars]) + lp.objective_offset

@@ -13,25 +13,24 @@ import numpy as np
 import pytest
 
 from scvxkit import (
-    IterationRecord,
     TrustRegionParams,
     builtin,
     check_stationarity,
-    check_ratio_limit,
     check_strong_convergence,
+    estimate_sharp_minimum,
+    find_small_step_eta,
+    run_scvx,
+)
+from scvxkit.cli import load_config, main
+from scvxkit.composite import fd_check_jacobian, linearize
+from scvxkit.diagnostics import (
+    check_ratio_limit,
     check_subdifferential_inequality,
     estimate_growth_constant,
     estimate_rate,
-    estimate_sharp_minimum,
-    fd_check_jacobian,
-    find_small_step_eta,
-    linearize,
-    run_scvx,
-    solve_subproblem,
-    TrustRegionSubproblem,
 )
-from scvxkit.cli import load_config, main
-from scvxkit.loop import STATUS_CONVERGED, STATUS_LEVEL_SET
+from scvxkit.loop import STATUS_CONVERGED, STATUS_LEVEL_SET, IterationRecord
+from scvxkit.subproblem import TrustRegionSubproblem, solve_subproblem
 
 import oracles
 

@@ -98,6 +98,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(minimal_config(diagnostics={"norm": "three"}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("enabled", "false"), ("small_step", "no"), ("seed", "abc"), ("seed", 1.5),
+        ("delta", -1), ("n_samples", 2.7),
+    ])
+    def test_bad_diagnostics_value_rejected(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(diagnostics={key: value}))
+        assert "diagnostics" in str(err.value) and key in str(err.value)
+        path = write_config(tmp_path, diagnostics={key: value})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_output_paths_must_be_strings(self):
         with pytest.raises(ConfigError):
             parse_config(minimal_config(output={"trace": 7}))
@@ -190,6 +202,22 @@ class TestSolveArtifacts:
             assert key in report, key
         assert report["level_set"]["passed"] is True
         assert report["sharp_minimum"]["beta_hat"] > 0
+
+    def test_non_finite_values_written_as_null(self, tmp_path):
+        # Probes up to 40 away from the minimizer meet unbounded models,
+        # whose step norm is infinite.
+        _, out = self.run_solve(tmp_path, diagnostics={"epsilon": 40.0})
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token}")
+
+        for path in sorted(out.rglob("*.json*")):
+            text = path.read_text()
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=reject)
+        small = json.loads((out / "report.json").read_text())["small_step"]
+        assert small["max_step_norm"] is None
+        assert small["passed"] is False
 
     def test_plot_files(self, tmp_path):
         _, out = self.run_solve(tmp_path)

@@ -4,18 +4,14 @@ linearization, and the finite-difference Jacobian check."""
 import numpy as np
 import pytest
 
-from scvxkit import (
-    CompositeObjective,
-    ConvexOuter,
+from scvxkit import CompositeObjective, ConvexOuter, SmoothMap
+from scvxkit.composite import (
     DimensionMismatchError,
     NonFiniteError,
-    SmoothMap,
-    evaluate_model,
-    evaluate_objective,
+    as_decision_vector,
     fd_check_jacobian,
     linearize,
 )
-from scvxkit.composite import as_decision_vector
 
 import oracles
 
@@ -173,10 +169,6 @@ class TestCompositeObjective:
         assert comp.max_inequality_violation(z) == 0.0
         assert comp.smooth_cost(z) == pytest.approx(6.25)
 
-    def test_evaluate_objective_helper(self):
-        comp = make_toy()
-        assert evaluate_objective(comp, [2.0]) == comp.value(np.array([2.0]))
-
 
 class TestLinearization:
     def test_model_at_zero_equals_objective_bitwise(self, rng):
@@ -205,11 +197,6 @@ class TestLinearization:
         batch = lin.model_value_many(steps)
         single = np.array([lin.model_value(d) for d in steps])
         np.testing.assert_array_equal(batch, single)
-
-    def test_evaluate_model_helper(self):
-        comp = make_toy()
-        lin = linearize(comp, np.array([2.0]))
-        assert evaluate_model(lin, [0.5]) == lin.model_value(np.array([0.5]))
 
     def test_model_never_below_tangent(self, rng):
         # The outer function is convex, so the model majorizes every tangent

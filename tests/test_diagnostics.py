@@ -5,25 +5,27 @@ import numpy as np
 import pytest
 
 from scvxkit import (
-    IterationRecord,
     builtin,
+    check_strong_convergence,
+    estimate_sharp_minimum,
+    find_small_step_eta,
+    run_scvx,
+    transcribe,
+)
+from scvxkit.diagnostics import (
+    active_set_report,
     check_level_set,
     check_ratio_limit,
     check_small_step,
-    check_strong_convergence,
     check_subdifferential_inequality,
     estimate_growth_constant,
     estimate_rate,
-    estimate_sharp_minimum,
-    find_small_step_eta,
     fit_convergence_order,
     model_discrepancy,
-    run_scvx,
-    transcribe,
     unit_directions,
-    active_set_report,
+    vector_norm,
 )
-from scvxkit.diagnostics import vector_norm
+from scvxkit.loop import IterationRecord
 
 import oracles
 from test_problems import tiny_ocp
@@ -256,7 +258,7 @@ class TestActiveSet:
     def test_exact_when_controls_saturate(self):
         ocp = tiny_ocp()
         disc = transcribe(ocp, 2.0)
-        from scvxkit import simulate_rollout
+        from scvxkit.problems import simulate_rollout
         z = simulate_rollout(ocp, np.array([[1.0], [-1.0]]))
         report = active_set_report(disc, z)
         assert report.verdict == "exact"
@@ -267,7 +269,7 @@ class TestActiveSet:
     def test_shortfall_with_interior_controls(self):
         ocp = tiny_ocp()
         disc = transcribe(ocp, 2.0)
-        from scvxkit import simulate_rollout
+        from scvxkit.problems import simulate_rollout
         z = simulate_rollout(ocp, np.array([[0.5], [0.25]]))
         report = active_set_report(disc, z)
         assert report.verdict == "shortfall"

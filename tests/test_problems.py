@@ -4,16 +4,9 @@ form, rollouts, and the bundled benchmark instances."""
 import numpy as np
 import pytest
 
-from scvxkit import (
-    BUILTIN_NAMES,
-    NonFiniteError,
-    OptimalControlProblem,
-    PathConstraint,
-    builtin,
-    fd_check_jacobian,
-    simulate_rollout,
-    transcribe,
-)
+from scvxkit import OptimalControlProblem, builtin, transcribe
+from scvxkit.composite import NonFiniteError, fd_check_jacobian
+from scvxkit.problems import BUILTIN_NAMES, PathConstraint, simulate_rollout
 
 import oracles
 

@@ -7,7 +7,7 @@ from exhaustive vertex enumeration.
 import numpy as np
 import pytest
 
-from scvxkit import (
+from scvxkit.simplex import (
     InfeasibleError,
     SimplexIterationLimitError,
     solve_box_lp,

@@ -5,15 +5,15 @@ minimum-norm tie-break."""
 import numpy as np
 import pytest
 
-from scvxkit import (
-    SubproblemError,
+from scvxkit import SubproblemError
+from scvxkit.composite import linearize
+from scvxkit.subproblem import (
     TrustRegionSubproblem,
     build_lp,
-    linearize,
+    lp_solve,
     solve_min_norm_step,
     solve_subproblem,
 )
-from scvxkit.subproblem import lp_solve
 
 import oracles
 
