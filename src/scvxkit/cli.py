@@ -138,21 +138,24 @@ class RunConfig:
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def __post_init__(self):
+        # Messages use the config keys; penalty_weight is read from "lambda".
+        if self.penalty_weight is not None:
+            if not _is_positive(self.penalty_weight):
+                raise ValueError("lambda must be a positive finite number or null")
+            object.__setattr__(self, "penalty_weight", float(self.penalty_weight))
+        if not _is_int(self.seed):
+            raise TypeError("seed must be an integer")
+        if not (_is_number(self.start_jitter) and 0 <= self.start_jitter < math.inf):
+            raise ValueError("start_jitter must be a finite number >= 0")
+        object.__setattr__(self, "start_jitter", float(self.start_jitter))
+
 
 def _require_keys(data: dict, allowed: set, path: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"unknown config key '{path}{key}'")
-
-
-def _number(data: dict, key: str, default=None):
-    value = data.get(key)
-    if value is None:
-        return default
-    if not _is_number(value):
-        raise ConfigError(f"config key '{key}' must be a number")
-    return float(value)
 
 
 def _section(data: dict, key: str, cls):
@@ -193,22 +196,21 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(overrides, dict):
         raise ConfigError("config key 'problem.overrides' must be an object")
 
-    seed = data.get("seed", 0)
-    if seed is None:
-        seed = 0
-    if not _is_int(seed):
-        raise ConfigError("config key 'seed' must be an integer")
-
-    return RunConfig(
-        problem_name=name,
-        overrides=overrides,
-        penalty_weight=_number(data, "lambda"),
-        seed=seed,
-        start_jitter=_number(data, "start_jitter", default=0.0),
-        trust_region=_section(data, "trust_region", TrustRegionParams),
-        diagnostics=_section(data, "diagnostics", DiagnosticsConfig),
-        output=_section(data, "output", OutputConfig),
-    )
+    # A null top-level value means the default; RunConfig checks the rest.
+    top = {attr: data[key] for key, attr in (("lambda", "penalty_weight"), ("seed", "seed"),
+                                             ("start_jitter", "start_jitter"))
+           if data.get(key) is not None}
+    try:
+        return RunConfig(
+            problem_name=name,
+            overrides=overrides,
+            trust_region=_section(data, "trust_region", TrustRegionParams),
+            diagnostics=_section(data, "diagnostics", DiagnosticsConfig),
+            output=_section(data, "output", OutputConfig),
+            **top,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -216,8 +218,12 @@ def load_config(path: str) -> RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+    def reject_constant(token):
+        raise ConfigError(f"config {path} is not strict JSON: {token} is not allowed")
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -298,20 +304,20 @@ def read_trace(trace_path: str, iterates_path: Optional[str] = None) -> List[Ite
     return records
 
 
+# plots/ file -> IterationRecord field; records where the field is None are skipped.
+_PLOT_FIELDS = {"objective.dat": "J", "step_norm.dat": "step_norm", "ratio.dat": "rho"}
+
+
 def write_plot_data(plot_dir: str, trace: List[IterationRecord]) -> None:
     """Two-column text files: iteration index against J, step norm, ratio."""
     root = Path(plot_dir)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "objective.dat", "w") as handle:
-        for rec in trace:
-            handle.write(f"{rec.k} {rec.J!r}\n")
-    with open(root / "step_norm.dat", "w") as handle:
-        for rec in trace:
-            handle.write(f"{rec.k} {rec.step_norm!r}\n")
-    with open(root / "ratio.dat", "w") as handle:
-        for rec in trace:
-            if rec.rho is not None:
-                handle.write(f"{rec.k} {rec.rho!r}\n")
+    for file_name, name in _PLOT_FIELDS.items():
+        with open(root / file_name, "w") as handle:
+            for rec in trace:
+                value = getattr(rec, name)
+                if value is not None:
+                    handle.write(f"{rec.k} {value!r}\n")
 
 
 def _prepare(config: RunConfig):

@@ -23,11 +23,7 @@ import numpy as np
 
 from .composite import CompositeObjective, linearize
 from .loop import IterationRecord
-from .subproblem import (
-    SubproblemError,
-    TrustRegionSubproblem,
-    solve_min_norm_step,
-)
+from .subproblem import SubproblemError, solve_min_norm_step
 
 NORMS = ("inf", "one", "two")
 
@@ -176,7 +172,7 @@ def check_small_step(objective: CompositeObjective, z_bar, eta: float,
         z = z_bar + 0.99 * eta * rng.uniform(-1.0, 1.0, z_bar.size)
         try:
             lin = linearize(objective, z)
-            sol = solve_min_norm_step(TrustRegionSubproblem(lin, np.inf, radius_infinite=True))
+            sol = solve_min_norm_step(lin, np.inf)
             if sol.status == "unbounded":
                 failures.append(f"probe {i}: model unbounded below")
                 norms.append(np.inf)

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .composite import CompositeObjective, as_decision_vector, linearize
-from .subproblem import SubproblemError, TrustRegionSubproblem, solve_subproblem
+from .subproblem import SubproblemError, solve_subproblem
 
 # Acceptance at the low ratio threshold additionally requires a strictly
 # positive actual decrease at this relative scale, which keeps the accepted
@@ -50,17 +50,21 @@ class TrustRegionParams:
     norm_budget: float = 1e4
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it.
         if not (0.0 <= self.rho0 < self.rho1 < self.rho2 < 1.0):
             raise ValueError("need 0 <= rho0 < rho1 < rho2 < 1")
-        if self.shrink_factor <= 1.0 or self.grow_factor <= 1.0:
+        if not (self.shrink_factor > 1.0 and self.grow_factor > 1.0):
             raise ValueError("shrink_factor and grow_factor must exceed 1")
         if not (0.0 < self.r_min <= self.r_init <= self.r_max):
             raise ValueError("need 0 < r_min <= r_init <= r_max")
-        if self.stop_predicted_decrease <= 0.0 or self.stop_step_norm <= 0.0:
+        if not (self.stop_predicted_decrease > 0.0 and self.stop_step_norm > 0.0):
             raise ValueError("stopping tolerances must be positive")
-        if self.max_iterations < 1:
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations,
+                                                                   (int, np.integer)):
+            raise TypeError("max_iterations must be an integer")
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.norm_budget <= 0.0:
+        if not self.norm_budget > 0.0:
             raise ValueError("norm_budget must be positive")
 
 
@@ -136,19 +140,17 @@ def check_stationarity(objective: CompositeObjective, z, probe_radius: float = 1
     Zero exactly when no model descent exists within the ball; strictly
     positive otherwise.
     """
-    if probe_radius <= 0:
-        raise ValueError("probe_radius must be positive")
-    lin = linearize(objective, z)
-    sol = solve_subproblem(TrustRegionSubproblem(lin, probe_radius))
-    return sol.predicted_decrease
+    return solve_subproblem(linearize(objective, z), probe_radius).predicted_decrease
 
 
 def run_scvx(objective: CompositeObjective, z0,
              params: Optional[TrustRegionParams] = None) -> SolveResult:
     """Run the trust-region iteration from z0 until a stopping condition.
 
-    Statuses: converged-stationary (predicted decrease at radius
-    min(r, 1) fell below stop_predicted_decrease * (1 + |J|)),
+    Statuses: converged-stationary (the predicted decrease at the current
+    radius fell below stop_predicted_decrease * (1 + |J|), or did so at
+    radius min(r, 1) in the probe made once SMALL_STEP_STREAK accepted
+    steps in a row were no longer than stop_step_norm),
     iteration-limit, level-set-violation (an iterate left the norm budget or
     the objective rose above its starting value), subproblem-failure (the LP
     solver gave up; the partial trace is attached).
@@ -179,7 +181,7 @@ def run_scvx(objective: CompositeObjective, z0,
         if lin is None:
             lin = linearize(objective, z)
         try:
-            sol = solve_subproblem(TrustRegionSubproblem(lin, radius))
+            sol = solve_subproblem(lin, radius)
         except SubproblemError as exc:
             return SolveResult(final_z=z, status=STATUS_SUBPROBLEM, trace=trace,
                                J_final=J, message=str(exc))
@@ -228,7 +230,7 @@ def run_scvx(objective: CompositeObjective, z0,
             probe_radius = min(radius, 1.0)
             lin = linearize(objective, z)
             try:
-                probe = solve_subproblem(TrustRegionSubproblem(lin, probe_radius))
+                probe = solve_subproblem(lin, probe_radius)
             except SubproblemError as exc:
                 return SolveResult(final_z=z, status=STATUS_SUBPROBLEM, trace=trace,
                                    J_final=J, message=str(exc))

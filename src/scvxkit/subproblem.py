@@ -38,32 +38,12 @@ class SubproblemError(Exception):
 
 
 @dataclass(frozen=True)
-class TrustRegionSubproblem:
-    """Minimize the convex model over an inf-norm ball around the base point."""
-
-    lin: Linearization
-    radius: float
-    radius_infinite: bool = False
-
-    def __post_init__(self):
-        if not self.radius_infinite:
-            if not (np.isfinite(self.radius) and self.radius > 0):
-                raise ValueError("trust-region radius must be positive and finite")
-
-    @property
-    def effective_radius(self) -> float:
-        if self.radius_infinite:
-            return QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(self.lin.base_point))))
-        return float(self.radius)
-
-
-@dataclass(frozen=True)
 class LpStandardForm:
-    """Epigraph LP for one subproblem: min c@x, a_ub@x <= b_ub, lb <= x <= ub.
+    """One LP: min c@x, a_ub@x <= b_ub, lb <= x <= ub.
 
-    Variables are [step (n_step), eq auxiliaries, ineq auxiliaries].  The true
-    model value at the optimum is c@x + objective_offset, the offset holding
-    the constant cost-component part.
+    The first n_step variables are the step, boxed by half_width; the true
+    objective is c@x + objective_offset.  quasi_infinite marks a box that
+    stands in for an infinite radius.
     """
 
     c: np.ndarray
@@ -73,8 +53,8 @@ class LpStandardForm:
     ub: np.ndarray
     objective_offset: float
     n_step: int
-    eq_aux: range
-    ineq_aux: range
+    half_width: float
+    quasi_infinite: bool
 
     @property
     def n_variables(self) -> int:
@@ -83,14 +63,6 @@ class LpStandardForm:
     @property
     def n_rows(self) -> int:
         return self.a_ub.shape[0]
-
-    @property
-    def n_trust_bounds(self) -> int:
-        return 2 * self.n_step
-
-    def model_value_of(self, x: np.ndarray) -> float:
-        """Objective the LP assigns to a variable vector, offset included."""
-        return float(self.c @ x) + self.objective_offset
 
 
 @dataclass(frozen=True)
@@ -102,13 +74,21 @@ class SubproblemSolution:
     iterations: int = 0
 
 
-def build_lp(sub: TrustRegionSubproblem) -> LpStandardForm:
-    """Rewrite the trust-region model minimization as a standard-form LP.
+def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
+    """Rewrite the model minimization over the inf-norm ball as an LP.
 
-    Sizes are exact: n_step + n_eq + n_ineq variables and
+    radius must be positive; np.inf gives the quasi-infinite box
+    QUASI_INFINITE_FACTOR * (1 + ||z||_inf).  Variables are [step, eq
+    auxiliaries, ineq auxiliaries]: n_step + n_eq + n_ineq of them, in
     2 * n_eq + n_ineq inequality rows.
     """
-    lin = sub.lin
+    if not radius > 0:
+        raise ValueError("trust-region radius must be positive")
+    quasi_infinite = bool(np.isinf(radius))
+    if quasi_infinite:
+        half_width = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(lin.base_point))))
+    else:
+        half_width = float(radius)
     psi = lin.psi
     jac = lin.g_jacobian
     val = lin.g_value
@@ -116,7 +96,6 @@ def build_lp(sub: TrustRegionSubproblem) -> LpStandardForm:
     n_eq = psi.n_eq
     n_ineq = psi.n_ineq
     n_vars = n + n_eq + n_ineq
-    radius = sub.effective_radius
 
     cost_rows = slice(psi.cost_range.start, psi.cost_range.stop)
     eq_rows = slice(psi.eq_range.start, psi.eq_range.stop)
@@ -142,9 +121,9 @@ def build_lp(sub: TrustRegionSubproblem) -> LpStandardForm:
     b_ub[2 * n_eq:] = -val[ineq_rows]
 
     lb = np.zeros(n_vars)
-    lb[:n] = -radius
+    lb[:n] = -half_width
     ub = np.full(n_vars, np.inf)
-    ub[:n] = radius
+    ub[:n] = half_width
 
     return LpStandardForm(
         c=c,
@@ -154,60 +133,59 @@ def build_lp(sub: TrustRegionSubproblem) -> LpStandardForm:
         ub=ub,
         objective_offset=offset,
         n_step=n,
-        eq_aux=range(n, n + n_eq),
-        ineq_aux=range(n + n_eq, n_vars),
+        half_width=half_width,
+        quasi_infinite=quasi_infinite,
     )
 
 
-def _solve_box_lp(what: str, n_step: int, c, a_ub, b_ub, lb, ub,
-                  max_iter: int | None = None) -> BoxLpSolution:
-    """solve_box_lp with failures raised as SubproblemError; an iteration-limit
-    failure keeps the step part (first n_step entries) of its best point."""
+def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
+    """Solve an LP; the objective includes the offset (-inf when unbounded).
+
+    Simplex failures become SubproblemError; an iteration-limit failure
+    keeps the step part of its best point.
+    """
     try:
-        return solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter=max_iter)
+        sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub)
     except SimplexIterationLimitError as exc:
-        best = exc.x_best[:n_step] if exc.x_best is not None else None
+        best = exc.x_best[:lp.n_step] if exc.x_best is not None else None
         raise SubproblemError(str(exc), best_step=best, iterations=exc.iterations) from exc
     except SimplexError as exc:
-        raise SubproblemError(f"{what} failed: {exc}") from exc
-
-
-def lp_solve(lp: LpStandardForm, max_iter: int | None = None) -> BoxLpSolution:
-    """Solve the epigraph LP; the reported objective includes the offset."""
-    sol = _solve_box_lp("LP solve", lp.n_step, lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub,
-                        max_iter=max_iter)
+        raise SubproblemError(f"LP solve failed: {exc}") from exc
     objective = sol.objective + lp.objective_offset if sol.status == "optimal" else -np.inf
     return replace(sol, objective=objective)
 
 
-def solve_subproblem(sub: TrustRegionSubproblem) -> SubproblemSolution:
-    """Minimize the model over the trust region exactly.
-
-    predicted_decrease is L(0) - L(d*), never meaningfully negative since
-    d = 0 is always feasible.  With radius_infinite set, an optimizer pushed
-    deep into the quasi-infinite box is reported as status "unbounded".
-    """
-    lp = build_lp(sub)
-    sol = lp_solve(lp)
+def _solution(lin: Linearization, lp: LpStandardForm, sol: BoxLpSolution,
+              model_value: float, iterations: int) -> SubproblemSolution:
+    """Package a solved LP's step.  The model counts as unbounded below when
+    the simplex says so, or when the step reaches UNBOUNDED_FRACTION of a
+    quasi-infinite box."""
     step = sol.x[:lp.n_step].copy()
-    status = "optimal"
-    if sol.status == "unbounded":
-        status = "unbounded"
-    elif sub.radius_infinite:
-        if np.max(np.abs(step), initial=0.0) >= UNBOUNDED_FRACTION * sub.effective_radius:
-            status = "unbounded"
-    model_value = sol.objective if np.isfinite(sol.objective) else -np.inf
-    predicted = sub.lin.base_value - model_value
+    unbounded = sol.status == "unbounded" or (
+        lp.quasi_infinite
+        and np.max(np.abs(step), initial=0.0) >= UNBOUNDED_FRACTION * lp.half_width)
     return SubproblemSolution(
         step=step,
         model_value=model_value,
-        predicted_decrease=predicted,
-        status=status,
-        iterations=sol.iterations,
+        predicted_decrease=lin.base_value - model_value,
+        status="unbounded" if unbounded else "optimal",
+        iterations=iterations,
     )
 
 
-def solve_min_norm_step(sub: TrustRegionSubproblem, value_slack: float | None = None) -> SubproblemSolution:
+def solve_subproblem(lin: Linearization, radius: float) -> SubproblemSolution:
+    """Minimize the model over the trust region exactly.
+
+    predicted_decrease is L(0) - L(d*), never meaningfully negative since
+    d = 0 is always feasible.
+    """
+    lp = build_lp(lin, radius)
+    sol = lp_solve(lp)
+    return _solution(lin, lp, sol, sol.objective, sol.iterations)
+
+
+def solve_min_norm_step(lin: Linearization, radius: float,
+                        value_slack: float | None = None) -> SubproblemSolution:
     """Find the minimum inf-norm optimizer of the subproblem.
 
     Two LPs: the first establishes the optimal model value v*, the second
@@ -216,13 +194,10 @@ def solve_min_norm_step(sub: TrustRegionSubproblem, value_slack: float | None = 
     small-norm optimizer exists, where an arbitrary vertex optimizer of a
     nearly flat model could sit far away.
     """
-    lp = build_lp(sub)
+    lp = build_lp(lin, radius)
     first = lp_solve(lp)
     if first.status == "unbounded":
-        step = first.x[:lp.n_step].copy()
-        return SubproblemSolution(step=step, model_value=-np.inf,
-                                  predicted_decrease=np.inf, status="unbounded",
-                                  iterations=first.iterations)
+        return _solution(lin, lp, first, first.objective, first.iterations)
     v_star = first.objective
     if value_slack is None:
         value_slack = 1e-9 * (1.0 + abs(v_star))
@@ -230,7 +205,6 @@ def solve_min_norm_step(sub: TrustRegionSubproblem, value_slack: float | None = 
     n_vars = lp.n_variables
     n = lp.n_step
     m = lp.n_rows
-    radius = sub.effective_radius
 
     c2 = np.zeros(n_vars + 1)
     c2[-1] = 1.0
@@ -247,22 +221,12 @@ def solve_min_norm_step(sub: TrustRegionSubproblem, value_slack: float | None = 
     a2[m + 1 + n:, :n] = -np.eye(n)
     a2[m + 1 + n:, -1] = -1.0
 
-    lb2 = np.concatenate([lp.lb, [0.0]])
-    ub2 = np.concatenate([lp.ub, [radius]])
-
-    sol = _solve_box_lp("min-norm LP", n, c2, a2, b2, lb2, ub2)
-
-    step = sol.x[:n].copy()
-    model_value = float(lp.c @ sol.x[:n_vars]) + lp.objective_offset
-    status = "optimal"
-    if sub.radius_infinite and np.max(np.abs(step), initial=0.0) >= UNBOUNDED_FRACTION * radius:
-        # Even the smallest optimizer sits deep in the quasi-infinite box:
-        # treat the model as unbounded below, same as the plain solve.
-        status = "unbounded"
-    return SubproblemSolution(
-        step=step,
-        model_value=model_value,
-        predicted_decrease=sub.lin.base_value - model_value,
-        status=status,
-        iterations=first.iterations + sol.iterations,
+    min_norm = LpStandardForm(
+        c=c2, a_ub=a2, b_ub=b2,
+        lb=np.concatenate([lp.lb, [0.0]]), ub=np.concatenate([lp.ub, [lp.half_width]]),
+        objective_offset=0.0, n_step=n, half_width=lp.half_width,
+        quasi_infinite=lp.quasi_infinite,
     )
+    sol = lp_solve(min_norm)
+    model_value = float(lp.c @ sol.x[:n_vars]) + lp.objective_offset
+    return _solution(lin, min_norm, sol, model_value, first.iterations + sol.iterations)

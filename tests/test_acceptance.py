@@ -30,7 +30,7 @@ from scvxkit.diagnostics import (
     estimate_rate,
 )
 from scvxkit.loop import STATUS_CONVERGED, STATUS_LEVEL_SET, IterationRecord
-from scvxkit.subproblem import TrustRegionSubproblem, solve_subproblem
+from scvxkit.subproblem import solve_subproblem
 
 import oracles
 
@@ -108,7 +108,7 @@ def test_criterion_02_subproblem_oracle_equivalence(acceptance_log):
         comp, radius = oracles.lattice_model_instance(rng)
         n = comp.g.input_dim
         lin = linearize(comp, np.zeros(n))
-        sol = solve_subproblem(TrustRegionSubproblem(lin, radius))
+        sol = solve_subproblem(lin, radius)
         grid_min, _ = oracles.model_min_on_grid(
             lin.g_value, lin.g_jacobian, comp.psi.n_cost, comp.psi.n_eq,
             comp.psi.penalty_weight, radius, points=41)

@@ -110,6 +110,18 @@ class TestParseConfig:
         assert main(["solve", "--config", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", -1), ("lambda", 0), ("lambda", float("nan")), ("lambda", float("inf")),
+        ("start_jitter", -1), ("start_jitter", float("nan")), ("start_jitter", float("inf")),
+    ])
+    def test_bad_top_level_value_rejected(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(**{key: value}))
+        assert key in str(err.value)
+        path = write_config(tmp_path, **{key: value})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_output_paths_must_be_strings(self):
         with pytest.raises(ConfigError):
             parse_config(minimal_config(output={"trace": 7}))
@@ -132,6 +144,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
         assert "line 2" in str(err.value)
+
+    def test_non_finite_tokens_rejected(self, tmp_path, capsys):
+        for token in ("NaN", "Infinity", "-Infinity"):
+            path = tmp_path / "run.json"
+            path.write_text('{"schema_version": 1, "problem": {"name": "toy-sharp-1d"}, '
+                            '"trust_region": {"norm_budget": %s}}' % token)
+            assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error" in err and token in err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, seed=3)

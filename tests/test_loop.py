@@ -93,6 +93,12 @@ class TestRadiusUpdate:
             TrustRegionParams(norm_budget=-1.0)
         with pytest.raises(ValueError):
             TrustRegionParams(stop_predicted_decrease=0.0)
+        for bad in ({"norm_budget": np.nan}, {"r_init": np.nan}, {"rho1": np.nan},
+                    {"shrink_factor": np.nan}, {"stop_step_norm": np.nan},
+                    {"max_iterations": 2.5}, {"max_iterations": True}):
+            with pytest.raises((TypeError, ValueError)):
+                TrustRegionParams(**bad)
+        assert TrustRegionParams(max_iterations=np.int64(5)).max_iterations == 5
 
 
 class TestRunOnToy:
@@ -195,11 +201,11 @@ class TestTerminationStatuses:
         calls = {"n": 0}
         real = loop_module.solve_subproblem
 
-        def flaky(sub):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise SubproblemError("synthetic failure")
-            return real(sub)
+            return real(*args)
 
         monkeypatch.setattr(loop_module, "solve_subproblem", flaky)
         result = run_scvx(comp, np.array([30.0]))
@@ -247,7 +253,6 @@ class TestStationarityProbe:
         comp = toy_composite()
         z = np.array([2.0])
         lin = linearize(comp, z)
-        from scvxkit.subproblem import TrustRegionSubproblem
-        direct = solve_subproblem(TrustRegionSubproblem(lin, 0.5))
+        direct = solve_subproblem(lin, 0.5)
         assert check_stationarity(comp, z, probe_radius=0.5) == pytest.approx(
             direct.predicted_decrease, abs=1e-12)

@@ -7,8 +7,9 @@ import pytest
 
 from scvxkit import SubproblemError
 from scvxkit.composite import linearize
+import scvxkit.subproblem as subproblem_module
+from scvxkit.simplex import solve_box_lp
 from scvxkit.subproblem import (
-    TrustRegionSubproblem,
     build_lp,
     lp_solve,
     solve_min_norm_step,
@@ -37,11 +38,10 @@ class TestBuildLp:
             n_ineq = comp.psi.n_ineq
             lin = linearize(comp, rng.normal(size=n))
             radius = float(rng.uniform(0.1, 3.0))
-            lp = build_lp(TrustRegionSubproblem(lin, radius))
+            lp = build_lp(lin, radius)
             assert lp.n_variables == n + n_eq + n_ineq
             assert lp.n_rows == 2 * n_eq + n_ineq
             assert lp.n_step == n
-            assert lp.n_trust_bounds == 2 * n
             np.testing.assert_allclose(lp.lb[:n], -radius)
             np.testing.assert_allclose(lp.ub[:n], radius)
             assert np.all(lp.lb[n:] == 0.0)
@@ -54,7 +54,7 @@ class TestBuildLp:
         n = comp.g.input_dim
         z = rng.normal(size=n)
         lin = linearize(comp, z)
-        lp = build_lp(TrustRegionSubproblem(lin, 1.0))
+        lp = build_lp(lin, 1.0)
         assert lp.objective_offset == pytest.approx(lin.g_value[:n_cost].sum(), abs=1e-12)
 
     def test_model_value_of_matches_linearization(self, rng):
@@ -62,21 +62,19 @@ class TestBuildLp:
             comp, _, _ = random_composite(rng)
             n = comp.g.input_dim
             lin = linearize(comp, rng.normal(size=n))
-            sub = TrustRegionSubproblem(lin, 1.5)
-            lp = build_lp(sub)
+            lp = build_lp(lin, 1.5)
             sol = lp_solve(lp)
             step = sol.x[:n]
             # At an optimal vertex the aux variables are tight, so the LP
             # objective equals the true model value at the recovered step.
-            assert lp.model_value_of(sol.x) == pytest.approx(lin.model_value(step), abs=1e-8)
             assert sol.objective == pytest.approx(lin.model_value(step), abs=1e-8)
 
     def test_bad_radius_rejected(self):
         comp, _, _ = random_composite(np.random.default_rng(0))
         lin = linearize(comp, np.zeros(comp.g.input_dim))
-        for radius in (0.0, -1.0, np.inf, np.nan):
+        for radius in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
-                TrustRegionSubproblem(lin, radius)
+                build_lp(lin, radius)
 
 
 class TestOptimality:
@@ -87,7 +85,7 @@ class TestOptimality:
             z = rng.normal(size=n)
             lin = linearize(comp, z)
             radius = float(rng.uniform(0.2, 2.5))
-            sol = solve_subproblem(TrustRegionSubproblem(lin, radius))
+            sol = solve_subproblem(lin, radius)
             ref = oracles.scipy_model_min(lin.g_value, lin.g_jacobian,
                                           n_cost, n_eq, comp.psi.penalty_weight, radius)
             assert sol.status == "optimal"
@@ -99,7 +97,7 @@ class TestOptimality:
             comp, radius = oracles.lattice_model_instance(rng)
             n = comp.g.input_dim
             lin = linearize(comp, np.zeros(n))
-            sol = solve_subproblem(TrustRegionSubproblem(lin, radius))
+            sol = solve_subproblem(lin, radius)
             grid_min, _ = oracles.model_min_on_grid(
                 lin.g_value, lin.g_jacobian, comp.psi.n_cost, comp.psi.n_eq,
                 comp.psi.penalty_weight, radius)
@@ -110,21 +108,21 @@ class TestOptimality:
             comp, _, _ = random_composite(rng)
             n = comp.g.input_dim
             lin = linearize(comp, rng.normal(size=n))
-            sol = solve_subproblem(TrustRegionSubproblem(lin, float(rng.uniform(0.1, 2.0))))
+            sol = solve_subproblem(lin, float(rng.uniform(0.1, 2.0)))
             assert sol.predicted_decrease >= -1e-9
 
     def test_stationary_point_of_sharp_abs(self):
         # J = 2|z| at its minimizer: the zero step is optimal at any radius.
         comp = oracles.abs_composite(2.0)
         lin = linearize(comp, np.zeros(1))
-        sol = solve_subproblem(TrustRegionSubproblem(lin, 5.0))
+        sol = solve_subproblem(lin, 5.0)
         assert sol.predicted_decrease == pytest.approx(0.0, abs=1e-10)
         assert sol.model_value == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_cost_hits_box_corner(self):
         comp = oracles.linear_composite([3.0, -4.0])
         lin = linearize(comp, np.array([0.5, -0.5]))
-        sol = solve_subproblem(TrustRegionSubproblem(lin, 1.0))
+        sol = solve_subproblem(lin, 1.0)
         np.testing.assert_allclose(sol.step, [-1.0, 1.0], atol=1e-9)
         # One unit of trust region buys the 1-norm of the gradient.
         assert sol.predicted_decrease == pytest.approx(7.0, abs=1e-9)
@@ -134,25 +132,24 @@ class TestUnboundedDetection:
     def test_linear_model_flagged_unbounded(self):
         comp = oracles.linear_composite([1.0])
         lin = linearize(comp, np.zeros(1))
-        sub = TrustRegionSubproblem(lin, 1.0, radius_infinite=True)
-        sol = solve_subproblem(sub)
+        sol = solve_subproblem(lin, np.inf)
         assert sol.status == "unbounded"
         # The optimizer was pushed at least half way into the huge box.
-        assert sol.predicted_decrease >= 0.5 * sub.effective_radius
+        assert sol.predicted_decrease >= 0.5 * build_lp(lin, np.inf).half_width
 
     def test_sharp_model_stays_optimal(self):
         comp = oracles.abs_composite(2.0)
         lin = linearize(comp, np.zeros(1))
-        sol = solve_subproblem(TrustRegionSubproblem(lin, 1.0, radius_infinite=True))
+        sol = solve_subproblem(lin, np.inf)
         assert sol.status == "optimal"
         assert np.max(np.abs(sol.step)) < 1e-6
 
     def test_quasi_infinite_radius_scales_with_base_point(self):
         comp = oracles.abs_composite(2.0)
-        near = TrustRegionSubproblem(linearize(comp, np.zeros(1)), 1.0, radius_infinite=True)
-        far = TrustRegionSubproblem(linearize(comp, np.array([50.0])), 1.0, radius_infinite=True)
-        assert far.effective_radius > near.effective_radius
-        assert near.effective_radius >= 1e6
+        near = build_lp(linearize(comp, np.zeros(1)), np.inf).half_width
+        far = build_lp(linearize(comp, np.array([50.0])), np.inf).half_width
+        assert far > near
+        assert near >= 1e6
 
 
 class TestMinNormStep:
@@ -160,8 +157,7 @@ class TestMinNormStep:
         # Constant map: every step is optimal, only the zero step is minimal.
         comp = oracles.affine_composite([1.0], np.zeros((1, 3)), 1, 0, 1.0)
         lin = linearize(comp, rng.normal(size=3))
-        sub = TrustRegionSubproblem(lin, 2.0)
-        sol = solve_min_norm_step(sub)
+        sol = solve_min_norm_step(lin, 2.0)
         assert sol.status == "optimal"
         assert np.max(np.abs(sol.step)) < 1e-7
 
@@ -170,7 +166,7 @@ class TestMinNormStep:
         a_mat = np.array([[1.0, 0.0]])
         comp = oracles.affine_composite([0.0], a_mat, 0, 1, 3.0)
         lin = linearize(comp, np.zeros(2))
-        sol = solve_min_norm_step(TrustRegionSubproblem(lin, 1.0))
+        sol = solve_min_norm_step(lin, 1.0)
         assert np.max(np.abs(sol.step)) < 1e-7
 
     def test_value_stays_near_optimum(self, rng):
@@ -178,9 +174,8 @@ class TestMinNormStep:
             comp, n_cost, n_eq = random_composite(rng)
             n = comp.g.input_dim
             lin = linearize(comp, rng.normal(size=n))
-            sub = TrustRegionSubproblem(lin, 1.0)
-            plain = solve_subproblem(sub)
-            mn = solve_min_norm_step(sub)
+            plain = solve_subproblem(lin, 1.0)
+            mn = solve_min_norm_step(lin, 1.0)
             assert mn.status == "optimal"
             tol = 1e-6 * (1.0 + abs(plain.model_value))
             assert mn.model_value <= plain.model_value + tol
@@ -189,19 +184,20 @@ class TestMinNormStep:
     def test_descending_model_reported_unbounded(self):
         comp = oracles.linear_composite([1.0])
         lin = linearize(comp, np.zeros(1))
-        sub = TrustRegionSubproblem(lin, 1.0, radius_infinite=True)
-        sol = solve_min_norm_step(sub)
+        sol = solve_min_norm_step(lin, np.inf)
         assert sol.status == "unbounded"
-        assert np.max(np.abs(sol.step)) >= 0.5 * sub.effective_radius
+        assert np.max(np.abs(sol.step)) >= 0.5 * build_lp(lin, np.inf).half_width
 
 
 class TestFailurePropagation:
-    def test_iteration_limit_becomes_subproblem_error(self, rng):
+    def test_iteration_limit_becomes_subproblem_error(self, rng, monkeypatch):
         comp, _, _ = random_composite(rng, n=4)
         lin = linearize(comp, rng.normal(size=4))
-        lp = build_lp(TrustRegionSubproblem(lin, 1.0))
+        lp = build_lp(lin, 1.0)
+        monkeypatch.setattr(subproblem_module, "solve_box_lp",
+                            lambda *args: solve_box_lp(*args, max_iter=1))
         with pytest.raises(SubproblemError) as err:
-            lp_solve(lp, max_iter=1)
+            lp_solve(lp)
         exc = err.value
         assert exc.iterations <= 1
         if exc.best_step is not None:
