@@ -41,6 +41,7 @@ from .loop import (
     run_scvx,
 )
 from .problems import BUILTIN_NAMES, DiscretizedProblem, builtin
+from .subproblem import SubproblemError
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "SCVX_SEED"
@@ -99,8 +100,8 @@ class DiagnosticsConfig:
         for name in ("enabled", "small_step"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be true or false")
-        if self.seed is not None and not _is_int(self.seed):
-            raise TypeError("seed must be an integer or null")
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer or null")
         for name in ("n_samples", "n_directions", "n_probes", "m_tail"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
@@ -144,8 +145,8 @@ class RunConfig:
             if not _is_positive(self.penalty_weight):
                 raise ValueError("lambda must be a positive finite number or null")
             object.__setattr__(self, "penalty_weight", float(self.penalty_weight))
-        if not _is_int(self.seed):
-            raise TypeError("seed must be an integer")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if not (_is_number(self.start_jitter) and 0 <= self.start_jitter < math.inf):
             raise ValueError("start_jitter must be a finite number >= 0")
         object.__setattr__(self, "start_jitter", float(self.start_jitter))
@@ -213,28 +214,36 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"bad config value: {exc}") from None
 
 
-def load_config(path: str) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+def _read_json(path, what: str):
+    """Parse the strict-JSON file at path; what names the file in errors.
 
+    An unreadable file, bytes that are not UTF-8, malformed JSON and the
+    NaN/Infinity tokens all become a ConfigError.
+    """
     def reject_constant(token):
-        raise ConfigError(f"config {path} is not strict JSON: {token} is not allowed")
+        raise ConfigError(f"{what} {path} is not strict JSON: {token} is not allowed")
 
     try:
-        data = json.loads(text, parse_constant=reject_constant)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject_constant)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            f"{what} {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
-    config = parse_config(data)
+
+
+def load_config(path: str) -> RunConfig:
+    config = parse_config(_read_json(path, "config"))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
             config = replace(config, seed=int(env_seed))
         except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+            raise ConfigError(
+                f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}") from None
     return config
 
 
@@ -415,7 +424,11 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
 
     last_radius = result.trace[-1].radius if result.trace else config.trust_region.r_init
     probe_radius = min(1.0, last_radius)
-    residual = check_stationarity(composite, result.final_z, probe_radius)
+    try:
+        residual = check_stationarity(composite, result.final_z, probe_radius)
+    except SubproblemError:
+        # A run that failed in the LP usually fails the probe's LP too.
+        residual = math.nan
 
     summary = {
         "problem": config.problem_name,
@@ -532,8 +545,7 @@ def cmd_check(args) -> int:
     summary_file = Path(config.output.summary)
     if not trace_file.exists() or not summary_file.exists():
         raise ConfigError("check needs an existing solve run; run solve first")
-    with open(summary_file) as handle:
-        summary = json.load(handle)
+    summary = _read_json(summary_file, "summary")
     trace = read_trace(str(trace_file), config.output.iterates)
     _, composite, disc, _ = _prepare(config)
 

@@ -16,7 +16,7 @@ constraint visible to the active-set diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -28,16 +28,6 @@ from .composite import (
     SmoothMap,
     as_decision_vector,
 )
-
-BUILTIN_NAMES = (
-    "convex-lqr-box",
-    "double-integrator-obstacle",
-    "dubins-car",
-    "toy-sharp-1d",
-    "toy-sharp-2d",
-    "noncompact-levelset",
-)
-
 
 @dataclass(frozen=True)
 class PathConstraint:
@@ -121,7 +111,6 @@ class DiscretizedProblem:
     composite: CompositeObjective
     ocp: OptimalControlProblem
     labels: Tuple[str, ...]
-    penalty_weight: float
 
     @property
     def active_set_threshold(self) -> int:
@@ -130,44 +119,39 @@ class DiscretizedProblem:
 
 
 def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> DiscretizedProblem:
-    """Stack the problem into a composite exact-penalty objective."""
+    """Stack the problem into a composite exact-penalty objective.
+
+    Rows come in one order: N cost rows (stages, then terminal), the
+    dynamics defects node by node, the boundary pins, then at each control
+    node its path inequalities followed by its finite control bounds.
+    """
     n_x, n_u, N = ocp.n_x, ocp.n_u, ocp.n_nodes
     n_z = ocp.n_z
-    x_init = np.asarray(ocp.initial_state, dtype=float)
-    x_final = None if ocp.final_state is None else np.asarray(ocp.final_state, dtype=float)
 
+    # Boundary pins as (name, node, target): n_x equality rows each.
+    pins = [("initial_state", 0, np.asarray(ocp.initial_state, dtype=float))]
+    if ocp.final_state is not None:
+        pins.append(("final_state", N - 1, np.asarray(ocp.final_state, dtype=float)))
+    # Finite control bounds as (j, side, sign, bound): the row at node k is
+    # sign * u_j - sign * bound <= 0, which is u_j - hi or lo - u_j exactly
+    # (sign * (u_j - bound) would turn a +0.0 on a lower bound into -0.0).
     bounds = []
-    if ocp.control_bounds is not None:
-        for j, (lo, hi) in enumerate(ocp.control_bounds):
-            if np.isfinite(hi):
-                bounds.append((j, "upper", float(hi)))
-            if np.isfinite(lo):
-                bounds.append((j, "lower", float(lo)))
+    for j, (lo, hi) in enumerate(ocp.control_bounds or ()):
+        if np.isfinite(hi):
+            bounds.append((j, "upper", 1.0, float(hi)))
+        if np.isfinite(lo):
+            bounds.append((j, "lower", -1.0, float(lo)))
 
-    labels = []
-    for k in range(N - 1):
-        labels.append(f"stage_cost[{k}]")
-    labels.append("terminal_cost")
-    for k in range(N - 1):
-        for i in range(n_x):
-            labels.append(f"dynamics_defect[{k}][{i}]")
-    for i in range(n_x):
-        labels.append(f"initial_state[{i}]")
-    if x_final is not None:
-        for i in range(n_x):
-            labels.append(f"final_state[{i}]")
-    for k in range(N - 1):
-        for pc in ocp.path_inequalities:
-            labels.append(f"{pc.name}[{k}]")
-        for j, side, _ in bounds:
-            labels.append(f"control_{side}[{k}][{j}]")
-
+    nodes = range(N - 1)
+    labels = [f"stage_cost[{k}]" for k in nodes] + ["terminal_cost"]
+    labels += [f"dynamics_defect[{k}][{i}]" for k in nodes for i in range(n_x)]
+    labels += [f"{name}[{i}]" for name, _, _ in pins for i in range(n_x)]
+    for k in nodes:
+        labels += [f"{pc.name}[{k}]" for pc in ocp.path_inequalities]
+        labels += [f"control_{side}[{k}][{j}]" for j, side, _, _ in bounds]
     n_cost = N
-    n_eq = n_x * (N - 1) + n_x + (n_x if x_final is not None else 0)
-    per_node_ineq = len(ocp.path_inequalities) + len(bounds)
-    n_ineq = per_node_ineq * (N - 1)
-    dim = n_cost + n_eq + n_ineq
-    assert len(labels) == dim
+    n_eq = n_x * (N - 1 + len(pins))
+    dim = len(labels)
 
     def state_cols(k: int) -> slice:
         return slice(k * n_x, (k + 1) * n_x)
@@ -178,35 +162,19 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         states, controls = ocp.split(z)
-        out = np.empty(dim)
-        for k in range(N - 1):
-            out[k] = ocp.stage_cost(states[k], controls[k])
-        out[N - 1] = ocp.terminal_cost(states[-1]) if ocp.terminal_cost is not None else 0.0
-        pos = n_cost
-        for k in range(N - 1):
-            out[pos:pos + n_x] = states[k + 1] - ocp.dynamics(states[k], controls[k])
-            pos += n_x
-        out[pos:pos + n_x] = states[0] - x_init
-        pos += n_x
-        if x_final is not None:
-            out[pos:pos + n_x] = states[-1] - x_final
-            pos += n_x
-        for k in range(N - 1):
-            for pc in ocp.path_inequalities:
-                out[pos] = pc.fun(states[k], controls[k])
-                pos += 1
-            for j, side, bound in bounds:
-                if side == "upper":
-                    out[pos] = controls[k][j] - bound
-                else:
-                    out[pos] = bound - controls[k][j]
-                pos += 1
-        return out
+        terminal = ocp.terminal_cost(states[-1]) if ocp.terminal_cost is not None else 0.0
+        costs = [ocp.stage_cost(states[k], controls[k]) for k in nodes] + [terminal]
+        defects = [states[k + 1] - ocp.dynamics(states[k], controls[k]) for k in nodes]
+        pinned = [states[node] - target for _, node, target in pins]
+        per_node = [[pc.fun(states[k], controls[k]) for pc in ocp.path_inequalities]
+                    + [sign * controls[k][j] - sign * bound for j, _, sign, bound in bounds]
+                    for k in nodes]
+        return np.concatenate([costs, *defects, *pinned, np.ravel(per_node)])
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         states, controls = ocp.split(z)
         jac = np.zeros((dim, n_z))
-        for k in range(N - 1):
+        for k in nodes:
             gx, gu = ocp.stage_cost_grad(states[k], controls[k])
             jac[k, state_cols(k)] = gx
             jac[k, control_cols(k)] = gu
@@ -214,27 +182,24 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
             jac[N - 1, state_cols(N - 1)] = ocp.terminal_cost_grad(states[-1])
         pos = n_cost
         eye = np.eye(n_x)
-        for k in range(N - 1):
+        for k in nodes:
             a_mat, b_mat = ocp.dynamics_jac(states[k], controls[k])
             rows = slice(pos, pos + n_x)
             jac[rows, state_cols(k + 1)] = eye
             jac[rows, state_cols(k)] = -np.asarray(a_mat, dtype=float)
             jac[rows, control_cols(k)] = -np.asarray(b_mat, dtype=float)
             pos += n_x
-        jac[pos:pos + n_x, state_cols(0)] = eye
-        pos += n_x
-        if x_final is not None:
-            jac[pos:pos + n_x, state_cols(N - 1)] = eye
+        for _, node, _ in pins:
+            jac[pos:pos + n_x, state_cols(node)] = eye
             pos += n_x
-        for k in range(N - 1):
+        for k in nodes:
             for pc in ocp.path_inequalities:
                 gx, gu = pc.grad(states[k], controls[k])
                 jac[pos, state_cols(k)] = gx
                 jac[pos, control_cols(k)] = gu
                 pos += 1
-            for j, side, _ in bounds:
-                col = N * n_x + k * n_u + j
-                jac[pos, col] = 1.0 if side == "upper" else -1.0
+            for j, _, sign, _ in bounds:
+                jac[pos, control_cols(k).start + j] = sign
                 pos += 1
         return jac
 
@@ -246,8 +211,7 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
         penalty_weight=float(penalty_weight),
     )
     composite = CompositeObjective(g=smooth, psi=outer)
-    return DiscretizedProblem(composite=composite, ocp=ocp, labels=tuple(labels),
-                              penalty_weight=float(penalty_weight))
+    return DiscretizedProblem(composite=composite, ocp=ocp, labels=tuple(labels))
 
 
 def simulate_rollout(ocp: OptimalControlProblem, controls) -> np.ndarray:
@@ -270,18 +234,16 @@ def simulate_rollout(ocp: OptimalControlProblem, controls) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Benchmark:
-    """A named instance plus everything needed to run it unattended."""
+    """A named instance plus everything needed to run it unattended.
+
+    problem is an OptimalControlProblem, transcribed at the requested
+    weight, or a function from weight to CompositeObjective.
+    """
 
     name: str
-    problem: Union[OptimalControlProblem, CompositeObjective]
+    problem: Union[OptimalControlProblem, Callable[[float], CompositeObjective]]
     default_penalty_weight: float
     default_start: np.ndarray
-    notes: str = ""
-    composite_factory: Optional[Callable[[float], CompositeObjective]] = None
-
-    @property
-    def kind(self) -> str:
-        return "ocp" if isinstance(self.problem, OptimalControlProblem) else "composite"
 
     def build(self, penalty_weight: Optional[float] = None
               ) -> Tuple[CompositeObjective, Optional[DiscretizedProblem]]:
@@ -290,9 +252,7 @@ class Benchmark:
         if isinstance(self.problem, OptimalControlProblem):
             disc = transcribe(self.problem, weight)
             return disc.composite, disc
-        if penalty_weight is None or self.composite_factory is None:
-            return self.problem, None
-        return self.composite_factory(weight), None
+        return self.problem(weight), None
 
 
 def _convex_lqr_box(n_nodes: int = 6, dt: float = 0.25, control_limit: float = 1.0) -> OptimalControlProblem:
@@ -420,15 +380,7 @@ def _dubins_car(n_nodes: int = 6, dt: float = 0.5,
     # Reachable target pose: endpoint of a constant-rate arc at 80% speed.
     nominal = np.tile([0.8 * speed_limit, 0.4 * turn_limit], (n_nodes - 1, 1))
     states, _ = ocp.split(simulate_rollout(ocp, nominal))
-    return OptimalControlProblem(
-        n_x=3, n_u=2, n_nodes=n_nodes,
-        dynamics=dynamics, dynamics_jac=dynamics_jac,
-        initial_state=np.zeros(3),
-        final_state=states[-1].copy(),
-        stage_cost=stage_cost, stage_cost_grad=stage_cost_grad,
-        control_bounds=((0.0, speed_limit), (-turn_limit, turn_limit)),
-        name="dubins-car",
-    )
+    return replace(ocp, final_state=states[-1].copy())
 
 
 def _toy_sharp_1d_composite(weight: float) -> CompositeObjective:
@@ -464,6 +416,47 @@ def _noncompact_composite(weight: float) -> CompositeObjective:
     return CompositeObjective(g=smooth, psi=outer)
 
 
+def _rollout_start(make_ocp: Callable[..., OptimalControlProblem], control):
+    """make(**overrides) for an OCP whose default start is the rollout of
+    one constant control."""
+    def make(**overrides):
+        ocp = make_ocp(**overrides)
+        return ocp, simulate_rollout(ocp, np.tile(control, (ocp.n_nodes - 1, 1)))
+    return make
+
+
+# name -> (make(**overrides) -> (problem, default start), default penalty weight).
+# The composite built-ins take no overrides.
+_BUILTINS = {
+    # Affine dynamics, linear cost, box on the control.  The model is exact,
+    # so every defined ratio is 1 and the solve matches a direct LP on the
+    # stacked problem.
+    "convex-lqr-box": (_rollout_start(_convex_lqr_box, [0.0]), 10.0),
+    # Planar double integrator steering around one circular keep-out region
+    # to a pinned final state.  Nonconvex through the keep-out components
+    # only.  Weights of 5 and up already recover the constrained optimum
+    # here; the default 50 leaves a wide margin.
+    "double-integrator-obstacle": (_rollout_start(_double_integrator_obstacle, [0.0, 0.0]), 50.0),
+    # Unicycle kinematics with speed and turn-rate bounds; the target pose
+    # is the endpoint of a feasible arc, so an exact-penalty minimizer
+    # reaches it exactly.
+    "dubins-car": (_rollout_start(_dubins_car, [0.5, 0.0]), 10.0),
+    # J(z) = z^2 + 10|z - 1|.  Minimizer z = 1 for any weight above 2,
+    # J(1) = 1.  One-sided slopes at the minimizer are 8 (left) and 12
+    # (right): sharp with constant 8, and the model growth constant there
+    # is also 8.
+    "toy-sharp-1d": (lambda: (_toy_sharp_1d_composite, np.array([3.0])), 10.0),
+    # J(z) = |z|^2 + 10(|z1 - 1| + |z2 - 1|).  Minimizer (1, 1) for any
+    # weight above 2, J = 2.  Sharp and model growth constants both 8 in
+    # the inf norm; the worst direction is a single signed axis.
+    "toy-sharp-2d": (lambda: (_toy_sharp_2d_composite, np.array([3.0, -2.0])), 10.0),
+    # J(z) = -z + exp(-z), unbounded below (see _noncompact_composite).  Runs
+    # end by exhausting the iterate norm budget, never by claiming convergence.
+    "noncompact-levelset": (lambda: (_noncompact_composite, np.array([0.0])), 1.0),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name: str, **overrides) -> Benchmark:
     """Return a named builtin instance.
 
@@ -471,74 +464,12 @@ def builtin(name: str, **overrides) -> Benchmark:
     penalty weight is not an override here since it belongs to the
     transcription step.
     """
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin '{name}'; choose from {BUILTIN_NAMES}")
+    make, weight = _BUILTINS[name]
     try:
-        if name == "convex-lqr-box":
-            ocp = _convex_lqr_box(**overrides)
-            start = simulate_rollout(ocp, np.zeros((ocp.n_nodes - 1, ocp.n_u)))
-            return Benchmark(
-                name=name, problem=ocp, default_penalty_weight=10.0, default_start=start,
-                notes="Affine dynamics, linear cost, box on the control. The "
-                      "model is exact, so every defined ratio is 1 and the "
-                      "solve matches a direct LP on the stacked problem.",
-            )
-        if name == "double-integrator-obstacle":
-            ocp = _double_integrator_obstacle(**overrides)
-            start = simulate_rollout(ocp, np.zeros((ocp.n_nodes - 1, ocp.n_u)))
-            return Benchmark(
-                name=name, problem=ocp, default_penalty_weight=50.0, default_start=start,
-                notes="Planar double integrator steering around one circular "
-                      "keep-out region to a pinned final state. Nonconvex "
-                      "through the keep-out components only. Weights of 5 and "
-                      "up already recover the constrained optimum here; the "
-                      "default 50 leaves a wide margin.",
-            )
-        if name == "dubins-car":
-            ocp = _dubins_car(**overrides)
-            controls = np.tile([0.5, 0.0], (ocp.n_nodes - 1, 1))
-            start = simulate_rollout(ocp, controls)
-            return Benchmark(
-                name=name, problem=ocp, default_penalty_weight=10.0, default_start=start,
-                notes="Unicycle kinematics with speed and turn-rate bounds; "
-                      "the target pose is the endpoint of a feasible arc, so "
-                      "an exact-penalty minimizer reaches it exactly.",
-            )
-        if name == "toy-sharp-1d":
-            if overrides:
-                raise TypeError(f"unexpected overrides {sorted(overrides)}")
-            return Benchmark(
-                name=name, problem=_toy_sharp_1d_composite(10.0),
-                default_penalty_weight=10.0, default_start=np.array([3.0]),
-                composite_factory=_toy_sharp_1d_composite,
-                notes="J(z) = z^2 + 10|z - 1|. Minimizer z = 1 for any weight "
-                      "above 2, J(1) = 1. One-sided slopes at the minimizer "
-                      "are 8 (left) and 12 (right): sharp with constant 8, "
-                      "and the model growth constant there is also 8.",
-            )
-        if name == "toy-sharp-2d":
-            if overrides:
-                raise TypeError(f"unexpected overrides {sorted(overrides)}")
-            return Benchmark(
-                name=name, problem=_toy_sharp_2d_composite(10.0),
-                default_penalty_weight=10.0, default_start=np.array([3.0, -2.0]),
-                composite_factory=_toy_sharp_2d_composite,
-                notes="J(z) = |z|^2 + 10(|z1 - 1| + |z2 - 1|). Minimizer "
-                      "(1, 1) for any weight above 2, J = 2. Sharp and model "
-                      "growth constants both 8 in the inf norm; the worst "
-                      "direction is a single signed axis.",
-            )
-        if name == "noncompact-levelset":
-            if overrides:
-                raise TypeError(f"unexpected overrides {sorted(overrides)}")
-            return Benchmark(
-                name=name, problem=_noncompact_composite(1.0),
-                default_penalty_weight=1.0, default_start=np.array([0.0]),
-                composite_factory=_noncompact_composite,
-                notes="J(z) = -z + exp(-z): unbounded below with slope at "
-                      "most -1 everywhere, so every sublevel set is unbounded "
-                      "and the predicted decrease never falls under the stop "
-                      "tolerance. Runs end by exhausting the iterate norm "
-                      "budget, never by claiming convergence.",
-            )
+        problem, start = make(**overrides)
     except TypeError as exc:
         raise ValueError(f"bad overrides for builtin '{name}': {exc}") from None
-    raise ValueError(f"unknown builtin '{name}'; choose from {BUILTIN_NAMES}")
+    return Benchmark(name=name, problem=problem, default_penalty_weight=weight,
+                     default_start=start)

@@ -15,6 +15,7 @@ from scvxkit.cli import (
     EXIT_CONFIG,
     EXIT_ITERATIONS,
     EXIT_OK,
+    EXIT_SOLVER,
     SEED_ENV_VAR,
     ConfigError,
     execute_run,
@@ -100,7 +101,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("enabled", "false"), ("small_step", "no"), ("seed", "abc"), ("seed", 1.5),
-        ("delta", -1), ("n_samples", 2.7),
+        ("delta", -1), ("n_samples", 2.7), ("seed", -1),
     ])
     def test_bad_diagnostics_value_rejected(self, tmp_path, capsys, key, value):
         with pytest.raises(ConfigError) as err:
@@ -113,6 +114,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("lambda", -1), ("lambda", 0), ("lambda", float("nan")), ("lambda", float("inf")),
         ("start_jitter", -1), ("start_jitter", float("nan")), ("start_jitter", float("inf")),
+        ("seed", -1),
     ])
     def test_bad_top_level_value_rejected(self, tmp_path, capsys, key, value):
         with pytest.raises(ConfigError) as err:
@@ -161,9 +163,19 @@ class TestLoadConfig:
 
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
-        monkeypatch.setenv(SEED_ENV_VAR, "pi")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for value in ("pi", "-2"):
+            monkeypatch.setenv(SEED_ENV_VAR, value)
+            with pytest.raises(ConfigError):
+                load_config(path)
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(minimal_config()).encode() + b"\xff")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert "UTF-8" in str(err.value)
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSolveArtifacts:
@@ -314,6 +326,21 @@ class TestExitCodes:
         path = write_config(tmp_path, problem={"name": "noncompact-levelset"})
         assert main(["solve", "--config", path]) == EXIT_ASSUMPTION
 
+    def test_subproblem_failure_exit_keeps_artifacts(self, tmp_path, monkeypatch):
+        import scvxkit.subproblem as subproblem_module
+        from scvxkit.simplex import solve_box_lp
+        monkeypatch.setattr(subproblem_module, "solve_box_lp",
+                            lambda *args: solve_box_lp(*args, max_iter=1))
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
+        path = write_config(tmp_path, problem={"name": "double-integrator-obstacle"},
+                            output=output)
+        assert main(["solve", "--config", path]) == EXIT_SOLVER
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "subproblem-failure"
+        assert summary["stationarity_residual"] is None
+        assert (out / "trace.jsonl").exists()
+
 
 class TestBench:
     def test_csv_over_directory(self, tmp_path, capsys):
@@ -362,6 +389,17 @@ class TestCheck:
         output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
         config_path = write_config(tmp_path, output=output)
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
+
+    def test_check_truncated_summary_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        summary = out / "summary.json"
+        summary.write_text(summary.read_text()[:40])
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_check_needs_output_paths(self, tmp_path, capsys):
         config_path = write_config(tmp_path)

@@ -200,7 +200,7 @@ class TestBuiltins:
             assert bench.name == name
             comp, disc = bench.build()
             assert comp.n_z == bench.default_start.size
-            if bench.kind == "ocp":
+            if isinstance(bench.problem, OptimalControlProblem):
                 assert disc is not None
                 assert disc.composite is comp
             else:
@@ -224,11 +224,12 @@ class TestBuiltins:
         assert comp.n_z == 4 * 2 + 3 * 1
 
     def test_build_weight_handling(self):
-        bench = builtin("toy-sharp-1d")
-        comp_default, _ = bench.build()
-        assert comp_default.psi.penalty_weight == bench.default_penalty_weight
-        comp_heavy, _ = bench.build(25.0)
-        assert comp_heavy.psi.penalty_weight == 25.0
+        for name in BUILTIN_NAMES:
+            bench = builtin(name)
+            comp_default, _ = bench.build()
+            assert comp_default.psi.penalty_weight == bench.default_penalty_weight, name
+            comp_heavy, _ = bench.build(25.0)
+            assert comp_heavy.psi.penalty_weight == 25.0, name
 
     def test_builtin_jacobians_against_differences(self, rng):
         for name in BUILTIN_NAMES:
