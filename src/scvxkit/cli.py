@@ -214,25 +214,43 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"bad config value: {exc}") from None
 
 
-def _read_json(path, what: str):
+def _read_json(path, what: str, lines: bool = False):
     """Parse the strict-JSON file at path; what names the file in errors.
 
-    An unreadable file, bytes that are not UTF-8, malformed JSON and the
-    NaN/Infinity tokens all become a ConfigError.
+    With lines=True the file is JSON Lines and the result is the list of its
+    rows.  An unreadable file, bytes that are not UTF-8, malformed JSON and
+    the NaN/Infinity tokens all become a ConfigError.
     """
     def reject_constant(token):
         raise ConfigError(f"{what} {path} is not strict JSON: {token} is not allowed")
 
+    line = 0  # lines before the text being parsed
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject_constant)
+        text = Path(path).read_text(encoding="utf-8")
+        if not lines:
+            return json.loads(text, parse_constant=reject_constant)
+        rows = []
+        for line, row in enumerate(text.splitlines()):
+            rows.append(json.loads(row, parse_constant=reject_constant))
+        return rows
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{what} {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg} "
+                          f"at line {line + exc.lineno} column {exc.colno}") from None
+
+
+def _require(row, keys, what: str, path):
+    """row, if it is a JSON object holding every key in keys; else a
+    ConfigError naming the file."""
+    if not isinstance(row, dict):
+        raise ConfigError(f"{what} {path} holds a {type(row).__name__} where an object belongs")
+    missing = [key for key in keys if key not in row]
+    if missing:
+        raise ConfigError(f"{what} {path} lacks {', '.join(missing)}")
+    return row
 
 
 def load_config(path: str) -> RunConfig:
@@ -295,21 +313,23 @@ def write_iterates(path: str, trace: List[IterationRecord]) -> None:
 
 
 def read_trace(trace_path: str, iterates_path: Optional[str] = None) -> List[IterationRecord]:
-    """Rebuild iteration records from a trace file plus optional sidecar."""
+    """Rebuild iteration records from a trace file plus optional sidecar.
+
+    A file that cannot be parsed, or a row that lacks a key, is a
+    ConfigError naming the file.
+    """
     iterates = {}
     if iterates_path and Path(iterates_path).exists():
-        with open(iterates_path) as handle:
-            for line in handle:
-                row = json.loads(line)
-                iterates[row["k"]] = np.asarray(row["z"], dtype=float)
+        for row in _read_json(iterates_path, "iterates", lines=True):
+            _require(row, ("k", "z"), "iterates", iterates_path)
+            iterates[row["k"]] = np.asarray(row["z"], dtype=float)
     records = []
-    with open(trace_path) as handle:
-        for line in handle:
-            row = json.loads(line)
-            records.append(IterationRecord(
-                z=iterates.get(row["k"]),
-                **{name: row[key] for key, name in _TRACE_FIELDS.items()},
-            ))
+    for row in _read_json(trace_path, "trace", lines=True):
+        _require(row, _TRACE_FIELDS, "trace", trace_path)
+        records.append(IterationRecord(
+            z=iterates.get(row["k"]),
+            **{name: row[key] for key, name in _TRACE_FIELDS.items()},
+        ))
     return records
 
 
@@ -545,7 +565,8 @@ def cmd_check(args) -> int:
     summary_file = Path(config.output.summary)
     if not trace_file.exists() or not summary_file.exists():
         raise ConfigError("check needs an existing solve run; run solve first")
-    summary = _read_json(summary_file, "summary")
+    summary = _require(_read_json(summary_file, "summary"),
+                       ("final_z", "status", "J_final", "J0"), "summary", summary_file)
     trace = read_trace(str(trace_file), config.output.iterates)
     _, composite, disc, _ = _prepare(config)
 

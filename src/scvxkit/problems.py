@@ -462,14 +462,15 @@ def builtin(name: str, **overrides) -> Benchmark:
 
     Overrides feed the instance factory (node count, limits, geometry); the
     penalty weight is not an override here since it belongs to the
-    transcription step.
+    transcription step.  An unknown name, or overrides the factory cannot
+    use (wrong name, type, value or length), raise ValueError.
     """
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin '{name}'; choose from {BUILTIN_NAMES}")
     make, weight = _BUILTINS[name]
     try:
         problem, start = make(**overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"bad overrides for builtin '{name}': {exc}") from None
     return Benchmark(name=name, problem=problem, default_penalty_weight=weight,
                      default_start=start)

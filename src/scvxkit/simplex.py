@@ -4,7 +4,9 @@ Solves  min c @ x  s.t.  a_ub @ x <= b_ub,  lb <= x <= ub  on a dense
 tableau.  Lower bounds must be finite (the caller shifts variables so this
 holds by construction); upper bounds may be +inf.  Pivoting starts with
 Dantzig's rule and falls back to Bland's rule after a stall, which
-guarantees termination on degenerate problems.
+guarantees termination on degenerate problems.  Each pivot updates only the
+rows with a nonzero pivot-column entry times the columns with a nonzero
+pivot-row entry; the other cells of the tableau cannot change.
 """
 
 from __future__ import annotations
@@ -54,9 +56,15 @@ class _IterationBudget(Exception):
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    # Only cells in a row with a nonzero pivot-column entry and a column with
+    # a nonzero pivot-row entry can change; every other cell would receive
+    # x - a*0 or x - 0*b, which leaves x as it is up to the sign of a zero.
     piv_row = tableau[row] / tableau[row, col]
-    col_vals = tableau[:, col].copy()
-    tableau -= np.outer(col_vals, piv_row)
+    col_vals = tableau[:, col]
+    rows = np.flatnonzero(col_vals)
+    rows = rows[rows != row]
+    cols = np.flatnonzero(piv_row)
+    tableau[np.ix_(rows, cols)] -= np.outer(col_vals[rows], piv_row[cols])
     tableau[row] = piv_row
     basis[row] = col
 

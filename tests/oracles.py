@@ -93,6 +93,19 @@ def scipy_box_lp(c, a_ub, b_ub, lb, ub):
     return res
 
 
+def dense_pivot(tableau, basis, row, col):
+    """Simplex pivot as a rank-1 update of the whole tableau.
+
+    Drop-in for scvxkit.simplex._pivot, which restricts the same update to
+    the cells that can change; the two must give the same pivots and bits.
+    """
+    piv_row = tableau[row] / tableau[row, col]
+    col_vals = tableau[:, col].copy()
+    tableau -= np.outer(col_vals, piv_row)
+    tableau[row] = piv_row
+    basis[row] = col
+
+
 def vertex_min_box_lp(c, a_ub, b_ub, lb, ub, tol=1e-9):
     """Enumerate basic points of a small finite-box LP and take the best.
 

@@ -317,6 +317,13 @@ class TestExitCodes:
         path = write_config(tmp_path, problem={"name": "warp-drive"})
         assert main(["solve", "--config", path]) == EXIT_CONFIG
 
+    def test_bad_builtin_override_exit(self, tmp_path, capsys):
+        # A one-element target used to escape as an IndexError traceback.
+        path = write_config(tmp_path, problem={"name": "double-integrator-obstacle",
+                                               "overrides": {"target": [5.0]}})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "config error: bad overrides" in capsys.readouterr().err
+
     def test_iteration_limit_exit(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "double-integrator-obstacle"},
                             trust_region={"max_iterations": 2})
@@ -400,6 +407,35 @@ class TestCheck:
         capsys.readouterr()
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damaged", ["trace.jsonl", "iterates.jsonl"])
+    def test_check_truncated_trace_is_config_error(self, tmp_path, capsys, damaged):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
+                  "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        target = out / damaged
+        text = target.read_text()
+        target.write_text(text[:text.index("\n") + 10])
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(target) in err and "line 2" in err
+
+    def test_check_summary_without_final_z_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        summary = out / "summary.json"
+        data = json.loads(summary.read_text())
+        del data["final_z"]
+        summary.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(summary) in err and "final_z" in err
 
     def test_check_needs_output_paths(self, tmp_path, capsys):
         config_path = write_config(tmp_path)

@@ -7,6 +7,7 @@ from exhaustive vertex enumeration.
 import numpy as np
 import pytest
 
+from scvxkit import simplex
 from scvxkit.simplex import (
     InfeasibleError,
     SimplexIterationLimitError,
@@ -27,6 +28,39 @@ def random_bounded_lp(rng, n=None, m=None):
     x_feas = rng.uniform(lb, ub)
     b_ub = a_ub @ x_feas + rng.uniform(0.1, 2.0, size=m)
     return c, a_ub, b_ub, lb, ub
+
+
+def sparse_epigraph_lp(rng, n=60, n_eq=40, n_ineq=40, per_row=2, radius=1.0, weight=10.0):
+    """An LP laid out like subproblem.build_lp: step variables boxed by the
+    radius, one |.| epigraph auxiliary per equality row, one hinge auxiliary
+    per inequality row, and a Jacobian with per_row nonzeros per row.  At the
+    default sizes about 2% of a_ub is nonzero and phase 1 is needed."""
+    jac = np.zeros((n_eq + n_ineq, n))
+    for r in range(jac.shape[0]):
+        jac[r, rng.choice(n, per_row, replace=False)] = rng.normal(size=per_row)
+    val = rng.normal(size=n_eq + n_ineq)
+    c = np.concatenate([rng.normal(size=n), np.full(n_eq + n_ineq, weight)])
+    a_ub = np.zeros((2 * n_eq + n_ineq, n + n_eq + n_ineq))
+    a_ub[:n_eq, :n] = jac[:n_eq]
+    a_ub[n_eq:2 * n_eq, :n] = -jac[:n_eq]
+    a_ub[:2 * n_eq, n:n + n_eq] = np.vstack([-np.eye(n_eq)] * 2)
+    a_ub[2 * n_eq:, :n] = jac[n_eq:]
+    a_ub[2 * n_eq:, n + n_eq:] = -np.eye(n_ineq)
+    b_ub = np.concatenate([-val[:n_eq], val[:n_eq], -val[n_eq:]])
+    lb = np.concatenate([np.full(n, -radius), np.zeros(n_eq + n_ineq)])
+    ub = np.concatenate([np.full(n, radius), np.full(n_eq + n_ineq, np.inf)])
+    return c, a_ub, b_ub, lb, ub
+
+
+def cycling_lp():
+    """A textbook degenerate LP that cycles under naive pivoting."""
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    a_ub = np.array([
+        [0.25, -60.0, -1.0 / 25.0, 9.0],
+        [0.5, -90.0, -1.0 / 50.0, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ])
+    return c, a_ub, np.array([0.0, 0.0, 1.0]), np.zeros(4), np.full(4, np.inf)
 
 
 class TestAgainstScipy:
@@ -87,18 +121,8 @@ class TestKnownInstances:
         assert sol.objective == pytest.approx(-7.5)
 
     def test_classic_cycling_instance(self):
-        # A textbook degenerate LP that cycles under naive pivoting; the
-        # stall fallback to Bland's rule must still reach the optimum -1/20.
-        c = np.array([-0.75, 150.0, -0.02, 6.0])
-        a_ub = np.array([
-            [0.25, -60.0, -1.0 / 25.0, 9.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ])
-        b_ub = np.array([0.0, 0.0, 1.0])
-        lb = np.zeros(4)
-        ub = np.full(4, np.inf)
-        sol = solve_box_lp(c, a_ub, b_ub, lb, ub)
+        # The stall fallback to Bland's rule must still reach the optimum -1/20.
+        sol = solve_box_lp(*cycling_lp())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -168,3 +192,64 @@ class TestStatusesAndErrors:
         ub = np.array([-1.0, 7.0])
         sol = solve_box_lp(c, np.zeros((0, 2)), np.zeros(0), lb, ub)
         np.testing.assert_allclose(sol.x, [-5.0, 3.0], atol=1e-9)
+
+
+def solve_outcome(*lp, **kwargs):
+    """Everything a caller can observe of one solve, as comparable bytes."""
+    try:
+        sol = solve_box_lp(*lp, **kwargs)
+    except SimplexIterationLimitError as exc:
+        x_best = None if exc.x_best is None else exc.x_best.tobytes()
+        best = None if exc.objective_best is None else exc.objective_best.hex()
+        return ("iteration-limit", x_best, best, exc.iterations)
+    except InfeasibleError:
+        return ("infeasible",)
+    return (sol.status, sol.x.tobytes(), sol.objective.hex(), sol.iterations)
+
+
+class TestPivotMatchesDenseUpdate:
+    """The restricted pivot update must reproduce the dense rank-1 update:
+    same pivots, same iteration counts, same bits in every result."""
+
+    @staticmethod
+    def assert_same_as_dense(monkeypatch, *lp, **kwargs):
+        restricted = solve_outcome(*lp, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_pivot", oracles.dense_pivot)
+            dense = solve_outcome(*lp, **kwargs)
+        assert restricted == dense
+        return restricted
+
+    @pytest.mark.parametrize("stall_limit", [simplex.STALL_LIMIT, 1])
+    def test_sparse_epigraph_lps(self, rng, monkeypatch, stall_limit):
+        # stall_limit 1 hands every degenerate pivot over to Bland's rule.
+        monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
+        for _ in range(4):
+            lp = sparse_epigraph_lp(rng)
+            outcome = self.assert_same_as_dense(monkeypatch, *lp)
+            assert outcome[0] == "optimal" and outcome[-1] > 50
+
+    @pytest.mark.parametrize("stall_limit", [simplex.STALL_LIMIT, 1])
+    def test_classic_cycling_instance(self, monkeypatch, stall_limit):
+        monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
+        assert self.assert_same_as_dense(monkeypatch, *cycling_lp())[0] == "optimal"
+
+    def test_negative_rhs_instances(self, rng, monkeypatch):
+        # Phase 1, then the pivots that drive leftover artificials out.
+        statuses = set()
+        for _ in range(40):
+            c, a_ub, b_ub, lb, ub = random_bounded_lp(rng, m=int(rng.integers(1, 7)))
+            b_ub = b_ub - np.abs(rng.normal(size=b_ub.size)) * 2.0
+            statuses.add(self.assert_same_as_dense(monkeypatch, c, a_ub, b_ub, lb, ub)[0])
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_iteration_limit_best_point(self, monkeypatch):
+        # No negative rhs, so all five pivots run in phase 2 and x_best exists.
+        rng = np.random.default_rng(1)
+        n, m = 20, 15
+        c = -rng.uniform(0.1, 1.0, size=n)
+        a_ub = rng.uniform(0.0, 1.0, size=(m, n))
+        b_ub = rng.uniform(1.0, 2.0, size=m)
+        outcome = self.assert_same_as_dense(monkeypatch, c, a_ub, b_ub, np.zeros(n),
+                                            np.full(n, 3.0), max_iter=5)
+        assert outcome[0] == "iteration-limit" and outcome[1] is not None
