@@ -86,13 +86,10 @@ def _is_positive(value) -> bool:
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     enabled: bool = True
-    seed: Optional[int] = None
     delta: float = 0.1
     n_samples: int = 64
-    n_directions: int = 64
     n_probes: int = 64
     m_tail: int = 5
-    norm: str = "inf"
     small_step: bool = True
     epsilon: Optional[float] = None
 
@@ -100,9 +97,7 @@ class DiagnosticsConfig:
         for name in ("enabled", "small_step"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be true or false")
-        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer or null")
-        for name in ("n_samples", "n_directions", "n_probes", "m_tail"):
+        for name in ("n_samples", "n_probes", "m_tail"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer")
@@ -110,8 +105,6 @@ class DiagnosticsConfig:
             raise ValueError("delta must be a positive number")
         if self.epsilon is not None and not _is_positive(self.epsilon):
             raise ValueError("epsilon must be a positive number or null")
-        if self.norm not in diag.NORMS:
-            raise ValueError(f"norm must be one of {diag.NORMS}")
 
 
 @dataclass(frozen=True)
@@ -242,14 +235,25 @@ def _read_json(path, what: str, lines: bool = False):
                           f"at line {line + exc.lineno} column {exc.colno}") from None
 
 
-def _require(row, keys, what: str, path):
-    """row, if it is a JSON object holding every key in keys; else a
-    ConfigError naming the file."""
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
+def _number_or_null(value) -> bool:
+    return value is None or _is_number(value)
+
+
+def _require(row, types: dict, what: str, path):
+    """row, if it is a JSON object holding every key of types with a value
+    that passes the key's test; else a ConfigError naming the file."""
     if not isinstance(row, dict):
         raise ConfigError(f"{what} {path} holds a {type(row).__name__} where an object belongs")
-    missing = [key for key in keys if key not in row]
+    missing = [key for key in types if key not in row]
     if missing:
         raise ConfigError(f"{what} {path} lacks {', '.join(missing)}")
+    wrong = [key for key, ok in types.items() if not ok(row[key])]
+    if wrong:
+        raise ConfigError(f"{what} {path} has a wrongly typed {', '.join(wrong)}")
     return row
 
 
@@ -301,6 +305,9 @@ _TRACE_FIELDS = {
     "step_norm": "step_norm", "accepted": "accepted",
     "predicted_decrease": "predicted_decrease", "actual_decrease": "actual_decrease",
 }
+# Tests the values of a trace row must pass; non-finite floats were written as null.
+_TRACE_TYPES = {**{key: _number_or_null for key in _TRACE_FIELDS},
+                "k": _is_int, "J": _is_number, "accepted": lambda v: isinstance(v, bool)}
 
 
 def write_trace(path: str, trace: List[IterationRecord]) -> None:
@@ -315,17 +322,17 @@ def write_iterates(path: str, trace: List[IterationRecord]) -> None:
 def read_trace(trace_path: str, iterates_path: Optional[str] = None) -> List[IterationRecord]:
     """Rebuild iteration records from a trace file plus optional sidecar.
 
-    A file that cannot be parsed, or a row that lacks a key, is a
-    ConfigError naming the file.
+    A file that cannot be parsed, or a row that lacks a key or holds a
+    wrongly typed value, is a ConfigError naming the file.
     """
     iterates = {}
     if iterates_path and Path(iterates_path).exists():
         for row in _read_json(iterates_path, "iterates", lines=True):
-            _require(row, ("k", "z"), "iterates", iterates_path)
+            _require(row, {"k": _is_int, "z": _is_vector}, "iterates", iterates_path)
             iterates[row["k"]] = np.asarray(row["z"], dtype=float)
     records = []
     for row in _read_json(trace_path, "trace", lines=True):
-        _require(row, _TRACE_FIELDS, "trace", trace_path)
+        _require(row, _TRACE_TYPES, "trace", trace_path)
         records.append(IterationRecord(
             z=iterates.get(row["k"]),
             **{name: row[key] for key, name in _TRACE_FIELDS.items()},
@@ -370,7 +377,7 @@ _REPORT_FIELDS = {
     diag.StrongConvergenceReport: ("label", "cauchy_ok", "bound_ok", "beta_hat", "m_tail",
                                    "tail_errors"),
     diag.RateEstimate: ("order_q", "defined", "reason", "superlinear_evidence", "error_ratios"),
-    diag.SubdifferentialReport: ("passed", "min_estimate", "n_directions", "steps"),
+    diag.SubdifferentialReport: ("passed", "min_estimate", "n_directions", "step"),
     diag.SmallStepReport: ("passed", "eta", "epsilon", "max_step_norm", "n_probes", "failures"),
     diag.ActiveSetReport: ("active_count", "threshold", "verdict", "tolerance", "active_labels"),
 }
@@ -390,7 +397,6 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
                     result: SolveResult, config: RunConfig, j0: float) -> dict:
     """Assemble the full diagnostics report for one finished run."""
     cfg = config.diagnostics
-    seed = config.seed if cfg.seed is None else cfg.seed
     z_bar = result.final_z
     report: dict = {"status": result.status}
 
@@ -405,26 +411,25 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
         return report
 
     sharp = diag.estimate_sharp_minimum(composite, z_bar, cfg.delta,
-                                        n_samples=cfg.n_samples, norm=cfg.norm, seed=seed)
-    growth = diag.estimate_growth_constant(composite, z_bar,
-                                           d_samples=cfg.n_samples, norm=cfg.norm, seed=seed)
+                                        n_samples=cfg.n_samples, seed=config.seed)
+    growth = diag.estimate_growth_constant(composite, z_bar, n_samples=cfg.n_samples,
+                                           seed=config.seed)
     report["sharp_minimum"] = _certificate_section(sharp)
     report["model_growth"] = _certificate_section(growth)
 
     strong = diag.check_strong_convergence(result.trace, z_bar, sharp.beta_hat,
-                                           m_tail=cfg.m_tail, norm=cfg.norm)
+                                           m_tail=cfg.m_tail)
     report["strong_convergence"] = _report_section(strong)
-    rate = diag.estimate_rate(result.trace, z_bar, m_tail=cfg.m_tail, norm=cfg.norm)
+    rate = diag.estimate_rate(result.trace, z_bar, m_tail=cfg.m_tail)
     report["rate"] = _report_section(rate)
     sub = diag.check_subdifferential_inequality(composite, z_bar,
-                                                n_directions=cfg.n_directions,
-                                                norm=cfg.norm, seed=seed)
+                                                n_directions=cfg.n_samples, seed=config.seed)
     report["subdifferential"] = _report_section(sub)
 
     if cfg.small_step:
         epsilon = cfg.epsilon if cfg.epsilon is not None else cfg.delta / 2.0
         small = diag.find_small_step_eta(composite, z_bar, epsilon,
-                                         n_probes=cfg.n_probes, seed=seed)
+                                         n_probes=cfg.n_probes, seed=config.seed)
         report["small_step"] = _report_section(small)
 
     if disc is not None:
@@ -566,7 +571,8 @@ def cmd_check(args) -> int:
     if not trace_file.exists() or not summary_file.exists():
         raise ConfigError("check needs an existing solve run; run solve first")
     summary = _require(_read_json(summary_file, "summary"),
-                       ("final_z", "status", "J_final", "J0"), "summary", summary_file)
+                       {"final_z": _is_vector, "status": lambda v: isinstance(v, str),
+                        "J_final": _number_or_null, "J0": _is_number}, "summary", summary_file)
     trace = read_trace(str(trace_file), config.output.iterates)
     _, composite, disc, _ = _prepare(config)
 

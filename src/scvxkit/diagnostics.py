@@ -5,7 +5,9 @@ convergence arguments usually assume: sharp growth of the objective around
 the minimizer, growth of the convex model in every direction, smallness of
 model steps near the minimizer, the tail behavior of the iterate sequence,
 one-sided directional derivatives at the final point, and confinement to
-the starting sublevel set.  Estimates are sampled with seeded generators,
+the starting sublevel set.  Distances and directions use the inf-norm,
+the norm of the trust region and its steps, so the sharpness and growth
+constants compare directly with the radius.  Estimates are sampled with seeded generators,
 signed axis directions always included, so reports are reproducible and a
 negative finding (for example a non-sharp minimum) is itself a result.
 
@@ -17,7 +19,7 @@ observational only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,36 +27,38 @@ from .composite import CompositeObjective, linearize
 from .loop import IterationRecord
 from .subproblem import SubproblemError, solve_min_norm_step
 
-NORMS = ("inf", "one", "two")
+# Step magnitudes at which the convex model is sampled; its ratios are
+# nondecreasing in the magnitude, so the smallest approaches the derivative.
+GROWTH_SCALES = (1e-4, 1e-2, 1.0)
+# Step of the one-sided differences that estimate directional derivatives.
+SUBDIFFERENTIAL_STEP = 1e-6
+# Times the small-step probe halves eta before it reports a failure.
+SMALL_STEP_HALVINGS = 3
 
 
-def vector_norm(v: np.ndarray, norm: str = "inf") -> float:
-    v = np.asarray(v, dtype=float)
-    if norm == "inf":
-        return float(np.max(np.abs(v), initial=0.0))
-    if norm == "one":
-        return float(np.sum(np.abs(v)))
-    if norm == "two":
-        return float(np.sqrt(v @ v))
-    raise ValueError(f"unknown norm '{norm}'; choose from {NORMS}")
-
-
-def unit_directions(n: int, count: int, norm: str = "inf", seed: int = 0,
-                    include_axes: bool = True) -> np.ndarray:
+def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic unit-norm direction set: signed axes plus seeded draws."""
-    rows = []
-    if include_axes:
-        eye = np.eye(n)
-        rows.extend(eye)
-        rows.extend(-eye)
+    eye = np.eye(n)
+    rows = [*eye, *-eye]
     rng = np.random.default_rng(seed)
-    while len(rows) < (2 * n if include_axes else 0) + count:
+    while len(rows) < 2 * n + count:
         u = rng.uniform(-1.0, 1.0, n)
-        scale = vector_norm(u, norm)
+        scale = np.max(np.abs(u), initial=0.0)
         if scale < 1e-12:
             continue
         rows.append(u / scale)
     return np.asarray(rows)
+
+
+def _shell_ratios(objective: CompositeObjective, z_bar: np.ndarray, dirs: np.ndarray,
+                  scales: Sequence[float]):
+    """J(z_bar), the points z_bar + s*u for each shell s and direction u,
+    and their ratios (J(z) - J(z_bar)) / s, shell by shell."""
+    j_bar = objective.value(z_bar)
+    points = np.concatenate([z_bar + scale * dirs for scale in scales])
+    radii = np.repeat(np.asarray(scales, dtype=float), len(dirs))
+    ratios = np.array([(objective.value(z) - j_bar) / r for z, r in zip(points, radii)])
+    return j_bar, points, ratios
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,11 @@ class SharpMinimumCertificate:
     points alone.
     """
 
+    norm: ClassVar[str] = "inf"
+
     beta_hat: Optional[float]
     gamma_hat: Optional[float]
     delta: Optional[float]
-    norm: str
     seed: int
     n_samples: int
     sample_points: np.ndarray
@@ -80,8 +85,7 @@ class SharpMinimumCertificate:
 
 
 def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
-                           n_samples: int = 64, norm: str = "inf",
-                           seed: int = 0) -> SharpMinimumCertificate:
+                           n_samples: int = 64, seed: int = 0) -> SharpMinimumCertificate:
     """Sample (J(z) - J(z_bar)) / dist on shells at delta/10, delta/3, delta.
 
     beta_hat is the smallest ratio found.  It is positive at a sharp
@@ -91,29 +95,17 @@ def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     z_bar = np.asarray(z_bar, dtype=float)
-    j_bar = objective.value(z_bar)
-    dirs = unit_directions(z_bar.size, n_samples, norm=norm, seed=seed)
-    shells = (delta / 10.0, delta / 3.0, delta)
-    points = []
-    ratios = []
-    for scale in shells:
-        for u in dirs:
-            z = z_bar + scale * u
-            points.append(z)
-            ratios.append((objective.value(z) - j_bar) / scale)
-    points = np.asarray(points)
-    ratios = np.asarray(ratios)
+    dirs = unit_directions(z_bar.size, n_samples, seed=seed)
+    _, points, ratios = _shell_ratios(objective, z_bar, dirs,
+                                      (delta / 10.0, delta / 3.0, delta))
     return SharpMinimumCertificate(
         beta_hat=float(np.min(ratios)), gamma_hat=None, delta=float(delta),
-        norm=norm, seed=seed, n_samples=ratios.size,
-        sample_points=points, sample_ratios=ratios,
+        seed=seed, n_samples=ratios.size, sample_points=points, sample_ratios=ratios,
     )
 
 
-def estimate_growth_constant(objective: CompositeObjective, z_bar,
-                             d_samples: int = 64, norm: str = "inf", seed: int = 0,
-                             scales: Sequence[float] = (1e-4, 1e-2, 1.0)
-                             ) -> SharpMinimumCertificate:
+def estimate_growth_constant(objective: CompositeObjective, z_bar, n_samples: int = 64,
+                             seed: int = 0) -> SharpMinimumCertificate:
     """Sample (L(d) - L(0)) / ||d|| over directions and small magnitudes.
 
     The model is convex, so each direction's ratio is nondecreasing in the
@@ -123,10 +115,10 @@ def estimate_growth_constant(objective: CompositeObjective, z_bar,
     z_bar = np.asarray(z_bar, dtype=float)
     lin = linearize(objective, z_bar)
     base = lin.base_value
-    dirs = unit_directions(z_bar.size, d_samples, norm=norm, seed=seed)
+    dirs = unit_directions(z_bar.size, n_samples, seed=seed)
     points = []
     ratios = []
-    for scale in scales:
+    for scale in GROWTH_SCALES:
         steps = scale * dirs
         values = lin.model_value_many(steps)
         points.extend(steps)
@@ -135,8 +127,7 @@ def estimate_growth_constant(objective: CompositeObjective, z_bar,
     ratios = np.asarray(ratios)
     return SharpMinimumCertificate(
         beta_hat=None, gamma_hat=float(np.min(ratios)), delta=None,
-        norm=norm, seed=seed, n_samples=ratios.size,
-        sample_points=points, sample_ratios=ratios,
+        seed=seed, n_samples=ratios.size, sample_points=points, sample_ratios=ratios,
     )
 
 
@@ -191,35 +182,23 @@ def check_small_step(objective: CompositeObjective, z_bar, eta: float,
 
 
 def find_small_step_eta(objective: CompositeObjective, z_bar, epsilon: float,
-                        eta_init: Optional[float] = None, n_probes: int = 64,
-                        seed: int = 0, max_halvings: int = 3) -> SmallStepReport:
-    """Shrink eta by halving until the small-step probe passes.
+                        n_probes: int = 64, seed: int = 0) -> SmallStepReport:
+    """Shrink eta from epsilon by halving until the small-step probe passes.
 
     Returns the first passing report, or the last failing one if no eta in
     the halving schedule works.
     """
-    eta = epsilon if eta_init is None else eta_init
-    report = check_small_step(objective, z_bar, eta, epsilon, n_probes=n_probes, seed=seed)
-    for _ in range(max_halvings):
+    for halvings in range(SMALL_STEP_HALVINGS + 1):
+        report = check_small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon,
+                                  n_probes=n_probes, seed=seed)
         if report.passed:
-            return report
-        eta = eta / 2.0
-        report = check_small_step(objective, z_bar, eta, epsilon, n_probes=n_probes, seed=seed)
+            break
     return report
 
 
-def model_discrepancy(objective: CompositeObjective, z_bar, z, d) -> float:
-    """|(L_z(d) - J(z)) - (L_zbar(d) - J(z_bar))| for one step d.
-
-    Measures how much the model growth at z differs from the model growth
-    at z_bar in the direction d; small values over a step-norm shell are
-    exactly what keeps minimizers of the model at z close to zero.
-    """
-    lin_z = linearize(objective, z)
-    lin_bar = linearize(objective, z_bar)
-    growth_z = lin_z.model_value(d) - lin_z.base_value
-    growth_bar = lin_bar.model_value(d) - lin_bar.base_value
-    return abs(growth_z - growth_bar)
+def _distances(records: Sequence[IterationRecord], z_bar: np.ndarray) -> np.ndarray:
+    """Inf-norm distance from each record's iterate to z_bar."""
+    return np.array([np.max(np.abs(rec.z - z_bar), initial=0.0) for rec in records])
 
 
 @dataclass(frozen=True)
@@ -243,7 +222,7 @@ class StrongConvergenceReport:
 
 def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
                              beta_hat: float, m_tail: int = 5,
-                             norm: str = "inf", tol: float = 1e-8) -> StrongConvergenceReport:
+                             tol: float = 1e-8) -> StrongConvergenceReport:
     """Check the accepted tail against the sharp-growth distance bound."""
     z_bar = np.asarray(z_bar, dtype=float)
     accepted = [rec for rec in trace if rec.accepted and rec.z is not None]
@@ -255,7 +234,7 @@ def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
         )
     tail = accepted[-min(m_tail, len(accepted)):]
     j_final = accepted[-1].J
-    errors = np.array([vector_norm(rec.z - z_bar, norm) for rec in tail])
+    errors = _distances(tail, z_bar)
     cauchy_ok = bool(np.all(np.diff(errors) <= tol))
     bound_ok = all(
         err <= (rec.J - j_final) / beta_hat + tol
@@ -359,13 +338,11 @@ def fit_convergence_order(errors: Sequence[float]) -> Tuple[float, np.ndarray]:
     return float(slope), e[1:] / e[:-1]
 
 
-def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5,
-                  norm: str = "inf") -> RateEstimate:
+def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5) -> RateEstimate:
     """Fit a convergence order to the last accepted iterates."""
     z_bar = np.asarray(z_bar, dtype=float)
     accepted = [rec for rec in trace if rec.accepted and rec.z is not None]
-    tail = accepted[-(m_tail + 1):]
-    errors = np.array([vector_norm(rec.z - z_bar, norm) for rec in tail])
+    errors = _distances(accepted[-(m_tail + 1):], z_bar)
     if errors.size < 3:
         return RateEstimate(order_q=None, error_ratios=np.zeros(0),
                             superlinear_evidence=False, defined=False,
@@ -385,36 +362,27 @@ class SubdifferentialReport:
     """One-sided directional derivative estimates at a candidate minimizer.
 
     At a minimizer every direction must have a nonnegative one-sided
-    derivative; passed requires all smallest-step estimates to clear
-    -tol * (1 + |J|).
+    derivative; passed requires all estimates to clear -tol * (1 + |J|).
     """
 
     n_directions: int
     min_estimate: float
     passed: bool
-    steps: Tuple[float, ...]
+    step: float
     estimates: np.ndarray
 
 
 def check_subdifferential_inequality(objective: CompositeObjective, z_bar,
                                      n_directions: int = 64, seed: int = 0,
-                                     steps: Sequence[float] = (1e-4, 1e-5, 1e-6),
-                                     norm: str = "inf",
                                      tol: float = 1e-6) -> SubdifferentialReport:
     """Estimate dJ(z_bar; s) over random unit directions by one-sided differences."""
     z_bar = np.asarray(z_bar, dtype=float)
-    j_bar = objective.value(z_bar)
-    dirs = unit_directions(z_bar.size, n_directions, norm=norm, seed=seed)
-    smallest = min(steps)
-    estimates = np.array([
-        (objective.value(z_bar + smallest * u) - j_bar) / smallest
-        for u in dirs
-    ])
+    dirs = unit_directions(z_bar.size, n_directions, seed=seed)
+    j_bar, _, estimates = _shell_ratios(objective, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
     threshold = -tol * (1.0 + abs(j_bar))
     return SubdifferentialReport(
         n_directions=dirs.shape[0], min_estimate=float(np.min(estimates)),
-        passed=bool(np.min(estimates) >= threshold),
-        steps=tuple(float(h) for h in sorted(steps, reverse=True)),
+        passed=bool(np.min(estimates) >= threshold), step=SUBDIFFERENTIAL_STEP,
         estimates=estimates,
     )
 

@@ -95,9 +95,18 @@ class TestParseConfig:
             parse_config(minimal_config(trust_region={"shrink_factor": 0.5}))
         assert "trust_region" in str(err.value)
 
-    def test_bad_norm_rejected(self):
+    def test_bad_norm_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             parse_config(minimal_config(diagnostics={"norm": "three"}))
+        # The probes use the inf-norm, n_samples directions and the run seed,
+        # so configs that still set the old keys are rejected by name.
+        for key, value in (("norm", "inf"), ("n_directions", 64), ("seed", 0)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(minimal_config(diagnostics={key: value}))
+            assert f"diagnostics.{key}" in str(err.value)
+            path = write_config(tmp_path, diagnostics={key: value})
+            assert main(["solve", "--config", path]) == EXIT_CONFIG
+            assert f"diagnostics.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("enabled", "false"), ("small_step", "no"), ("seed", "abc"), ("seed", 1.5),
@@ -437,6 +446,30 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error" in err and str(summary) in err and "final_z" in err
 
+    @pytest.mark.parametrize("damaged, key, value", [
+        ("summary.json", "final_z", "abc"),
+        ("trace.jsonl", "J", "x"),
+    ])
+    def test_check_wrongly_typed_value_is_config_error(self, tmp_path, capsys,
+                                                       damaged, key, value):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        target = out / damaged
+        if target.suffix == ".jsonl":
+            rows = [json.loads(line) for line in target.read_text().splitlines()]
+            rows[0][key] = value
+            target.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        else:
+            data = json.loads(target.read_text())
+            data[key] = value
+            target.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(target) in err and key in err
+
     def test_check_needs_output_paths(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
@@ -452,3 +485,29 @@ class TestExecuteRun:
         assert summary["iterations"] >= summary["accepted"]
         assert summary["J0"] >= summary["J_final"]
         np.testing.assert_allclose(summary["final_z"], [1.0, 1.0], atol=1e-8)
+
+    def test_report_layout(self):
+        from scvxkit.cli import RunConfig
+        _, summary = execute_run(RunConfig(problem_name="toy-sharp-2d"), quiet=True)
+        certificate = ["beta_hat", "gamma_hat", "delta", "norm", "seed", "n_samples",
+                       "worst_ratio", "worst_point"]
+        layout = [
+            ("status", None),
+            ("level_set", ["passed", "verdict", "max_objective", "j0", "max_norm",
+                           "norm_budget"]),
+            ("ratio_tail", ["tail_rho", "trending_to_one", "sufficient", "n_defined", "note"]),
+            ("sharp_minimum", certificate),
+            ("model_growth", certificate),
+            ("strong_convergence", ["label", "cauchy_ok", "bound_ok", "beta_hat", "m_tail",
+                                    "tail_errors"]),
+            ("rate", ["order_q", "defined", "reason", "superlinear_evidence", "error_ratios"]),
+            ("subdifferential", ["passed", "min_estimate", "n_directions", "step"]),
+            ("small_step", ["passed", "eta", "epsilon", "max_step_norm", "n_probes",
+                            "failures"]),
+        ]
+        report = summary["diagnostics"]
+        assert list(report) == [name for name, _ in layout]
+        for name, keys in layout[1:]:
+            assert list(report[name]) == keys, name
+        assert report["sharp_minimum"]["norm"] == "inf"
+        assert report["subdifferential"]["step"] == 1e-6

@@ -137,6 +137,30 @@ class TestKnownInstances:
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert sol.x[0] + sol.x[1] == pytest.approx(2.0, abs=1e-9)
 
+    def test_degenerate_stall_reaches_blands_rule(self, monkeypatch):
+        # Zero rhs and a positive first row leave x = 0 the only feasible
+        # point, so every pivot is degenerate: the objective stays at 0,
+        # the stall passes STALL_LIMIT and Bland's rule takes over.
+        rng = np.random.default_rng(3)
+        a_ub = rng.normal(size=(200, 40))
+        a_ub[0] = np.abs(a_ub[0]) + 0.1
+        c = rng.normal(size=40)
+        lp = (c, a_ub, np.zeros(200), np.zeros(40), np.full(40, np.inf))
+        objectives = []
+        pivot = simplex._pivot
+
+        def recording_pivot(tableau, basis, row, col):
+            pivot(tableau, basis, row, col)
+            objectives.append(tableau[-1, -1])
+
+        monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+        sol = solve_box_lp(*lp)
+        assert sol.status == "optimal"
+        assert sol.iterations > simplex.STALL_LIMIT
+        assert len(objectives) == sol.iterations
+        assert all(value == 0.0 for value in objectives)
+        assert sol.objective == pytest.approx(oracles.scipy_box_lp(*lp).fun, abs=1e-9)
+
 
 class TestStatusesAndErrors:
     def test_unbounded_detected(self):
