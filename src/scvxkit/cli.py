@@ -186,7 +186,8 @@ def parse_config(data: dict) -> RunConfig:
     name = problem.get("name")
     if not isinstance(name, str):
         raise ConfigError("config key 'problem.name' must be a string")
-    overrides = problem.get("overrides") or {}
+    # Only an absent or null value means no overrides; [], 0 and "" are errors.
+    overrides = {} if problem.get("overrides") is None else problem["overrides"]
     if not isinstance(overrides, dict):
         raise ConfigError("config key 'problem.overrides' must be an object")
 

@@ -123,18 +123,12 @@ class ConvexOuter:
     def n_ineq(self) -> int:
         return len(self.ineq_range)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return max(1.0, self.penalty_weight)
-
     def apply(self, values) -> float:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.output_dim,):
             raise DimensionMismatchError("outer argument", (self.output_dim,), v.shape)
-        cost = float(np.sum(v[self.cost_range.start:self.cost_range.stop]))
-        eq = float(np.sum(np.abs(v[self.eq_range.start:self.eq_range.stop])))
-        ineq = float(np.sum(np.maximum(v[self.ineq_range.start:self.ineq_range.stop], 0.0)))
-        return cost + self.penalty_weight * (eq + ineq)
+        # A Python float, so that repr gives the bare digits.
+        return float(self.apply_many(v[None, :])[0])
 
     def apply_many(self, values: np.ndarray) -> np.ndarray:
         """Vectorized apply over rows of a (m, output_dim) array."""
@@ -164,11 +158,6 @@ class CompositeObjective:
 
     def value(self, z) -> float:
         return self.psi.apply(self.g.value(z))
-
-    def smooth_cost(self, z) -> float:
-        """Sum of the cost components alone, without penalty terms."""
-        v = self.g.value(z)
-        return float(np.sum(v[self.psi.cost_range.start:self.psi.cost_range.stop]))
 
     def max_equality_violation(self, z) -> float:
         v = self.g.value(z)
@@ -207,7 +196,7 @@ class Linearization:
 
     def model_value(self, d) -> float:
         d = as_decision_vector(d, self.n_z, what="step")
-        return self.psi.apply(self.g_value + self.g_jacobian @ d)
+        return float(self.model_value_many(d[None, :])[0])
 
     def model_value_many(self, steps: np.ndarray) -> np.ndarray:
         """Vectorized model over rows of a (m, n_z) step array."""

@@ -34,6 +34,14 @@ GROWTH_SCALES = (1e-4, 1e-2, 1.0)
 SUBDIFFERENTIAL_STEP = 1e-6
 # Times the small-step probe halves eta before it reports a failure.
 SMALL_STEP_HALVINGS = 3
+# Slack on the tail distances' monotonicity and on their sharp-growth bound.
+STRONG_CONVERGENCE_TOL = 1e-8
+# Relative slack below -(1 + |J|) that a directional derivative may reach.
+SUBDIFFERENTIAL_TOL = 1e-6
+# Relative distance from zero at which an inequality counts as active.
+ACTIVE_TOL = 1e-6
+# Relative rise above J(z0) that the level-set check forgives.
+LEVEL_SET_TOL = 1e-12
 
 
 def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -221,8 +229,7 @@ class StrongConvergenceReport:
 
 
 def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
-                             beta_hat: float, m_tail: int = 5,
-                             tol: float = 1e-8) -> StrongConvergenceReport:
+                             beta_hat: float, m_tail: int = 5) -> StrongConvergenceReport:
     """Check the accepted tail against the sharp-growth distance bound."""
     z_bar = np.asarray(z_bar, dtype=float)
     accepted = [rec for rec in trace if rec.accepted and rec.z is not None]
@@ -235,9 +242,9 @@ def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
     tail = accepted[-min(m_tail, len(accepted)):]
     j_final = accepted[-1].J
     errors = _distances(tail, z_bar)
-    cauchy_ok = bool(np.all(np.diff(errors) <= tol))
+    cauchy_ok = bool(np.all(np.diff(errors) <= STRONG_CONVERGENCE_TOL))
     bound_ok = all(
-        err <= (rec.J - j_final) / beta_hat + tol
+        err <= (rec.J - j_final) / beta_hat + STRONG_CONVERGENCE_TOL
         for err, rec in zip(errors, tail)
     )
     label = "strong-convergent" if (cauchy_ok and bound_ok) else "inconclusive"
@@ -258,9 +265,10 @@ class RhoTailReport:
 
 
 def check_ratio_limit(trace: Sequence[IterationRecord], m_tail: int = 5) -> RhoTailReport:
-    """Report whether |rho - 1| is nonincreasing over the accepted tail."""
+    """Report whether |rho - 1| is nonincreasing over the last m_tail accepted
+    ratios, and whether there are m_tail of them."""
     rhos = [rec.rho for rec in trace if rec.accepted and rec.rho is not None]
-    sufficient = len(rhos) >= 5
+    sufficient = len(rhos) >= m_tail
     tail = np.asarray(rhos[-m_tail:]) if rhos else np.zeros(0)
     gaps = np.abs(tail - 1.0)
     trending = bool(tail.size >= 2 and np.all(np.diff(gaps) <= 1e-12))
@@ -285,7 +293,7 @@ class ActiveSetReport:
     active_labels: Tuple[str, ...]
 
 
-def active_set_report(problem, z_final, tol: float = 1e-6) -> ActiveSetReport:
+def active_set_report(problem, z_final) -> ActiveSetReport:
     """Count active inequalities of a discretized problem at z_final."""
     composite = problem.composite
     psi = composite.psi
@@ -294,7 +302,7 @@ def active_set_report(problem, z_final, tol: float = 1e-6) -> ActiveSetReport:
     labels = problem.labels[psi.ineq_range.start:psi.ineq_range.stop]
     active = [
         (label, v) for label, v in zip(labels, ineq)
-        if abs(v) <= tol * (1.0 + abs(v))
+        if abs(v) <= ACTIVE_TOL * (1.0 + abs(v))
     ]
     threshold = problem.active_set_threshold
     count = len(active)
@@ -305,7 +313,7 @@ def active_set_report(problem, z_final, tol: float = 1e-6) -> ActiveSetReport:
     else:
         verdict = "excess"
     return ActiveSetReport(
-        active_count=count, threshold=threshold, tolerance=tol, verdict=verdict,
+        active_count=count, threshold=threshold, tolerance=ACTIVE_TOL, verdict=verdict,
         active_labels=tuple(label for label, _ in active),
     )
 
@@ -362,7 +370,8 @@ class SubdifferentialReport:
     """One-sided directional derivative estimates at a candidate minimizer.
 
     At a minimizer every direction must have a nonnegative one-sided
-    derivative; passed requires all estimates to clear -tol * (1 + |J|).
+    derivative; passed requires all estimates to clear
+    -SUBDIFFERENTIAL_TOL * (1 + |J|).
     """
 
     n_directions: int
@@ -373,13 +382,13 @@ class SubdifferentialReport:
 
 
 def check_subdifferential_inequality(objective: CompositeObjective, z_bar,
-                                     n_directions: int = 64, seed: int = 0,
-                                     tol: float = 1e-6) -> SubdifferentialReport:
+                                     n_directions: int = 64,
+                                     seed: int = 0) -> SubdifferentialReport:
     """Estimate dJ(z_bar; s) over random unit directions by one-sided differences."""
     z_bar = np.asarray(z_bar, dtype=float)
     dirs = unit_directions(z_bar.size, n_directions, seed=seed)
     j_bar, _, estimates = _shell_ratios(objective, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
-    threshold = -tol * (1.0 + abs(j_bar))
+    threshold = -SUBDIFFERENTIAL_TOL * (1.0 + abs(j_bar))
     return SubdifferentialReport(
         n_directions=dirs.shape[0], min_estimate=float(np.min(estimates)),
         passed=bool(np.min(estimates) >= threshold), step=SUBDIFFERENTIAL_STEP,
@@ -400,12 +409,12 @@ class LevelSetReport:
 
 
 def check_level_set(trace: Sequence[IterationRecord], j0: float,
-                    norm_budget: float = 1e4, tol: float = 1e-12) -> LevelSetReport:
+                    norm_budget: float = 1e4) -> LevelSetReport:
     """Verify J stayed at or below J(z0) and iterates stayed inside the budget."""
     max_j = max((rec.J for rec in trace), default=j0)
     norms = [float(np.max(np.abs(rec.z))) for rec in trace if rec.z is not None]
     max_norm = max(norms, default=0.0)
-    if max_j > j0 + tol * (1.0 + abs(j0)):
+    if max_j > j0 + LEVEL_SET_TOL * (1.0 + abs(j0)):
         verdict = "objective-increase"
     elif max_norm > norm_budget:
         verdict = "norm-budget-exceeded"

@@ -9,7 +9,7 @@ Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
@@ -50,6 +50,10 @@ class TrustRegionParams:
     norm_budget: float = 1e4
 
     def __post_init__(self):
+        # A bool is an int to Python, so JSON true would pass as 1.
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), bool):
+                raise TypeError(f"{f.name} must be a number, not true or false")
         # Each test is written so that NaN fails it.
         if not (0.0 <= self.rho0 < self.rho1 < self.rho2 < 1.0):
             raise ValueError("need 0 <= rho0 < rho1 < rho2 < 1")
@@ -59,8 +63,7 @@ class TrustRegionParams:
             raise ValueError("need 0 < r_min <= r_init <= r_max")
         if not (self.stop_predicted_decrease > 0.0 and self.stop_step_norm > 0.0):
             raise ValueError("stopping tolerances must be positive")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations,
-                                                                   (int, np.integer)):
+        if not isinstance(self.max_iterations, (int, np.integer)):
             raise TypeError("max_iterations must be an integer")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
@@ -73,9 +76,9 @@ class IterationRecord:
     """Outcome of one outer iteration.
 
     z and J are the iterate and objective after the accept/reject decision,
-    so over accepted records J is strictly decreasing.  rho is None when the
-    predicted decrease fell below the stopping tolerance, which is a
-    stationarity signal rather than a ratio.
+    so over accepted records J is strictly decreasing.  rho is None only on
+    the terminal record, whose predicted decrease fell below the stopping
+    tolerance: a stationarity signal rather than a ratio.
     """
 
     k: int
@@ -105,22 +108,6 @@ class SolveResult:
     @property
     def accepted_count(self) -> int:
         return sum(1 for rec in self.trace if rec.accepted)
-
-
-def trust_region_ratio(J_current: float, J_candidate: float,
-                       predicted_decrease: float,
-                       min_predicted: Optional[float] = None) -> Optional[float]:
-    """Ratio of actual to predicted decrease, or None below the tolerance.
-
-    min_predicted defaults to 1e-8 * (1 + |J_current|); a predicted decrease
-    at or below it means the model sees no progress worth measuring, so no
-    ratio is defined.
-    """
-    if min_predicted is None:
-        min_predicted = 1e-8 * (1.0 + abs(J_current))
-    if predicted_decrease <= min_predicted:
-        return None
-    return (J_current - J_candidate) / predicted_decrease
 
 
 def update_radius(rho: float, radius: float, params: TrustRegionParams) -> tuple[bool, float]:
@@ -193,13 +180,11 @@ def run_scvx(objective: CompositeObjective, z0,
         candidate = z + sol.step
         J_candidate = objective.value(candidate)
         actual = J - J_candidate
-        rho = trust_region_ratio(J, J_candidate, sol.predicted_decrease,
-                                 min_predicted=stop_tol(J))
-        accepted, next_radius = update_radius(rho, radius, params)
-        if accepted and not (actual > MIN_ACTUAL_DECREASE * (1.0 + abs(J))):
-            # ratio cleared rho0 only through rounding; treat as a rejection
-            accepted = False
-            next_radius = max(radius / params.shrink_factor, params.r_min)
+        # The stop test above leaves a predicted decrease above stop_tol(J).
+        rho = actual / sol.predicted_decrease
+        # A ratio that clears rho0 only through rounding counts as a rejection.
+        decreased = actual > MIN_ACTUAL_DECREASE * (1.0 + abs(J))
+        accepted, next_radius = update_radius(rho if decreased else -np.inf, radius, params)
 
         if accepted:
             z = candidate

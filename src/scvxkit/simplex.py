@@ -34,11 +34,9 @@ class InfeasibleError(SimplexError):
 
 
 class SimplexIterationLimitError(SimplexError):
-    """Iteration cap hit; carries the best feasible point seen, if any."""
+    """Pivot budget exhausted; carries the number of pivots made."""
 
-    def __init__(self, message: str, x_best=None, objective_best=None, iterations: int = 0):
-        self.x_best = x_best
-        self.objective_best = objective_best
+    def __init__(self, message: str, iterations: int):
         self.iterations = iterations
         super().__init__(message)
 
@@ -49,10 +47,6 @@ class BoxLpSolution:
     objective: float
     status: str  # "optimal" | "unbounded"
     iterations: int
-
-
-class _IterationBudget(Exception):
-    pass
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -69,13 +63,15 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray, budget: list) -> str:
+def _run(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
+         budget: int) -> tuple[str, int]:
     """Drive the tableau to optimality over the allowed columns.
 
-    budget is a single-element list holding the remaining pivot count so it
-    survives across phases.  Returns "optimal" or "unbounded".
+    Returns the status ("optimal", "unbounded", or "limit" once budget
+    pivots are made) and the number of pivots made.
     """
     m = tableau.shape[0] - 1
+    pivots = 0
     bland = False
     stall = 0
     last_obj = -tableau[-1, -1]
@@ -87,18 +83,18 @@ def _run(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray, budget: li
         if bland:
             eligible = np.flatnonzero(reduced < -rc_tol)
             if eligible.size == 0:
-                return "optimal"
+                return "optimal", pivots
             col = int(eligible[0])
         else:
             col = int(np.argmin(reduced))
             if reduced[col] >= -rc_tol:
-                return "optimal"
+                return "optimal", pivots
 
         column = tableau[:m, col]
         col_scale = 1.0 + (float(np.max(np.abs(column))) if column.size else 0.0)
         positive = np.flatnonzero(column > PIVOT_TOL * col_scale)
         if positive.size == 0:
-            return "unbounded"
+            return "unbounded", pivots
 
         rhs = tableau[:m, -1]
         ratios = rhs[positive] / column[positive]
@@ -116,9 +112,9 @@ def _run(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray, budget: li
         rhs_scale = 1.0 + (float(np.max(np.abs(rhs))) if rhs.size else 0.0)
         rhs[(rhs < 0.0) & (rhs > -FEAS_TOL * rhs_scale)] = 0.0
 
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise _IterationBudget()
+        pivots += 1
+        if pivots >= budget:
+            return "limit", pivots
 
         obj = -tableau[-1, -1]
         if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
@@ -128,13 +124,6 @@ def _run(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray, budget: li
             if stall >= STALL_LIMIT:
                 bland = True
         last_obj = obj
-
-
-def _basic_solution(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> np.ndarray:
-    full = np.zeros(n_cols)
-    m = tableau.shape[0] - 1
-    full[basis] = tableau[:m, -1]
-    return full
 
 
 def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSolution:
@@ -190,9 +179,7 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
 
     if max_iter is None:
         max_iter = ITERATIONS_PER_VARIABLE * n_cols
-    budget = [max_iter]
-    iterations_used = lambda: max_iter - budget[0]
-
+    pivots = 0
     allowed = np.ones(n_cols, dtype=bool)
 
     # Phase 1: minimize the sum of artificials.
@@ -201,13 +188,10 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
         tableau[-1, n + m:n_cols] = 1.0
         for r in art_rows:
             tableau[-1] -= tableau[r]
-        try:
-            status = _run(tableau, basis, allowed, budget)
-        except _IterationBudget:
+        status, pivots = _run(tableau, basis, allowed, max_iter)
+        if status == "limit":
             raise SimplexIterationLimitError(
-                "pivot budget exhausted before a feasible point was found",
-                iterations=iterations_used(),
-            )
+                "pivot budget exhausted before a feasible point was found", pivots)
         if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
             raise SimplexError("phase 1 reported unbounded")
         feas_scale = 1.0 + float(np.max(np.abs(b_all)))
@@ -241,20 +225,14 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
         if coef != 0.0:
             tableau[-1] -= coef * tableau[r]
 
-    try:
-        status = _run(tableau, basis, allowed, budget)
-    except _IterationBudget:
-        y = _basic_solution(tableau, basis, n_cols)
-        x_best = y[:n] + lb
-        raise SimplexIterationLimitError(
-            "pivot budget exhausted in phase 2",
-            x_best=x_best,
-            objective_best=float(c @ x_best),
-            iterations=iterations_used(),
-        )
+    status, phase2 = _run(tableau, basis, allowed, max_iter - pivots)
+    pivots += phase2
+    if status == "limit":
+        raise SimplexIterationLimitError("pivot budget exhausted in phase 2", pivots)
 
-    y = _basic_solution(tableau, basis, n_cols)
+    y = np.zeros(n_cols)
+    y[basis] = tableau[:m, -1]
     x = y[:n] + lb
     if status == "unbounded":
-        return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=iterations_used())
-    return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=iterations_used())
+        return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=pivots)
+    return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=pivots)

@@ -26,15 +26,12 @@ from .simplex import (
 # is evidence the model is unbounded below.
 QUASI_INFINITE_FACTOR = 1e6
 UNBOUNDED_FRACTION = 0.5
+# The minimum-norm LP keeps the model within this relative slack of v*.
+MIN_NORM_VALUE_SLACK = 1e-9
 
 
 class SubproblemError(Exception):
-    """Subproblem solve failure; carries the best step found, if any."""
-
-    def __init__(self, message: str, best_step=None, iterations: int = 0):
-        self.best_step = best_step
-        self.iterations = iterations
-        super().__init__(message)
+    """Subproblem solve failure."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,12 @@ def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
     """Solve an LP; the objective includes the offset (-inf when unbounded).
 
     Simplex failures become SubproblemError; an iteration-limit failure
-    keeps the step part of its best point.
+    keeps the simplex message as it is.
     """
     try:
         sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub)
     except SimplexIterationLimitError as exc:
-        best = exc.x_best[:lp.n_step] if exc.x_best is not None else None
-        raise SubproblemError(str(exc), best_step=best, iterations=exc.iterations) from exc
+        raise SubproblemError(str(exc)) from exc
     except SimplexError as exc:
         raise SubproblemError(f"LP solve failed: {exc}") from exc
     objective = sol.objective + lp.objective_offset if sol.status == "optimal" else -np.inf
@@ -184,23 +180,20 @@ def solve_subproblem(lin: Linearization, radius: float) -> SubproblemSolution:
     return _solution(lin, lp, sol, sol.objective, sol.iterations)
 
 
-def solve_min_norm_step(lin: Linearization, radius: float,
-                        value_slack: float | None = None) -> SubproblemSolution:
+def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution:
     """Find the minimum inf-norm optimizer of the subproblem.
 
     Two LPs: the first establishes the optimal model value v*, the second
     minimizes an epigraph variable w >= |d_i| subject to the model staying
-    within value_slack of v*.  Used by probes that must certify that a
-    small-norm optimizer exists, where an arbitrary vertex optimizer of a
-    nearly flat model could sit far away.
+    within MIN_NORM_VALUE_SLACK * (1 + |v*|) of v*.  Used by probes that must
+    certify that a small-norm optimizer exists, where an arbitrary vertex
+    optimizer of a nearly flat model could sit far away.
     """
     lp = build_lp(lin, radius)
     first = lp_solve(lp)
     if first.status == "unbounded":
         return _solution(lin, lp, first, first.objective, first.iterations)
     v_star = first.objective
-    if value_slack is None:
-        value_slack = 1e-9 * (1.0 + abs(v_star))
 
     n_vars = lp.n_variables
     n = lp.n_step
@@ -214,7 +207,7 @@ def solve_min_norm_step(lin: Linearization, radius: float,
     a2[:m, :n_vars] = lp.a_ub
     b2[:m] = lp.b_ub
     a2[m, :n_vars] = lp.c
-    b2[m] = v_star - lp.objective_offset + value_slack
+    b2[m] = v_star - lp.objective_offset + MIN_NORM_VALUE_SLACK * (1.0 + abs(v_star))
     # d_i - w <= 0 and -d_i - w <= 0
     a2[m + 1:m + 1 + n, :n] = np.eye(n)
     a2[m + 1:m + 1 + n, -1] = -1.0

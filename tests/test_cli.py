@@ -4,11 +4,15 @@ formats, determinism, exit codes, and the bench/check subcommands."""
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scvxkit
 from scvxkit.cli import (
     BENCH_COLUMNS,
     EXIT_ASSUMPTION,
@@ -132,6 +136,27 @@ class TestParseConfig:
         path = write_config(tmp_path, **{key: value})
         assert main(["solve", "--config", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("norm_budget", True), ("r_init", True), ("stop_step_norm", True), ("rho0", False),
+    ])
+    def test_boolean_trust_region_value_rejected(self, tmp_path, capsys, key, value):
+        # A bool is an int to Python: true as the norm budget would be 1.
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(trust_region={key: value}))
+        assert "trust_region" in str(err.value) and key in str(err.value)
+        path = write_config(tmp_path, trust_region={key: value})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "trust_region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[], 0, False, ""])
+    def test_wrongly_typed_overrides_rejected(self, tmp_path, capsys, value):
+        # Only an absent or null value means no overrides.
+        path = write_config(tmp_path, problem={"name": "toy-sharp-1d", "overrides": value})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "problem.overrides" in capsys.readouterr().err
+        assert parse_config(minimal_config(problem={"name": "toy-sharp-1d",
+                                                    "overrides": None})).overrides == {}
 
     def test_output_paths_must_be_strings(self):
         with pytest.raises(ConfigError):
@@ -473,6 +498,24 @@ class TestCheck:
     def test_check_needs_output_paths(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
+
+
+class TestNumpyOnlyRuntime:
+    def test_solve_without_scipy(self, tmp_path):
+        # scipy is installed for the test oracles only; hiding it catches an
+        # import of it anywhere in the package.
+        src = Path(scvxkit.__file__).resolve().parents[1]
+        config = Path(__file__).resolve().parents[1] / "configs" / "toy-sharp-1d.json"
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from scvxkit.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code, "solve", "--config", str(config)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "out" / "toy-sharp-1d" / "report.json").exists()
 
 
 class TestExecuteRun:

@@ -121,6 +121,25 @@ class TestConvexOuter:
             expected = oracles.outer_value(v, n_cost, n_eq, weight)
             assert outer.apply(v) == pytest.approx(expected, abs=1e-12)
 
+    def test_apply_matches_one_dimensional_sums_bitwise(self, rng):
+        # apply goes through apply_many; traces stay byte-identical only if
+        # that equals summing each 1-D block, pairwise blocks included.
+        for _ in range(200):
+            n_cost, n_eq, n_ineq = (int(k) for k in rng.integers(0, 300, size=3))
+            dim = n_cost + n_eq + n_ineq
+            if dim == 0:
+                continue
+            weight = float(rng.uniform(0.5, 20.0))
+            outer = ConvexOuter(range(0, n_cost), range(n_cost, n_cost + n_eq),
+                                range(n_cost + n_eq, dim), weight)
+            v = rng.normal(size=dim) * 10.0 ** rng.uniform(-6, 6)
+            cost = float(np.sum(v[:n_cost]))
+            eq = float(np.sum(np.abs(v[n_cost:n_cost + n_eq])))
+            ineq = float(np.sum(np.maximum(v[n_cost + n_eq:], 0.0)))
+            value = outer.apply(v)
+            assert type(value) is float
+            assert value.hex() == (cost + weight * (eq + ineq)).hex()
+
     def test_apply_many_matches_rowwise(self, rng):
         outer = ConvexOuter(range(0, 2), range(2, 3), range(3, 5), 7.0)
         rows = rng.normal(size=(40, 5))
@@ -137,10 +156,10 @@ class TestConvexOuter:
             mixed = outer.apply(theta * a + (1.0 - theta) * b)
             assert mixed <= theta * outer.apply(a) + (1.0 - theta) * outer.apply(b) + 1e-10
 
-    def test_lipschitz_constant(self, rng):
+    def test_lipschitz_bound(self, rng):
+        # psi is Lipschitz with constant max(1, weight) in the 1-norm.
         for weight, expected in ((0.5, 1.0), (1.0, 1.0), (8.0, 8.0)):
             outer = ConvexOuter(range(0, 1), range(1, 2), range(2, 3), weight)
-            assert outer.lipschitz_constant == expected
             for _ in range(50):
                 a = rng.normal(size=3) * 3.0
                 b = rng.normal(size=3) * 3.0
@@ -167,7 +186,6 @@ class TestCompositeObjective:
         z = np.array([2.5])
         assert comp.max_equality_violation(z) == pytest.approx(1.5)
         assert comp.max_inequality_violation(z) == 0.0
-        assert comp.smooth_cost(z) == pytest.approx(6.25)
 
 
 class TestLinearization:
@@ -203,9 +221,10 @@ class TestLinearization:
         # plane; sanity-check the first-order behaviour near d = 0.
         comp = make_toy()
         lin = linearize(comp, np.array([0.3]))
+        lipschitz = max(1.0, comp.psi.penalty_weight)
         for _ in range(20):
             d = rng.normal(size=1) * 1e-6
-            assert lin.model_value(d) >= lin.base_value - 1.01 * comp.psi.lipschitz_constant * np.abs(
+            assert lin.model_value(d) >= lin.base_value - 1.01 * lipschitz * np.abs(
                 lin.g_jacobian @ d).sum() - 1e-15
 
 

@@ -221,6 +221,15 @@ class TestRatioTail:
         assert report.n_defined == 1
         assert not report.sufficient
 
+    def test_sufficiency_follows_m_tail(self):
+        trace = [record(k, 0.0, 1.0, rho=0.9) for k in range(6)]
+        short = check_ratio_limit(trace, m_tail=3)
+        assert short.sufficient and short.tail_rho.size == 3
+        long = check_ratio_limit(trace, m_tail=8)
+        assert not long.sufficient and long.tail_rho.size == 6
+        assert check_ratio_limit(trace[:3], m_tail=3).sufficient
+        assert not check_ratio_limit(trace[:2], m_tail=3).sufficient
+
     def test_wandering_tail_not_trending(self):
         rhos = [0.9, 0.99, 0.8, 0.99, 0.9]
         trace = [record(k, 0.0, 1.0, rho=r) for k, r in enumerate(rhos)]

@@ -1,6 +1,8 @@
 """Tests for the outer trust-region iteration: ratio and radius rules,
 stopping behaviour, trace semantics, and failure statuses."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from scvxkit.loop import (
     STATUS_ITERATIONS,
     STATUS_LEVEL_SET,
     STATUS_SUBPROBLEM,
-    trust_region_ratio,
     update_radius,
 )
 from scvxkit.subproblem import solve_subproblem
@@ -31,23 +32,68 @@ def toy_composite(name="toy-sharp-1d", weight=None):
     return comp
 
 
+def stop_tolerances(result, j0, params):
+    """stop_tol(J) as the loop computed it before each record's decision."""
+    before = [j0] + [rec.J for rec in result.trace[:-1]]
+    return [params.stop_predicted_decrease * (1.0 + abs(j)) for j in before]
+
+
+@pytest.fixture(scope="module")
+def converged_runs():
+    """(result, J0, params) of converged runs with rejected steps."""
+    params = TrustRegionParams(r_init=1000.0, r_max=1000.0)
+    comp = toy_composite()
+    runs = [(run_scvx(comp, np.array([30.0]), params), comp.value(np.array([30.0])), params)]
+    for name in ("toy-sharp-2d", "dubins-car"):
+        bench = builtin(name)
+        comp = bench.build()[0]
+        runs.append((run_scvx(comp, bench.default_start), comp.value(bench.default_start),
+                     TrustRegionParams()))
+    assert all(result.status == STATUS_CONVERGED for result, _, _ in runs)
+    return runs
+
+
 class TestRatio:
+    """rho on real traces.  The stop test on the predicted decrease comes
+    before the ratio, so every record but the terminal one has a ratio."""
+
     def test_zero_predicted_gives_none(self):
-        assert trust_region_ratio(5.0, 4.0, 0.0) is None
+        [rec] = run_scvx(toy_composite(), np.array([1.0])).trace
+        assert rec.predicted_decrease == 0.0
+        assert rec.rho is None
 
-    def test_tiny_predicted_gives_none(self):
-        # Below the scaled tolerance 1e-8 * (1 + |J|).
-        assert trust_region_ratio(9.0, 8.0, 9e-8) is None
+    def test_tiny_predicted_gives_none(self, converged_runs):
+        for result, j0, params in converged_runs:
+            tols = stop_tolerances(result, j0, params)
+            assert result.trace[-1].rho is None
+            assert result.trace[-1].predicted_decrease <= tols[-1]
+            for rec, tol in zip(result.trace[:-1], tols):
+                assert rec.rho is not None and rec.predicted_decrease > tol
 
-    def test_defined_ratio_value(self):
-        assert trust_region_ratio(10.0, 7.0, 4.0) == pytest.approx(0.75)
+    def test_defined_ratio_value(self, converged_runs):
+        for result, _, _ in converged_runs:
+            for rec in result.trace[:-1]:
+                assert rec.rho == rec.actual_decrease / rec.predicted_decrease
 
-    def test_negative_actual_allowed(self):
-        assert trust_region_ratio(1.0, 2.0, 0.5) == pytest.approx(-2.0)
+    def test_negative_actual_allowed(self, converged_runs):
+        rises = [rec for result, _, _ in converged_runs for rec in result.trace
+                 if rec.actual_decrease < 0.0]
+        assert rises
+        assert all(rec.rho < 0.0 and not rec.accepted for rec in rises)
 
     def test_custom_threshold(self):
-        assert trust_region_ratio(0.0, -1.0, 0.5, min_predicted=0.6) is None
-        assert trust_region_ratio(0.0, -1.0, 0.5, min_predicted=0.4) == pytest.approx(2.0)
+        # A looser stop tolerance ends dubins-car on a predicted decrease
+        # that the default tolerance would still turn into a ratio.
+        bench = builtin("dubins-car")
+        comp = bench.build()[0]
+        params = TrustRegionParams(stop_predicted_decrease=1e-4)
+        result = run_scvx(comp, bench.default_start, params)
+        tols = stop_tolerances(result, comp.value(bench.default_start), params)
+        last = result.trace[-1]
+        assert last.rho is None
+        assert 1e-8 * (1.0 + abs(last.J)) < last.predicted_decrease <= tols[-1]
+        assert all(rec.predicted_decrease > tol
+                   for rec, tol in zip(result.trace[:-1], tols))
 
 
 class TestRadiusUpdate:
@@ -98,6 +144,11 @@ class TestRadiusUpdate:
                     {"max_iterations": 2.5}, {"max_iterations": True}):
             with pytest.raises((TypeError, ValueError)):
                 TrustRegionParams(**bad)
+        # JSON true and false are not numbers, though Python bools are ints.
+        for f in fields(TrustRegionParams):
+            for flag in (True, False):
+                with pytest.raises(TypeError):
+                    TrustRegionParams(**{f.name: flag})
         assert TrustRegionParams(max_iterations=np.int64(5)).max_iterations == 5
 
 

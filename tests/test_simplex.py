@@ -16,6 +16,15 @@ from scvxkit.simplex import (
 
 import oracles
 
+PHASE_ONE_LIMIT = "pivot budget exhausted before a feasible point was found"
+PHASE_TWO_LIMIT = "pivot budget exhausted in phase 2"
+
+
+def floor_lp(n=3):
+    """max sum(x) over [0, 3]^n with every x_i >= 1: the n floor rows start
+    infeasible, so the solve takes n pivots in phase 1 and n in phase 2."""
+    return -np.ones(n), -np.eye(n), -np.ones(n), np.zeros(n), np.full(n, 3.0)
+
 
 def random_bounded_lp(rng, n=None, m=None):
     n = n or int(rng.integers(2, 7))
@@ -193,15 +202,14 @@ class TestStatusesAndErrors:
             solve_box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
                          np.array([-np.inf]), np.array([1.0]))
 
-    def test_iteration_limit_carries_best_point(self, rng):
-        c, a_ub, b_ub, lb, ub = random_bounded_lp(rng, n=6, m=8)
-        with pytest.raises(SimplexIterationLimitError) as err:
-            solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter=1)
-        exc = err.value
-        assert exc.iterations <= 1
-        if exc.x_best is not None:
-            assert np.isfinite(exc.objective_best)
-            assert exc.x_best.size == 6
+    def test_iteration_limit_carries_pivot_count(self):
+        assert solve_box_lp(*floor_lp()).iterations == 6
+        for max_iter, message in ((2, PHASE_ONE_LIMIT), (3, PHASE_ONE_LIMIT),
+                                  (4, PHASE_TWO_LIMIT), (5, PHASE_TWO_LIMIT)):
+            with pytest.raises(SimplexIterationLimitError) as err:
+                solve_box_lp(*floor_lp(), max_iter=max_iter)
+            assert str(err.value) == message
+            assert err.value.iterations == max_iter
 
     def test_phase_one_shift(self):
         # min x subject to -x <= -2 within [0, 10]: feasibility needs x >= 2.
@@ -223,9 +231,7 @@ def solve_outcome(*lp, **kwargs):
     try:
         sol = solve_box_lp(*lp, **kwargs)
     except SimplexIterationLimitError as exc:
-        x_best = None if exc.x_best is None else exc.x_best.tobytes()
-        best = None if exc.objective_best is None else exc.objective_best.hex()
-        return ("iteration-limit", x_best, best, exc.iterations)
+        return ("iteration-limit", str(exc), exc.iterations)
     except InfeasibleError:
         return ("infeasible",)
     return (sol.status, sol.x.tobytes(), sol.objective.hex(), sol.iterations)
@@ -267,8 +273,11 @@ class TestPivotMatchesDenseUpdate:
             statuses.add(self.assert_same_as_dense(monkeypatch, c, a_ub, b_ub, lb, ub)[0])
         assert statuses == {"optimal", "infeasible"}
 
-    def test_iteration_limit_best_point(self, monkeypatch):
-        # No negative rhs, so all five pivots run in phase 2 and x_best exists.
+    def test_iteration_limit_in_either_phase(self, monkeypatch):
+        for max_iter, message in ((2, PHASE_ONE_LIMIT), (5, PHASE_TWO_LIMIT)):
+            outcome = self.assert_same_as_dense(monkeypatch, *floor_lp(), max_iter=max_iter)
+            assert outcome == ("iteration-limit", message, max_iter)
+        # No negative rhs, so all five pivots run in phase 2.
         rng = np.random.default_rng(1)
         n, m = 20, 15
         c = -rng.uniform(0.1, 1.0, size=n)
@@ -276,4 +285,4 @@ class TestPivotMatchesDenseUpdate:
         b_ub = rng.uniform(1.0, 2.0, size=m)
         outcome = self.assert_same_as_dense(monkeypatch, c, a_ub, b_ub, np.zeros(n),
                                             np.full(n, 3.0), max_iter=5)
-        assert outcome[0] == "iteration-limit" and outcome[1] is not None
+        assert outcome == ("iteration-limit", PHASE_TWO_LIMIT, 5)

@@ -191,14 +191,17 @@ class TestMinNormStep:
 
 class TestFailurePropagation:
     def test_iteration_limit_becomes_subproblem_error(self, rng, monkeypatch):
-        comp, _, _ = random_composite(rng, n=4)
-        lin = linearize(comp, rng.normal(size=4))
-        lp = build_lp(lin, 1.0)
         monkeypatch.setattr(subproblem_module, "solve_box_lp",
                             lambda *args: solve_box_lp(*args, max_iter=1))
-        with pytest.raises(SubproblemError) as err:
-            lp_solve(lp)
-        exc = err.value
-        assert exc.iterations <= 1
-        if exc.best_step is not None:
-            assert exc.best_step.size == 4
+        # Equality rows with nonzero values give negative right-hand sides,
+        # so the LP starts in phase 1; cost rows alone start in phase 2.
+        for n_eq, message in ((2, "pivot budget exhausted before a feasible point was found"),
+                              (0, "pivot budget exhausted in phase 2")):
+            comp = oracles.affine_composite(rng.uniform(1.0, 2.0, size=2 + n_eq),
+                                            rng.normal(size=(2 + n_eq, 4)), 2, n_eq, 10.0)
+            lp = build_lp(linearize(comp, np.zeros(4)), 1.0)
+            with pytest.raises(SubproblemError) as err:
+                lp_solve(lp)
+            # A failed run writes this message into summary.json word for word.
+            assert str(err.value) == message
+            assert err.value.__cause__.iterations == 1
