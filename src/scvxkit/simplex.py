@@ -4,7 +4,9 @@ Solves  min c @ x  s.t.  a_ub @ x <= b_ub,  lb <= x <= ub  on a dense
 tableau.  Lower bounds must be finite (the caller shifts variables so this
 holds by construction); upper bounds may be +inf.  Pivoting starts with
 Dantzig's rule and falls back to Bland's rule after a stall, which
-guarantees termination on degenerate problems.  Each pivot updates only the
+guarantees termination on degenerate problems.  The tableau is column-major
+with the rhs in column 0 and the artificial columns last, so phase 2 runs on
+a contiguous leading slice, without a copy.  Each pivot updates only the
 rows with a nonzero pivot-column entry times the columns with a nonzero
 pivot-row entry; the other cells of the tableau cannot change.
 """
@@ -49,74 +51,82 @@ class BoxLpSolution:
     iterations: int
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    # Only cells in a row with a nonzero pivot-column entry and a column with
-    # a nonzero pivot-row entry can change; every other cell would receive
-    # x - a*0 or x - 0*b, which leaves x as it is up to the sign of a zero.
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
+           rows: np.ndarray) -> None:
+    # rows are the nonzero rows of column col, the pivot row among them.  A
+    # cell outside them x the nonzero pivot-row columns would get x - a*0 or
+    # x - 0*b, which leaves x as it is up to the sign of a zero.  The pivot
+    # row takes the update too and is then overwritten.  The tableau is
+    # Fortran-contiguous: its flat view holds (i, j) at j * shape[0] + i.
     piv_row = tableau[row] / tableau[row, col]
-    col_vals = tableau[:, col]
-    rows = np.flatnonzero(col_vals)
-    rows = rows[rows != row]
-    cols = np.flatnonzero(piv_row)
-    tableau[np.ix_(rows, cols)] -= np.outer(col_vals[rows], piv_row[cols])
+    cols = piv_row.nonzero()[0]
+    flat = tableau.reshape(-1, order="F")
+    flat[(cols * tableau.shape[0])[:, None] + rows] -= piv_row[cols][:, None] * tableau[rows, col]
     tableau[row] = piv_row
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-         budget: int) -> tuple[str, int]:
-    """Drive the tableau to optimality over the allowed columns.
+def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> tuple[str, int]:
+    """Drive the tableau to optimality over its first width columns.
 
-    Returns the status ("optimal", "unbounded", or "limit" once budget
-    pivots are made) and the number of pivots made.
+    The cost scale behind the optimality tolerance is taken over the whole
+    objective row; pivots then see only the leading width columns.  Returns
+    the status ("optimal", "unbounded", or "limit" when a pivot beyond the
+    budget is needed) and the number of pivots made.
     """
     m = tableau.shape[0] - 1
+    cost_scale = 1.0 + float(np.max(np.abs(tableau[-1, 1:]))) if tableau.shape[1] > 1 else 1.0
+    rc_tol = OPT_TOL * cost_scale
+    tableau = tableau[:, :width]
+    reduced = tableau[-1, 1:]
+    rhs = tableau[:m, 0]
     pivots = 0
     bland = False
     stall = 0
-    last_obj = -tableau[-1, -1]
-    cost_scale = 1.0 + float(np.max(np.abs(tableau[-1, :-1]))) if tableau.shape[1] > 1 else 1.0
-    rc_tol = OPT_TOL * cost_scale
+    last_obj = -tableau[-1, 0]
 
     while True:
-        reduced = np.where(allowed, tableau[-1, :-1], np.inf)
         if bland:
-            eligible = np.flatnonzero(reduced < -rc_tol)
+            eligible = (reduced < -rc_tol).nonzero()[0]
             if eligible.size == 0:
                 return "optimal", pivots
-            col = int(eligible[0])
+            col = int(eligible[0]) + 1
         else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -rc_tol:
+            col = int(reduced.argmin()) + 1
+            if tableau[-1, col] >= -rc_tol:
                 return "optimal", pivots
 
-        column = tableau[:m, col]
-        col_scale = 1.0 + (float(np.max(np.abs(column))) if column.size else 0.0)
-        positive = np.flatnonzero(column > PIVOT_TOL * col_scale)
-        if positive.size == 0:
+        # The entering reduced cost is negative, so the objective row is the
+        # last of the column's nonzero rows.
+        rows = tableau[:, col].nonzero()[0]
+        body = rows[:-1]
+        column = tableau[body, col]
+        col_scale = 1.0 + (float(np.abs(column).max()) if column.size else 0.0)
+        positive = column > PIVOT_TOL * col_scale
+        candidates = body[positive]
+        if candidates.size == 0:
             return "unbounded", pivots
 
-        rhs = tableau[:m, -1]
-        ratios = rhs[positive] / column[positive]
-        best = float(np.min(ratios))
-        tie = positive[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        column = column[positive]
+        ratios = rhs[candidates] / column
+        best = float(ratios.min())
+        tie = ratios <= best + 1e-12 * (1.0 + abs(best))
+        candidates = candidates[tie]
         if bland:
-            row = int(tie[np.argmin(basis[tie])])
+            row = int(candidates[basis[candidates].argmin()])
         else:
             # among ratio ties prefer the largest pivot element for stability
-            row = int(tie[np.argmax(column[tie])])
+            row = int(candidates[column[tie].argmax()])
 
-        _pivot(tableau, basis, row, col)
-
-        rhs = tableau[:m, -1]
-        rhs_scale = 1.0 + (float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-        rhs[(rhs < 0.0) & (rhs > -FEAS_TOL * rhs_scale)] = 0.0
-
-        pivots += 1
         if pivots >= budget:
             return "limit", pivots
+        _pivot(tableau, basis, row, col, rows)
+        pivots += 1
+        if rhs.min() < 0.0:
+            rhs_scale = 1.0 + float(np.abs(rhs).max())
+            rhs[(rhs < 0.0) & (rhs > -FEAS_TOL * rhs_scale)] = 0.0
 
-        obj = -tableau[-1, -1]
+        obj = -tableau[-1, 0]
         if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
             stall = 0
         else:
@@ -165,74 +175,72 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
     art_rows = np.flatnonzero(flip)
     n_art = art_rows.size
     n_cols = n + m + n_art
+    width = n + m + 1  # rhs, structural and slack columns: all phase 2 sees
 
-    tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m, :n] = a_all
-    tableau[np.arange(m), n + np.arange(m)] = slack_sign
+    # Column-major, so the phase-2 slice and _pivot's flat view are views.
+    tableau = np.zeros((m + 1, n_cols + 1), order="F")
+    tableau[:m, 0] = b_all
+    tableau[:m, 1:n + 1] = a_all
+    tableau[np.arange(m), n + 1 + np.arange(m)] = slack_sign
     if n_art:
-        tableau[art_rows, n + m + np.arange(n_art)] = 1.0
-    tableau[:m, -1] = b_all
+        tableau[art_rows, width + np.arange(n_art)] = 1.0
 
     basis = np.empty(m, dtype=int)
-    basis[~flip] = n + np.flatnonzero(~flip)
-    basis[flip] = n + m + np.arange(n_art)
+    basis[~flip] = n + 1 + np.flatnonzero(~flip)
+    basis[flip] = width + np.arange(n_art)
 
     if max_iter is None:
         max_iter = ITERATIONS_PER_VARIABLE * n_cols
     pivots = 0
-    allowed = np.ones(n_cols, dtype=bool)
 
     # Phase 1: minimize the sum of artificials.
     if n_art:
-        tableau[-1, :] = 0.0
-        tableau[-1, n + m:n_cols] = 1.0
+        tableau[-1, width:] = 1.0
         for r in art_rows:
             tableau[-1] -= tableau[r]
-        status, pivots = _run(tableau, basis, allowed, max_iter)
+        status, pivots = _run(tableau, basis, n_cols + 1, max_iter)
         if status == "limit":
             raise SimplexIterationLimitError(
                 "pivot budget exhausted before a feasible point was found", pivots)
         if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
             raise SimplexError("phase 1 reported unbounded")
         feas_scale = 1.0 + float(np.max(np.abs(b_all)))
-        if -tableau[-1, -1] > FEAS_TOL * feas_scale:
+        if -tableau[-1, 0] > FEAS_TOL * feas_scale:
             raise InfeasibleError("constraints are inconsistent")
 
         # Drive leftover artificials out of the basis; drop redundant rows.
         drop = []
         for r in range(m):
-            if basis[r] < n + m:
+            if basis[r] < width:
                 continue
-            row_entries = np.abs(tableau[r, :n + m])
+            row_entries = np.abs(tableau[r, 1:width])
             j = int(np.argmax(row_entries))
             if row_entries[j] > PIVOT_TOL:
-                _pivot(tableau, basis, r, j)
+                _pivot(tableau, basis, r, j + 1, tableau[:, j + 1].nonzero()[0])
             else:
                 drop.append(r)
         if drop:
             keep = np.setdiff1d(np.arange(m), np.array(drop, dtype=int))
-            tableau = np.vstack([tableau[keep], tableau[-1:]])
+            tableau = np.asfortranarray(np.vstack([tableau[keep], tableau[-1:]]))
             basis = basis[keep]
             m = basis.size
-        allowed[n_cols - n_art:] = False  # artificial columns stay out of phase 2
 
-    # Phase 2: original objective.
-    full_c = np.zeros(n_cols + 1)
-    full_c[:n] = c
-    tableau[-1, :] = full_c
+    # Phase 2: original objective, without the artificial columns.
+    tableau[-1, :] = 0.0
+    tableau[-1, 1:n + 1] = c
     for r in range(m):
         coef = tableau[-1, basis[r]]
         if coef != 0.0:
             tableau[-1] -= coef * tableau[r]
 
-    status, phase2 = _run(tableau, basis, allowed, max_iter - pivots)
+    status, phase2 = _run(tableau, basis, width, max_iter - pivots)
     pivots += phase2
     if status == "limit":
         raise SimplexIterationLimitError("pivot budget exhausted in phase 2", pivots)
 
-    y = np.zeros(n_cols)
-    y[basis] = tableau[:m, -1]
-    x = y[:n] + lb
+    y = np.zeros(width)
+    y[basis] = tableau[:m, 0]
+    x = y[1:n + 1] + lb
     if status == "unbounded":
         return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=pivots)
     return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=pivots)

@@ -93,11 +93,12 @@ def scipy_box_lp(c, a_ub, b_ub, lb, ub):
     return res
 
 
-def dense_pivot(tableau, basis, row, col):
+def dense_pivot(tableau, basis, row, col, rows):
     """Simplex pivot as a rank-1 update of the whole tableau.
 
     Drop-in for scvxkit.simplex._pivot, which restricts the same update to
-    the cells that can change; the two must give the same pivots and bits.
+    the nonzero rows (given by rows) and the nonzero pivot-row columns; the
+    two must give the same pivots and bits.  rows is ignored here.
     """
     piv_row = tableau[row] / tableau[row, col]
     col_vals = tableau[:, col].copy()

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from scvxkit import simplex
+from scvxkit.composite import linearize
+from scvxkit.problems import builtin
 from scvxkit.simplex import (
     InfeasibleError,
     SimplexIterationLimitError,
     solve_box_lp,
 )
+from scvxkit.subproblem import build_lp
 
 import oracles
 
@@ -59,6 +62,24 @@ def sparse_epigraph_lp(rng, n=60, n_eq=40, n_ineq=40, per_row=2, radius=1.0, wei
     lb = np.concatenate([np.full(n, -radius), np.zeros(n_eq + n_ineq)])
     ub = np.concatenate([np.full(n, radius), np.full(n_eq + n_ineq, np.inf)])
     return c, a_ub, b_ub, lb, ub
+
+
+def klee_minty_lp(n):
+    """max sum_j 2^(n-1-j) x_j over the Klee-Minty cube, whose row i reads
+    sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^(i+1) (0-based).  Dantzig's rule
+    visits all 2^n vertices; the optimum is x = (0, ..., 0, 5^n)."""
+    c = -(2.0 ** np.arange(n - 1, -1, -1))
+    i, j = np.indices((n, n))
+    a_ub = np.where(j < i, 2.0 ** (i - j + 1), 0.0) + np.eye(n)
+    return c, a_ub, 5.0 ** np.arange(1, n + 1), np.zeros(n), np.full(n, np.inf)
+
+
+def builtin_subproblem_lp(name, radius):
+    """The first subproblem LP of a built-in at N=8 from its default start."""
+    bench = builtin(name, n_nodes=8)
+    composite, _ = bench.build()
+    lp = build_lp(linearize(composite, bench.default_start), radius)
+    return lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub
 
 
 def cycling_lp():
@@ -158,9 +179,9 @@ class TestKnownInstances:
         objectives = []
         pivot = simplex._pivot
 
-        def recording_pivot(tableau, basis, row, col):
-            pivot(tableau, basis, row, col)
-            objectives.append(tableau[-1, -1])
+        def recording_pivot(tableau, basis, row, col, rows):
+            pivot(tableau, basis, row, col, rows)
+            objectives.append(tableau[-1, 0])
 
         monkeypatch.setattr(simplex, "_pivot", recording_pivot)
         sol = solve_box_lp(*lp)
@@ -203,13 +224,25 @@ class TestStatusesAndErrors:
                          np.array([-np.inf]), np.array([1.0]))
 
     def test_iteration_limit_carries_pivot_count(self):
+        # A budget of 3 completes phase 1, so phase 2 is where it runs out.
         assert solve_box_lp(*floor_lp()).iterations == 6
-        for max_iter, message in ((2, PHASE_ONE_LIMIT), (3, PHASE_ONE_LIMIT),
+        for max_iter, message in ((2, PHASE_ONE_LIMIT), (3, PHASE_TWO_LIMIT),
                                   (4, PHASE_TWO_LIMIT), (5, PHASE_TWO_LIMIT)):
             with pytest.raises(SimplexIterationLimitError) as err:
                 solve_box_lp(*floor_lp(), max_iter=max_iter)
             assert str(err.value) == message
             assert err.value.iterations == max_iter
+
+    def test_budget_of_exactly_the_pivots_needed_suffices(self):
+        # The budget bounds the pivots made, not the pivots plus one.
+        for max_iter in range(1, 8):
+            if max_iter < 6:
+                with pytest.raises(SimplexIterationLimitError):
+                    solve_box_lp(*floor_lp(), max_iter=max_iter)
+                continue
+            sol = solve_box_lp(*floor_lp(), max_iter=max_iter)
+            assert (sol.status, sol.iterations) == ("optimal", 6)
+            np.testing.assert_array_equal(sol.x, np.full(3, 3.0))
 
     def test_phase_one_shift(self):
         # min x subject to -x <= -2 within [0, 10]: feasibility needs x >= 2.
@@ -243,8 +276,16 @@ class TestPivotMatchesDenseUpdate:
 
     @staticmethod
     def assert_same_as_dense(monkeypatch, *lp, **kwargs):
-        restricted = solve_outcome(*lp, **kwargs)
+        pivot = simplex._pivot
+
+        def column_major_pivot(tableau, basis, row, col, rows):
+            # The flat update needs a view, which only this layout gives.
+            assert tableau.flags.f_contiguous
+            pivot(tableau, basis, row, col, rows)
+
         with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_pivot", column_major_pivot)
+            restricted = solve_outcome(*lp, **kwargs)
             patch.setattr(simplex, "_pivot", oracles.dense_pivot)
             dense = solve_outcome(*lp, **kwargs)
         assert restricted == dense
@@ -263,6 +304,25 @@ class TestPivotMatchesDenseUpdate:
     def test_classic_cycling_instance(self, monkeypatch, stall_limit):
         monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
         assert self.assert_same_as_dense(monkeypatch, *cycling_lp())[0] == "optimal"
+
+    @pytest.mark.parametrize("radius", [1.0, 1e-3, np.inf])
+    @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
+    def test_builtin_subproblem_lps(self, monkeypatch, name, radius):
+        outcome = self.assert_same_as_dense(monkeypatch, *builtin_subproblem_lp(name, radius))
+        assert outcome[0] == "optimal" and outcome[-1] > 0
+
+    def test_duplicated_rows(self, rng, monkeypatch):
+        # The instance of TestAgainstScipy.test_duplicated_rows_are_handled:
+        # it starts in phase 1 with artificials on both copies of a row.
+        c, a_ub, b_ub, lb, ub = random_bounded_lp(rng, n=3, m=3)
+        lp = (c, np.vstack([a_ub, a_ub]), np.concatenate([b_ub, b_ub]), lb, ub)
+        assert self.assert_same_as_dense(monkeypatch, *lp)[0] == "optimal"
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_klee_minty_takes_every_vertex(self, monkeypatch, n):
+        outcome = self.assert_same_as_dense(monkeypatch, *klee_minty_lp(n))
+        assert outcome[0] == "optimal" and outcome[-1] == 2 ** n - 1
+        assert float.fromhex(outcome[2]) == -(5.0 ** n)
 
     def test_negative_rhs_instances(self, rng, monkeypatch):
         # Phase 1, then the pivots that drive leftover artificials out.

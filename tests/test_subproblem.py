@@ -195,10 +195,14 @@ class TestFailurePropagation:
                             lambda *args: solve_box_lp(*args, max_iter=1))
         # Equality rows with nonzero values give negative right-hand sides,
         # so the LP starts in phase 1; cost rows alone start in phase 2.
+        # Negative cost gradients send every step entry to its upper bound,
+        # one pivot each, so the budget of one pivot runs out in either case.
         for n_eq, message in ((2, "pivot budget exhausted before a feasible point was found"),
                               (0, "pivot budget exhausted in phase 2")):
-            comp = oracles.affine_composite(rng.uniform(1.0, 2.0, size=2 + n_eq),
-                                            rng.normal(size=(2 + n_eq, 4)), 2, n_eq, 10.0)
+            a_mat = rng.normal(size=(2 + n_eq, 4))
+            a_mat[:2] = -np.abs(a_mat[:2])
+            comp = oracles.affine_composite(rng.uniform(1.0, 2.0, size=2 + n_eq), a_mat, 2,
+                                            n_eq, 10.0)
             lp = build_lp(linearize(comp, np.zeros(4)), 1.0)
             with pytest.raises(SubproblemError) as err:
                 lp_solve(lp)
