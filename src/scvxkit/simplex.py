@@ -56,8 +56,10 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
     # rows are the nonzero rows of column col, the pivot row among them.  A
     # cell outside them x the nonzero pivot-row columns would get x - a*0 or
     # x - 0*b, which leaves x as it is up to the sign of a zero.  The pivot
-    # row takes the update too and is then overwritten.  The tableau is
-    # Fortran-contiguous: its flat view holds (i, j) at j * shape[0] + i.
+    # row takes the update too and is then overwritten.  The flat view holds
+    # (i, j) at j * shape[0] + i; on any other layout reshape would copy.
+    if not tableau.flags.f_contiguous:
+        raise ValueError("_pivot needs a Fortran-contiguous tableau")
     piv_row = tableau[row] / tableau[row, col]
     cols = piv_row.nonzero()[0]
     flat = tableau.reshape(-1, order="F")
@@ -208,22 +210,14 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
         if -tableau[-1, 0] > FEAS_TOL * feas_scale:
             raise InfeasibleError("constraints are inconsistent")
 
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        drop = []
+        # Drive leftover artificials out of the basis.  Pivots keep each
+        # artificial column the exact negative of its row's slack column in
+        # the constraint rows, so where an artificial is basic (at 1) that
+        # slack reads -1: the row always has an entry to pivot on.
         for r in range(m):
-            if basis[r] < width:
-                continue
-            row_entries = np.abs(tableau[r, 1:width])
-            j = int(np.argmax(row_entries))
-            if row_entries[j] > PIVOT_TOL:
-                _pivot(tableau, basis, r, j + 1, tableau[:, j + 1].nonzero()[0])
-            else:
-                drop.append(r)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), np.array(drop, dtype=int))
-            tableau = np.asfortranarray(np.vstack([tableau[keep], tableau[-1:]]))
-            basis = basis[keep]
-            m = basis.size
+            if basis[r] >= width:
+                j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
+                _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
 
     # Phase 2: original objective, without the artificial columns.
     tableau[-1, :] = 0.0

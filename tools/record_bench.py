@@ -1,13 +1,12 @@
 """Record a BENCH_<n>.json: every benchmark workload, untraced and traced.
 
-    python3 tools/record_bench.py BENCH_8.json [--seconds 30]
+    python3 tools/record_bench.py BENCH_8.json
 
 Run from the repository root.  For each workload in BENCHMARK.json this runs
 perfbench/run.py at seed 0 once with --trace 0 (end-to-end metrics) and once
 with --trace 1 (per-layer metrics) and merges the records it writes under
-.perfbench/, without their span lists, into one JSON file.  --seconds
-shortens the runs for a quick check; the default is the benchmark's own
-run_seconds.  Exits 1 if any run fails its checks.
+.perfbench/, without their span lists, into one JSON file.  Every run
+lasts the benchmark's own run_seconds.  Exits 1 if any run fails its checks.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ SEED = 0
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output")
-    parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     runs, failed = {}, []
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
@@ -48,7 +46,7 @@ def main(argv=None) -> int:
             record.pop("spans", None)
             runs.setdefault(workload, {})[f"trace{trace}"] = record
 
-    out = {"command": f"python3 tools/record_bench.py {args.output} --seconds {seconds:g}",
+    out = {"command": f"python3 tools/record_bench.py {args.output}",
            "seed": SEED, "seconds": seconds, "runs": runs}
     Path(args.output).write_text(json.dumps(out, indent=1, default=float) + "\n")
     for message in failed:
