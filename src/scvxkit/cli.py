@@ -320,25 +320,29 @@ def write_iterates(path: str, trace: List[IterationRecord]) -> None:
     _write_jsonl(path, ({"k": rec.k, "z": rec.z} for rec in trace))
 
 
-def read_trace(trace_path: str, iterates_path: Optional[str] = None) -> List[IterationRecord]:
-    """Rebuild iteration records from a trace file plus optional sidecar.
+def read_trace(trace_path: str, iterates_path: Optional[str]) -> List[IterationRecord]:
+    """Rebuild iteration records from a trace file and its iterates sidecar.
 
-    A file that cannot be parsed, or a row that lacks a key or holds a
-    wrongly typed value, is a ConfigError naming the file.
+    The sidecar is read after the trace and must hold every iterate the
+    trace numbers.  A sidecar that is not configured or not there, a file
+    that cannot be parsed, or a row that lacks a key or holds a wrongly
+    typed value is a ConfigError naming the file.
     """
+    rows = [_require(row, _TRACE_TYPES, "trace", trace_path)
+            for row in _read_json(trace_path, "trace", lines=True)]
+    if not iterates_path or not Path(iterates_path).exists():
+        raise ConfigError(f"check needs the iterates sidecar output.iterates "
+                          f"({iterates_path or 'not set'}); set it and run solve")
     iterates = {}
-    if iterates_path and Path(iterates_path).exists():
-        for row in _read_json(iterates_path, "iterates", lines=True):
-            _require(row, {"k": _is_int, "z": _is_vector}, "iterates", iterates_path)
-            iterates[row["k"]] = np.asarray(row["z"], dtype=float)
-    records = []
-    for row in _read_json(trace_path, "trace", lines=True):
-        _require(row, _TRACE_TYPES, "trace", trace_path)
-        records.append(IterationRecord(
-            z=iterates.get(row["k"]),
-            **{name: row[key] for key, name in _TRACE_FIELDS.items()},
-        ))
-    return records
+    for row in _read_json(iterates_path, "iterates", lines=True):
+        _require(row, {"k": _is_int, "z": _is_vector}, "iterates", iterates_path)
+        iterates[row["k"]] = np.asarray(row["z"], dtype=float)
+    missing = [row["k"] for row in rows if row["k"] not in iterates]
+    if missing:
+        raise ConfigError(f"iterates {iterates_path} lacks the iterate of k={missing[0]}")
+    return [IterationRecord(z=iterates[row["k"]],
+                            **{name: row[key] for key, name in _TRACE_FIELDS.items()})
+            for row in rows]
 
 
 # plots/ file -> IterationRecord field; records where the field is None are skipped.
@@ -370,30 +374,6 @@ def _prepare(config: RunConfig):
     return bench, composite, disc, start
 
 
-# Report keys per diagnostics result type, in the order they are written.
-_REPORT_FIELDS = {
-    diag.LevelSetReport: ("passed", "verdict", "max_objective", "j0", "max_norm", "norm_budget"),
-    diag.RhoTailReport: ("tail_rho", "trending_to_one", "sufficient", "n_defined"),
-    diag.SharpMinimumCertificate: ("beta_hat", "gamma_hat", "delta", "norm", "seed", "n_samples"),
-    diag.StrongConvergenceReport: ("label", "cauchy_ok", "bound_ok", "beta_hat", "m_tail",
-                                   "tail_errors"),
-    diag.RateEstimate: ("order_q", "defined", "reason", "superlinear_evidence", "error_ratios"),
-    diag.SubdifferentialReport: ("passed", "min_estimate", "n_directions", "step"),
-    diag.SmallStepReport: ("passed", "eta", "epsilon", "max_step_norm", "n_probes", "failures"),
-    diag.ActiveSetReport: ("active_count", "threshold", "verdict", "tolerance", "active_labels"),
-}
-
-
-def _report_section(result, **extra) -> dict:
-    return {**{key: getattr(result, key) for key in _REPORT_FIELDS[type(result)]}, **extra}
-
-
-def _certificate_section(cert: diag.SharpMinimumCertificate) -> dict:
-    worst = int(np.argmin(cert.sample_ratios))
-    return _report_section(cert, worst_ratio=cert.sample_ratios[worst],
-                           worst_point=cert.sample_points[worst])
-
-
 def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedProblem],
                     result: SolveResult, config: RunConfig, j0: float) -> dict:
     """Assemble the full diagnostics report for one finished run."""
@@ -401,40 +381,31 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
     z_bar = result.final_z
     report: dict = {"status": result.status}
 
-    level = diag.check_level_set(result.trace, j0, norm_budget=config.trust_region.norm_budget)
-    report["level_set"] = _report_section(level)
-    ratio = diag.check_ratio_limit(result.trace, m_tail=cfg.m_tail)
-    report["ratio_tail"] = _report_section(
-        ratio, note="observational only; no assertion is attached to this limit")
+    report["level_set"] = diag.check_level_set(result.trace, j0,
+                                               norm_budget=config.trust_region.norm_budget)
+    report["ratio_tail"] = diag.check_ratio_limit(result.trace, m_tail=cfg.m_tail)
 
     if result.status != STATUS_CONVERGED:
         report["skipped"] = "minimizer-centric probes need a converged run"
         return report
 
-    sharp = diag.estimate_sharp_minimum(composite, z_bar, cfg.delta,
-                                        n_samples=cfg.n_samples, seed=config.seed)
-    growth = diag.estimate_growth_constant(composite, z_bar, n_samples=cfg.n_samples,
-                                           seed=config.seed)
-    report["sharp_minimum"] = _certificate_section(sharp)
-    report["model_growth"] = _certificate_section(growth)
-
-    strong = diag.check_strong_convergence(result.trace, z_bar, sharp.beta_hat,
-                                           m_tail=cfg.m_tail)
-    report["strong_convergence"] = _report_section(strong)
-    rate = diag.estimate_rate(result.trace, z_bar, m_tail=cfg.m_tail)
-    report["rate"] = _report_section(rate)
-    sub = diag.check_subdifferential_inequality(composite, z_bar,
-                                                n_directions=cfg.n_samples, seed=config.seed)
-    report["subdifferential"] = _report_section(sub)
+    report["sharp_minimum"] = diag.estimate_sharp_minimum(
+        composite, z_bar, cfg.delta, n_samples=cfg.n_samples, seed=config.seed)
+    report["model_growth"] = diag.estimate_growth_constant(
+        composite, z_bar, n_samples=cfg.n_samples, seed=config.seed)
+    report["strong_convergence"] = diag.check_strong_convergence(
+        result.trace, z_bar, report["sharp_minimum"]["beta_hat"], m_tail=cfg.m_tail)
+    report["rate"] = diag.estimate_rate(result.trace, z_bar, m_tail=cfg.m_tail)
+    report["subdifferential"] = diag.check_subdifferential_inequality(
+        composite, z_bar, n_directions=cfg.n_samples, seed=config.seed)
 
     if cfg.small_step:
         epsilon = cfg.epsilon if cfg.epsilon is not None else cfg.delta / 2.0
-        small = diag.find_small_step_eta(composite, z_bar, epsilon,
-                                         n_probes=cfg.n_probes, seed=config.seed)
-        report["small_step"] = _report_section(small)
+        report["small_step"] = diag.find_small_step_eta(
+            composite, z_bar, epsilon, n_probes=cfg.n_probes, seed=config.seed)
 
     if disc is not None:
-        report["active_set"] = _report_section(diag.active_set_report(disc, z_bar))
+        report["active_set"] = diag.active_set_report(disc, z_bar)
     return report
 
 
@@ -450,11 +421,16 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
 
     last_radius = result.trace[-1].radius if result.trace else config.trust_region.r_init
     probe_radius = min(1.0, last_radius)
-    try:
-        residual = check_stationarity(composite, result.final_z, probe_radius)
-    except SubproblemError:
-        # A run that failed in the LP usually fails the probe's LP too.
-        residual = math.nan
+    if result.status == STATUS_CONVERGED and last_radius <= 1.0:
+        # The terminal record solved this very LP: the final point's
+        # linearization over a box of the probe radius.
+        residual = result.trace[-1].predicted_decrease
+    else:
+        try:
+            residual = check_stationarity(composite, result.final_z, probe_radius)
+        except SubproblemError:
+            # A run that failed in the LP usually fails the probe's LP too.
+            residual = math.nan
 
     summary = {
         "problem": config.problem_name,

@@ -11,6 +11,10 @@ constants compare directly with the radius.  Estimates are sampled with seeded g
 signed axis directions always included, so reports are reproducible and a
 negative finding (for example a non-sharp minimum) is itself a result.
 
+Each probe returns its section of the diagnostics report: a dict whose
+keys, in order, are the ones the report writes.  Arrays and numpy scalars
+are left for the writer to turn into JSON.
+
 The trust-region ratio tail is reported but never asserted against: a ratio
 limit of one is not something the method guarantees, so the report is
 observational only.
@@ -18,8 +22,7 @@ observational only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -59,114 +62,84 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
 
 
 def _shell_ratios(objective: CompositeObjective, z_bar: np.ndarray, dirs: np.ndarray,
-                  scales: Sequence[float]):
-    """J(z_bar), the points z_bar + s*u for each shell s and direction u,
-    and their ratios (J(z) - J(z_bar)) / s, shell by shell."""
+                  scales: Sequence[float]) -> Tuple[float, np.ndarray]:
+    """J(z_bar) and the ratios (J(z_bar + s*u) - J(z_bar)) / s for each
+    shell s and direction u, shell by shell."""
     j_bar = objective.value(z_bar)
-    points = np.concatenate([z_bar + scale * dirs for scale in scales])
-    radii = np.repeat(np.asarray(scales, dtype=float), len(dirs))
-    ratios = np.array([(objective.value(z) - j_bar) / r for z, r in zip(points, radii)])
-    return j_bar, points, ratios
+    return j_bar, np.array([(objective.value(z_bar + s * u) - j_bar) / s
+                            for s in scales for u in dirs])
 
 
-@dataclass(frozen=True)
-class SharpMinimumCertificate:
-    """Sampled growth constants around a candidate minimizer.
+def _certificate(ratios: np.ndarray, dirs: np.ndarray, scales: Sequence[float], seed: int,
+                 centre=None, **constant) -> dict:
+    """Report section of a sampled growth constant, the smallest of ratios.
 
-    beta_hat bounds objective growth ratios on shells around the point;
-    gamma_hat bounds model growth ratios over directions at the point.  A
-    probe fills its own field and leaves the other as None.  Negative values
-    are valid findings: they certify that no sharp growth was observed.
-    Samples are stored so every ratio can be re-derived from the reported
-    points alone.
+    constant holds the one of beta_hat and gamma_hat the probe fills; the
+    other stays None.  worst_ratio is that smallest ratio and worst_point
+    the sampled step s*u behind it, or centre + s*u for a probe that samples
+    around centre.  n_samples counts every ratio, all shells included.
     """
-
-    norm: ClassVar[str] = "inf"
-
-    beta_hat: Optional[float]
-    gamma_hat: Optional[float]
-    delta: Optional[float]
-    seed: int
-    n_samples: int
-    sample_points: np.ndarray
-    sample_ratios: np.ndarray
+    worst = int(np.argmin(ratios))
+    step = scales[worst // len(dirs)] * dirs[worst % len(dirs)]
+    return {"beta_hat": None, "gamma_hat": None, "delta": None, **constant, "norm": "inf",
+            "seed": seed, "n_samples": ratios.size, "worst_ratio": ratios[worst],
+            "worst_point": step if centre is None else centre + step}
 
 
 def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
-                           n_samples: int = 64, seed: int = 0) -> SharpMinimumCertificate:
+                           n_samples: int = 64, seed: int = 0) -> dict:
     """Sample (J(z) - J(z_bar)) / dist on shells at delta/10, delta/3, delta.
 
     beta_hat is the smallest ratio found.  It is positive at a sharp
     minimizer, near zero at a smooth one, and negative when z_bar is not
-    even locally minimal along some sampled direction.
+    even locally minimal along some sampled direction: a finding, not an
+    error.  worst_point is the sampled z with that ratio, so the constant
+    can be re-derived from the report alone.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     z_bar = np.asarray(z_bar, dtype=float)
     dirs = unit_directions(z_bar.size, n_samples, seed=seed)
-    _, points, ratios = _shell_ratios(objective, z_bar, dirs,
-                                      (delta / 10.0, delta / 3.0, delta))
-    return SharpMinimumCertificate(
-        beta_hat=float(np.min(ratios)), gamma_hat=None, delta=float(delta),
-        seed=seed, n_samples=ratios.size, sample_points=points, sample_ratios=ratios,
-    )
+    scales = (delta / 10.0, delta / 3.0, delta)
+    _, ratios = _shell_ratios(objective, z_bar, dirs, scales)
+    return _certificate(ratios, dirs, scales, seed, centre=z_bar,
+                        beta_hat=float(np.min(ratios)), delta=float(delta))
 
 
 def estimate_growth_constant(objective: CompositeObjective, z_bar, n_samples: int = 64,
-                             seed: int = 0) -> SharpMinimumCertificate:
+                             seed: int = 0) -> dict:
     """Sample (L(d) - L(0)) / ||d|| over directions and small magnitudes.
 
     The model is convex, so each direction's ratio is nondecreasing in the
     magnitude and the small-scale samples approach the directional
-    derivative from above; gamma_hat is the smallest ratio found.
+    derivative from above; gamma_hat is the smallest ratio found, and a
+    negative value certifies that the model descends.  worst_point is the
+    step d with that ratio.
     """
     z_bar = np.asarray(z_bar, dtype=float)
     lin = linearize(objective, z_bar)
-    base = lin.base_value
     dirs = unit_directions(z_bar.size, n_samples, seed=seed)
-    points = []
-    ratios = []
-    for scale in GROWTH_SCALES:
-        steps = scale * dirs
-        values = lin.model_value_many(steps)
-        points.extend(steps)
-        ratios.extend((values - base) / scale)
-    points = np.asarray(points)
-    ratios = np.asarray(ratios)
-    return SharpMinimumCertificate(
-        beta_hat=None, gamma_hat=float(np.min(ratios)), delta=None,
-        seed=seed, n_samples=ratios.size, sample_points=points, sample_ratios=ratios,
-    )
-
-
-@dataclass(frozen=True)
-class SmallStepReport:
-    """Minimum-norm model steps at random points near a stationary point.
-
-    Each probe point gets an effectively unconstrained subproblem; the
-    reported step is the smallest-norm optimizer, so a pass certifies that
-    small steps exist, not merely that the LP picked one.  passed is exactly
-    max_step_norm < epsilon; failed probes count as infinite steps.
-    """
-
-    eta: float
-    epsilon: float
-    n_probes: int
-    max_step_norm: float
-    passed: bool
-    step_norms: np.ndarray
-    failures: Tuple[str, ...]
+    ratios = np.concatenate([(lin.model_value_many(scale * dirs) - lin.base_value) / scale
+                             for scale in GROWTH_SCALES])
+    return _certificate(ratios, dirs, GROWTH_SCALES, seed, gamma_hat=float(np.min(ratios)))
 
 
 def check_small_step(objective: CompositeObjective, z_bar, eta: float,
-                     epsilon: float, n_probes: int = 64, seed: int = 0) -> SmallStepReport:
-    """Probe whether model steps stay below epsilon within an eta-ball."""
+                     epsilon: float, n_probes: int = 64, seed: int = 0) -> dict:
+    """Probe whether model steps stay below epsilon within an eta-ball.
+
+    Each probe point gets an effectively unconstrained subproblem; its step
+    is the smallest-norm optimizer, so a pass certifies that small steps
+    exist, not merely that the LP picked one.  passed is exactly
+    max_step_norm < epsilon.  A probe whose model is unbounded or whose LP
+    fails counts as an infinite step and adds a line to failures.
+    """
     if eta <= 0 or epsilon <= 0:
         raise ValueError("eta and epsilon must be positive")
     z_bar = np.asarray(z_bar, dtype=float)
     rng = np.random.default_rng(seed)
     norms = []
-    failures: List[str] = []
+    failures = []
     for i in range(n_probes):
         z = z_bar + 0.99 * eta * rng.uniform(-1.0, 1.0, z_bar.size)
         try:
@@ -180,28 +153,24 @@ def check_small_step(objective: CompositeObjective, z_bar, eta: float,
         except SubproblemError as exc:
             failures.append(f"probe {i}: {exc}")
             norms.append(np.inf)
-    norms = np.asarray(norms)
-    max_norm = float(np.max(norms)) if norms.size else 0.0
-    return SmallStepReport(
-        eta=float(eta), epsilon=float(epsilon), n_probes=n_probes,
-        max_step_norm=max_norm, passed=bool(max_norm < epsilon),
-        step_norms=norms, failures=tuple(failures),
-    )
+    max_norm = float(np.max(norms, initial=0.0))
+    return {"passed": bool(max_norm < epsilon), "eta": float(eta), "epsilon": float(epsilon),
+            "max_step_norm": max_norm, "n_probes": n_probes, "failures": failures}
 
 
 def find_small_step_eta(objective: CompositeObjective, z_bar, epsilon: float,
-                        n_probes: int = 64, seed: int = 0) -> SmallStepReport:
+                        n_probes: int = 64, seed: int = 0) -> dict:
     """Shrink eta from epsilon by halving until the small-step probe passes.
 
-    Returns the first passing report, or the last failing one if no eta in
+    Returns the first passing section, or the last failing one if no eta in
     the halving schedule works.
     """
     for halvings in range(SMALL_STEP_HALVINGS + 1):
-        report = check_small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon,
-                                  n_probes=n_probes, seed=seed)
-        if report.passed:
+        section = check_small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon,
+                                   n_probes=n_probes, seed=seed)
+        if section["passed"]:
             break
-    return report
+    return section
 
 
 def _distances(records: Sequence[IterationRecord], z_bar: np.ndarray) -> np.ndarray:
@@ -209,36 +178,23 @@ def _distances(records: Sequence[IterationRecord], z_bar: np.ndarray) -> np.ndar
     return np.array([np.max(np.abs(rec.z - z_bar), initial=0.0) for rec in records])
 
 
-@dataclass(frozen=True)
-class StrongConvergenceReport:
-    """Tail evidence that the whole iterate sequence settled to one point.
-
-    label is "strong-convergent" when the accepted tail distances to the
-    final point are nonincreasing and each tail iterate satisfies
-    dist <= (J - J_final) / beta_hat.  Anything else is "inconclusive":
-    short tails and non-sharp minima are not counterexamples.
-    """
-
-    label: str
-    tail_errors: np.ndarray
-    cauchy_ok: bool
-    bound_ok: bool
-    beta_hat: float
-    m_tail: int
-    j_final: float
-
-
 def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
-                             beta_hat: float, m_tail: int = 5) -> StrongConvergenceReport:
-    """Check the accepted tail against the sharp-growth distance bound."""
+                             beta_hat: float, m_tail: int = 5) -> dict:
+    """Check the accepted tail against the sharp-growth distance bound.
+
+    tail_errors are the distances of the last m_tail accepted iterates to
+    z_bar.  cauchy_ok says they are nonincreasing, bound_ok that each
+    satisfies dist <= (J - J_final) / beta_hat.  label is
+    "strong-convergent" when both hold and "inconclusive" otherwise; with
+    fewer than three accepted iterates or beta_hat <= 0 the tail is not
+    examined (m_tail 0).  Short tails and non-sharp minima are not
+    counterexamples.
+    """
     z_bar = np.asarray(z_bar, dtype=float)
-    accepted = [rec for rec in trace if rec.accepted and rec.z is not None]
+    accepted = [rec for rec in trace if rec.accepted]
     if len(accepted) < 3 or not (beta_hat > 0):
-        return StrongConvergenceReport(
-            label="inconclusive", tail_errors=np.zeros(0), cauchy_ok=False,
-            bound_ok=False, beta_hat=float(beta_hat), m_tail=0,
-            j_final=accepted[-1].J if accepted else np.nan,
-        )
+        return {"label": "inconclusive", "cauchy_ok": False, "bound_ok": False,
+                "beta_hat": float(beta_hat), "m_tail": 0, "tail_errors": np.zeros(0)}
     tail = accepted[-min(m_tail, len(accepted)):]
     j_final = accepted[-1].J
     errors = _distances(tail, z_bar)
@@ -248,62 +204,40 @@ def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
         for err, rec in zip(errors, tail)
     )
     label = "strong-convergent" if (cauchy_ok and bound_ok) else "inconclusive"
-    return StrongConvergenceReport(
-        label=label, tail_errors=errors, cauchy_ok=cauchy_ok, bound_ok=bound_ok,
-        beta_hat=float(beta_hat), m_tail=len(tail), j_final=float(j_final),
-    )
+    return {"label": label, "cauchy_ok": cauchy_ok, "bound_ok": bound_ok,
+            "beta_hat": float(beta_hat), "m_tail": len(tail), "tail_errors": errors}
 
 
-@dataclass(frozen=True)
-class RhoTailReport:
-    """Observed trust-region ratio tail; reported, never asserted."""
-
-    tail_rho: np.ndarray
-    trending_to_one: bool
-    sufficient: bool
-    n_defined: int
-
-
-def check_ratio_limit(trace: Sequence[IterationRecord], m_tail: int = 5) -> RhoTailReport:
+def check_ratio_limit(trace: Sequence[IterationRecord], m_tail: int = 5) -> dict:
     """Report whether |rho - 1| is nonincreasing over the last m_tail accepted
-    ratios, and whether there are m_tail of them."""
+    ratios (trending_to_one), and whether there are m_tail of them
+    (sufficient); n_defined counts every accepted ratio.  Observed, never
+    asserted."""
     rhos = [rec.rho for rec in trace if rec.accepted and rec.rho is not None]
-    sufficient = len(rhos) >= m_tail
     tail = np.asarray(rhos[-m_tail:]) if rhos else np.zeros(0)
     gaps = np.abs(tail - 1.0)
-    trending = bool(tail.size >= 2 and np.all(np.diff(gaps) <= 1e-12))
-    return RhoTailReport(tail_rho=tail, trending_to_one=trending,
-                         sufficient=sufficient, n_defined=len(rhos))
+    return {"tail_rho": tail,
+            "trending_to_one": bool(tail.size >= 2 and np.all(np.diff(gaps) <= 1e-12)),
+            "sufficient": len(rhos) >= m_tail, "n_defined": len(rhos),
+            "note": "observational only; no assertion is attached to this limit"}
 
 
-@dataclass(frozen=True)
-class ActiveSetReport:
-    """Count of inequality components sitting on their boundary.
+def active_set_report(problem, z_final) -> dict:
+    """Count active inequalities of a discretized problem at z_final.
 
-    verdict compares the count with the control dimension times the number
-    of control nodes: "exact" matches the count a fully determined control
-    would need, "shortfall" and "excess" flag the gap.  Discretized
-    problems routinely land off "exact"; that observation is the point.
+    An inequality is active within tolerance of zero, relative to its value.
+    verdict compares active_count with threshold, the control dimension
+    times the number of control nodes: "exact" matches the count a fully
+    determined control would need, "shortfall" and "excess" flag the gap.
+    Discretized problems routinely land off "exact"; that observation is
+    the point.
     """
-
-    active_count: int
-    threshold: int
-    tolerance: float
-    verdict: str
-    active_labels: Tuple[str, ...]
-
-
-def active_set_report(problem, z_final) -> ActiveSetReport:
-    """Count active inequalities of a discretized problem at z_final."""
     composite = problem.composite
     psi = composite.psi
     values = composite.g.value(z_final)
     ineq = values[psi.ineq_range.start:psi.ineq_range.stop]
     labels = problem.labels[psi.ineq_range.start:psi.ineq_range.stop]
-    active = [
-        (label, v) for label, v in zip(labels, ineq)
-        if abs(v) <= ACTIVE_TOL * (1.0 + abs(v))
-    ]
+    active = [label for label, v in zip(labels, ineq) if abs(v) <= ACTIVE_TOL * (1.0 + abs(v))]
     threshold = problem.active_set_threshold
     count = len(active)
     if count == threshold:
@@ -312,28 +246,8 @@ def active_set_report(problem, z_final) -> ActiveSetReport:
         verdict = "shortfall"
     else:
         verdict = "excess"
-    return ActiveSetReport(
-        active_count=count, threshold=threshold, tolerance=ACTIVE_TOL, verdict=verdict,
-        active_labels=tuple(label for label, _ in active),
-    )
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Convergence order fitted on the accepted tail errors.
-
-    order_q is the least-squares slope of log e_{k+1} against log e_k;
-    superlinear_evidence additionally wants strictly decreasing error
-    ratios ending below 0.1.  defined is False when the tail is too short
-    or hits exact zeros (finite termination), which is a fine outcome that
-    simply leaves no rate to estimate.
-    """
-
-    order_q: Optional[float]
-    error_ratios: np.ndarray
-    superlinear_evidence: bool
-    defined: bool
-    reason: str = ""
+    return {"active_count": count, "threshold": threshold, "verdict": verdict,
+            "tolerance": ACTIVE_TOL, "active_labels": active}
 
 
 def fit_convergence_order(errors: Sequence[float]) -> Tuple[float, np.ndarray]:
@@ -346,80 +260,63 @@ def fit_convergence_order(errors: Sequence[float]) -> Tuple[float, np.ndarray]:
     return float(slope), e[1:] / e[:-1]
 
 
-def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5) -> RateEstimate:
-    """Fit a convergence order to the last accepted iterates."""
-    z_bar = np.asarray(z_bar, dtype=float)
-    accepted = [rec for rec in trace if rec.accepted and rec.z is not None]
-    errors = _distances(accepted[-(m_tail + 1):], z_bar)
-    if errors.size < 3:
-        return RateEstimate(order_q=None, error_ratios=np.zeros(0),
-                            superlinear_evidence=False, defined=False,
-                            reason="tail too short")
-    if np.any(errors <= 0):
-        return RateEstimate(order_q=None, error_ratios=np.zeros(0),
-                            superlinear_evidence=False, defined=False,
-                            reason="finite termination: exact zeros in the tail")
-    order, ratios = fit_convergence_order(errors)
-    superlinear = bool(np.all(np.diff(ratios) < 0) and ratios[-1] < 0.1)
-    return RateEstimate(order_q=order, error_ratios=ratios,
-                        superlinear_evidence=superlinear, defined=True)
+def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5) -> dict:
+    """Fit a convergence order to the last accepted iterates.
 
-
-@dataclass(frozen=True)
-class SubdifferentialReport:
-    """One-sided directional derivative estimates at a candidate minimizer.
-
-    At a minimizer every direction must have a nonnegative one-sided
-    derivative; passed requires all estimates to clear
-    -SUBDIFFERENTIAL_TOL * (1 + |J|).
+    order_q is the least-squares slope of log e_{k+1} against log e_k over
+    the distances e to z_bar, error_ratios the ratios e_{k+1} / e_k, and
+    superlinear_evidence wants them strictly decreasing and ending below
+    0.1.  defined is False, with the reason, when the tail is too short or
+    holds exact zeros (finite termination): a fine outcome that simply
+    leaves no rate to estimate.
     """
-
-    n_directions: int
-    min_estimate: float
-    passed: bool
-    step: float
-    estimates: np.ndarray
+    z_bar = np.asarray(z_bar, dtype=float)
+    accepted = [rec for rec in trace if rec.accepted]
+    errors = _distances(accepted[-(m_tail + 1):], z_bar)
+    if errors.size < 3 or np.any(errors <= 0):
+        reason = ("tail too short" if errors.size < 3
+                  else "finite termination: exact zeros in the tail")
+        return {"order_q": None, "defined": False, "reason": reason,
+                "superlinear_evidence": False, "error_ratios": np.zeros(0)}
+    order, ratios = fit_convergence_order(errors)
+    return {"order_q": order, "defined": True, "reason": "",
+            "superlinear_evidence": bool(np.all(np.diff(ratios) < 0) and ratios[-1] < 0.1),
+            "error_ratios": ratios}
 
 
 def check_subdifferential_inequality(objective: CompositeObjective, z_bar,
-                                     n_directions: int = 64,
-                                     seed: int = 0) -> SubdifferentialReport:
-    """Estimate dJ(z_bar; s) over random unit directions by one-sided differences."""
+                                     n_directions: int = 64, seed: int = 0) -> dict:
+    """Estimate dJ(z_bar; s) over unit directions by one-sided differences.
+
+    At a minimizer every direction has a nonnegative one-sided derivative;
+    passed requires the smallest estimate, min_estimate, to clear
+    -SUBDIFFERENTIAL_TOL * (1 + |J|).  n_directions counts the signed axes
+    as well as the n_directions random draws.
+    """
     z_bar = np.asarray(z_bar, dtype=float)
     dirs = unit_directions(z_bar.size, n_directions, seed=seed)
-    j_bar, _, estimates = _shell_ratios(objective, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
+    j_bar, estimates = _shell_ratios(objective, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
     threshold = -SUBDIFFERENTIAL_TOL * (1.0 + abs(j_bar))
-    return SubdifferentialReport(
-        n_directions=dirs.shape[0], min_estimate=float(np.min(estimates)),
-        passed=bool(np.min(estimates) >= threshold), step=SUBDIFFERENTIAL_STEP,
-        estimates=estimates,
-    )
-
-
-@dataclass(frozen=True)
-class LevelSetReport:
-    """Confinement of the run to its starting sublevel set and norm budget."""
-
-    passed: bool
-    verdict: str  # "ok" | "objective-increase" | "norm-budget-exceeded"
-    max_objective: float
-    j0: float
-    max_norm: float
-    norm_budget: float
+    return {"passed": bool(np.min(estimates) >= threshold),
+            "min_estimate": float(np.min(estimates)), "n_directions": dirs.shape[0],
+            "step": SUBDIFFERENTIAL_STEP}
 
 
 def check_level_set(trace: Sequence[IterationRecord], j0: float,
-                    norm_budget: float = 1e4) -> LevelSetReport:
-    """Verify J stayed at or below J(z0) and iterates stayed inside the budget."""
+                    norm_budget: float = 1e4) -> dict:
+    """Verify J stayed at or below J(z0) and iterates stayed inside the budget.
+
+    verdict is "objective-increase" when some J rose above j0 by more than
+    LEVEL_SET_TOL relative, else "norm-budget-exceeded" when some iterate's
+    inf-norm (max_norm) passed norm_budget, else "ok"; passed means "ok".
+    """
     max_j = max((rec.J for rec in trace), default=j0)
-    norms = [float(np.max(np.abs(rec.z))) for rec in trace if rec.z is not None]
-    max_norm = max(norms, default=0.0)
+    max_norm = max((float(np.max(np.abs(rec.z))) for rec in trace), default=0.0)
     if max_j > j0 + LEVEL_SET_TOL * (1.0 + abs(j0)):
         verdict = "objective-increase"
     elif max_norm > norm_budget:
         verdict = "norm-budget-exceeded"
     else:
         verdict = "ok"
-    return LevelSetReport(passed=(verdict == "ok"), verdict=verdict,
-                          max_objective=float(max_j), j0=float(j0),
-                          max_norm=float(max_norm), norm_budget=float(norm_budget))
+    return {"passed": verdict == "ok", "verdict": verdict, "max_objective": float(max_j),
+            "j0": float(j0), "max_norm": float(max_norm), "norm_budget": float(norm_budget)}

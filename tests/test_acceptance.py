@@ -174,17 +174,17 @@ def test_criterion_06_sharp_minimum_certificates(acceptance_log, benchmark_runs)
     cert = estimate_sharp_minimum(comp, result.final_z, delta=0.1)
     growth = estimate_growth_constant(comp, result.final_z)
     sweep = oracles.sweep_sharp_constant(float(result.final_z[0]), delta=0.1)
-    sharp_ok = cert.beta_hat >= 0.9 * sweep and growth.gamma_hat > 0.0
+    sharp_ok = cert["beta_hat"] >= 0.9 * sweep and growth["gamma_hat"] > 0.0
     # Smooth control case: a pure quadratic has no sharp minimum and the
     # certificate has to say so through a collapsing beta_hat.
     quad = oracles.quadratic_composite(2)
     quad_cert = estimate_sharp_minimum(quad, np.zeros(2), delta=1e-3)
-    smooth_ok = quad_cert.beta_hat <= 1e-2
+    smooth_ok = quad_cert["beta_hat"] <= 1e-2
     ok = sharp_ok and smooth_ok
     report(acceptance_log, 6, "sharp minimum certificates", ok,
-           f"toy-sharp-1d beta_hat {cert.beta_hat:.4g} vs 0.9*sweep "
-           f"{0.9 * sweep:.4g}, gamma_hat {growth.gamma_hat:.4g}; "
-           f"quadratic beta_hat {quad_cert.beta_hat:.3g} <= 1e-2")
+           f"toy-sharp-1d beta_hat {cert['beta_hat']:.4g} vs 0.9*sweep "
+           f"{0.9 * sweep:.4g}, gamma_hat {growth['gamma_hat']:.4g}; "
+           f"quadratic beta_hat {quad_cert['beta_hat']:.3g} <= 1e-2")
 
 
 def test_criterion_07_small_step_property(acceptance_log, benchmark_runs):
@@ -194,10 +194,10 @@ def test_criterion_07_small_step_property(acceptance_log, benchmark_runs):
         _, comp, _, result = benchmark_runs[name]
         epsilon = 0.1 / 2.0
         probe = find_small_step_eta(comp, result.final_z, epsilon, n_probes=64)
-        ok &= probe.passed and probe.n_probes >= 64 and probe.eta > 0.0
-        details.append(f"{name}: eta {probe.eta:.3g}, max step "
-                       f"{probe.max_step_norm:.3g} < eps {epsilon}, "
-                       f"{probe.n_probes} probes")
+        ok &= probe["passed"] and probe["n_probes"] >= 64 and probe["eta"] > 0.0
+        details.append(f"{name}: eta {probe['eta']:.3g}, max step "
+                       f"{probe['max_step_norm']:.3g} < eps {epsilon}, "
+                       f"{probe['n_probes']} probes")
     report(acceptance_log, 7, "small step property", ok,
            "; ".join(details) + " (quasi-infinite radius)")
 
@@ -218,16 +218,16 @@ def test_criterion_08_strong_convergence_tail_bound(acceptance_log,
     for label_name, comp, result, delta in candidates:
         if result.status != STATUS_CONVERGED:
             continue
-        beta = estimate_sharp_minimum(comp, result.final_z, delta=delta).beta_hat
+        beta = estimate_sharp_minimum(comp, result.final_z, delta=delta)["beta_hat"]
         verdict = check_strong_convergence(result.trace, result.final_z, beta)
-        if verdict.label != "strong-convergent":
+        if verdict["label"] != "strong-convergent":
             checked.append(f"{label_name}: inconclusive")
             continue
         labeled.append(label_name)
         # Re-verify the distance bound from the raw records, independently
         # of the report internals.
         accepted = [rec for rec in result.trace if rec.accepted]
-        tail = accepted[-verdict.m_tail:]
+        tail = accepted[-verdict["m_tail"]:]
         j_final = accepted[-1].J
         for rec in tail:
             err = float(np.max(np.abs(rec.z - result.final_z)))
@@ -260,10 +260,10 @@ def test_criterion_09_stationarity_at_termination(acceptance_log,
         residual = check_stationarity(comp, result.final_z, probe_radius)
         bound = 1e-6 * (1.0 + abs(result.J_final))
         sub = check_subdifferential_inequality(comp, result.final_z, n_directions=64)
-        run_ok = residual <= bound and sub.passed and sub.n_directions >= 64
+        run_ok = residual <= bound and sub["passed"] and sub["n_directions"] >= 64
         ok &= run_ok
         details.append(f"{name}: residual {residual:.2g} (bound {bound:.2g}), "
-                       f"dJ min {sub.min_estimate:.2g} on {sub.n_directions} dirs")
+                       f"dJ min {sub['min_estimate']:.2g} on {sub['n_directions']} dirs")
     report(acceptance_log, 9, "stationarity at termination", ok, "; ".join(details))
 
 
@@ -321,8 +321,8 @@ def test_criterion_12_rate_and_ratio_reports(acceptance_log,
             details.append(f"{name}: report missing")
             continue
         produced += 1
-        tag = f"q={rate.order_q:.2f}" if rate.defined else rate.reason
-        details.append(f"{name}: rho tail n={ratio.n_defined}, rate {tag}")
+        tag = f"q={rate['order_q']:.2f}" if rate["defined"] else rate["reason"]
+        details.append(f"{name}: rho tail n={ratio['n_defined']}, rate {tag}")
     # Synthetic quadratic tail: exact textbook order two within +-0.1.
     errors = oracles.quadratic_error_sequence()
     trace = [IterationRecord(k=k, z=np.array([e]), J=float(e), step_norm=0.0,
@@ -331,9 +331,9 @@ def test_criterion_12_rate_and_ratio_reports(acceptance_log,
                              accepted=True)
              for k, e in enumerate(errors)]
     est = estimate_rate(trace, np.zeros(1))
-    synth_ok = est.defined and abs(est.order_q - 2.0) <= 0.1
+    synth_ok = est["defined"] and abs(est["order_q"] - 2.0) <= 0.1
     ok = ok and produced == len(everything) and synth_ok
     report(acceptance_log, 12, "rate and ratio reports", ok,
            f"reports produced for {produced}/{len(everything)} converged runs; "
-           f"synthetic quadratic order {est.order_q:.3f} (want 2 +- 0.1); "
+           f"synthetic quadratic order {est['order_q']:.3f} (want 2 +- 0.1); "
            + "; ".join(details))

@@ -31,6 +31,7 @@ from scvxkit.cli import (
 
 TRACE_FIELDS = ["k", "J", "L", "rho", "radius", "step_norm", "accepted",
                 "predicted_decrease", "actual_decrease"]
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def minimal_config(**extra):
@@ -425,6 +426,36 @@ class TestCheck:
                      "--report", str(recheck_path)]) == EXIT_OK
         assert recheck_path.read_bytes() == original
 
+    @pytest.mark.parametrize("config_name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_check_reproduces_bundled_solve(self, tmp_path, monkeypatch, capsys, config_name):
+        monkeypatch.chdir(tmp_path)
+        config_path = str(CONFIG_DIR / config_name)
+        main(["solve", "--config", config_path])
+        recheck_path = tmp_path / "other.json"
+        assert main(["check", "--config", config_path,
+                     "--report", str(recheck_path)]) == EXIT_OK
+        solved = Path(load_config(config_path).output.report).read_bytes()
+        assert recheck_path.read_bytes() == solved
+
+    @pytest.mark.parametrize("sidecar", ["unset", "deleted", "truncated"])
+    def test_check_without_every_iterate_is_config_error(self, tmp_path, capsys, sidecar):
+        out = tmp_path / "out"
+        iterates = out / "iterates.jsonl"
+        output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
+        if sidecar != "unset":
+            output["iterates"] = str(iterates)
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        if sidecar == "deleted":
+            iterates.unlink()
+        elif sidecar == "truncated":
+            iterates.write_text("".join(iterates.read_text().splitlines(True)[:-1]))
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert (str(iterates) if sidecar == "truncated" else "output.iterates") in err
+
     def test_check_without_solve_fails(self, tmp_path, capsys):
         out = tmp_path / "out"
         output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
@@ -554,3 +585,37 @@ class TestExecuteRun:
             assert list(report[name]) == keys, name
         assert report["sharp_minimum"]["norm"] == "inf"
         assert report["subdifferential"]["step"] == 1e-6
+
+    def test_converged_small_radius_reuses_terminal_lp(self, monkeypatch):
+        # At a final radius <= 1 the terminal record solved the probe's LP:
+        # the same linearization over the same box.
+        from scvxkit import builtin, check_stationarity, cli
+        from scvxkit.cli import DiagnosticsConfig, RunConfig
+
+        def refuse(*args):
+            raise AssertionError("the stationarity LP was solved a second time")
+
+        monkeypatch.setattr(cli, "check_stationarity", refuse)
+        config = RunConfig(problem_name="dubins-car",
+                           diagnostics=DiagnosticsConfig(enabled=False))
+        _, summary = execute_run(config, quiet=True)
+        assert summary["status"] == "converged-stationary"
+        assert summary["final_radius"] <= 1.0
+        composite, _ = builtin("dubins-car").build()
+        expected = check_stationarity(composite, np.asarray(summary["final_z"]),
+                                      summary["stationarity_probe_radius"])
+        assert summary["stationarity_residual"] == expected
+
+    def test_large_final_radius_still_probes(self, monkeypatch):
+        from scvxkit import cli
+        from scvxkit.cli import DiagnosticsConfig, RunConfig
+        calls = []
+        probe = cli.check_stationarity
+        monkeypatch.setattr(cli, "check_stationarity",
+                            lambda *args: calls.append(args[2]) or probe(*args))
+        config = RunConfig(problem_name="toy-sharp-1d",
+                           diagnostics=DiagnosticsConfig(enabled=False))
+        _, summary = execute_run(config, quiet=True)
+        assert summary["final_radius"] == pytest.approx(10.24)
+        assert calls == [1.0]
+        assert summary["stationarity_residual"] == 0.0

@@ -44,9 +44,9 @@ class TestDirections:
         trace = [record(k, [3.0 * s, -4.0 * s], 10.0 * s)
                  for k, s in enumerate((1.0, 0.5, 0.25, 0.125))]
         report = check_strong_convergence(trace, np.zeros(2), beta_hat=2.0)
-        np.testing.assert_array_equal(report.tail_errors, [4.0, 2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(report["tail_errors"], [4.0, 2.0, 1.0, 0.5])
         est = estimate_rate(trace, np.zeros(2))
-        np.testing.assert_array_equal(est.error_ratios, [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(est["error_ratios"], [0.5, 0.5, 0.5])
 
     def test_unit_directions_include_axes(self):
         dirs = unit_directions(3, 10, seed=1)
@@ -68,34 +68,35 @@ class TestSharpMinimum:
     def test_abs_value_has_unit_constant(self):
         comp = oracles.abs_composite(1.0)
         cert = estimate_sharp_minimum(comp, np.zeros(1), delta=0.1)
-        assert cert.beta_hat == pytest.approx(1.0, abs=1e-12)
+        assert cert["beta_hat"] == pytest.approx(1.0, abs=1e-12)
 
     def test_smooth_minimum_has_vanishing_constant(self):
         comp = oracles.quadratic_composite(2)
         cert = estimate_sharp_minimum(comp, np.zeros(2), delta=1e-3)
-        assert 0.0 < cert.beta_hat <= 1e-2
+        assert 0.0 < cert["beta_hat"] <= 1e-2
 
     def test_non_minimizer_goes_negative(self):
         comp = oracles.abs_composite(1.0)
         cert = estimate_sharp_minimum(comp, np.array([0.5]), delta=0.1)
-        assert cert.beta_hat < 0.0
+        assert cert["beta_hat"] < 0.0
 
     def test_toy_constant_matches_sweep(self):
         comp, _ = builtin("toy-sharp-1d").build()
         cert = estimate_sharp_minimum(comp, np.array([1.0]), delta=0.1)
         sweep = oracles.sweep_sharp_constant(1.0, delta=0.1)
-        assert cert.beta_hat >= 0.9 * sweep
-        assert cert.beta_hat == pytest.approx(8.0, abs=0.05)
+        assert cert["beta_hat"] >= 0.9 * sweep
+        assert cert["beta_hat"] == pytest.approx(8.0, abs=0.05)
 
     def test_ratios_are_rederivable(self):
-        # Every stored ratio must be recomputable from its stored point.
+        # The reported worst ratio must be recomputable from its point.
         comp, _ = builtin("toy-sharp-1d").build()
         z_bar = np.array([1.0])
         cert = estimate_sharp_minimum(comp, z_bar, delta=0.2, n_samples=8)
         j_bar = comp.value(z_bar)
-        for point, ratio in zip(cert.sample_points, cert.sample_ratios):
-            dist = np.max(np.abs(point - z_bar))
-            assert (comp.value(point) - j_bar) / dist == pytest.approx(ratio, rel=1e-9)
+        point = cert["worst_point"]
+        dist = np.max(np.abs(point - z_bar))
+        assert (comp.value(point) - j_bar) / dist == pytest.approx(cert["worst_ratio"], rel=1e-9)
+        assert cert["worst_ratio"] == cert["beta_hat"]
 
     def test_bad_delta(self):
         comp = oracles.abs_composite(1.0)
@@ -107,46 +108,46 @@ class TestGrowthConstant:
     def test_abs_model_growth(self):
         comp = oracles.abs_composite(1.0)
         cert = estimate_growth_constant(comp, np.zeros(1))
-        assert cert.gamma_hat == pytest.approx(1.0, abs=1e-12)
+        assert cert["gamma_hat"] == pytest.approx(1.0, abs=1e-12)
 
     def test_smooth_stationary_model_is_flat(self):
         # At the minimizer of a smooth objective the model has zero slope,
         # so the growth constant collapses to zero.
         comp = oracles.quadratic_composite(1)
         cert = estimate_growth_constant(comp, np.zeros(1))
-        assert abs(cert.gamma_hat) <= 1e-12
+        assert abs(cert["gamma_hat"]) <= 1e-12
 
     def test_toy_growth_constant(self):
         comp, _ = builtin("toy-sharp-1d").build()
         cert = estimate_growth_constant(comp, np.array([1.0]))
-        assert cert.gamma_hat == pytest.approx(8.0, abs=1e-6)
+        assert cert["gamma_hat"] == pytest.approx(8.0, abs=1e-6)
 
 
 class TestSmallStep:
     def test_passes_at_sharp_minimizer(self):
         comp, _ = builtin("toy-sharp-1d").build()
         report = check_small_step(comp, np.array([1.0]), eta=0.05, epsilon=0.05)
-        assert report.passed
-        assert report.n_probes == 64
-        assert report.failures == ()
-        assert report.max_step_norm < 0.05
+        assert report["passed"]
+        assert report["n_probes"] == 64
+        assert report["failures"] == []
+        assert report["max_step_norm"] < 0.05
 
     def test_fails_far_from_minimizer(self):
         comp, _ = builtin("toy-sharp-1d").build()
         report = check_small_step(comp, np.array([3.0]), eta=0.01, epsilon=1e-4)
-        assert not report.passed
+        assert not report["passed"]
 
     def test_find_eta_halves_until_pass(self):
         comp, _ = builtin("toy-sharp-1d").build()
         report = find_small_step_eta(comp, np.array([1.0]), epsilon=0.05)
-        assert report.passed
-        assert report.eta <= 0.05
+        assert report["passed"]
+        assert report["eta"] <= 0.05
 
     def test_find_eta_gives_up_after_halvings(self):
         comp, _ = builtin("toy-sharp-1d").build()
         report = find_small_step_eta(comp, np.array([2.0]), epsilon=1e-6)
-        assert not report.passed
-        assert report.eta == pytest.approx(1e-6 / 2.0 ** SMALL_STEP_HALVINGS)
+        assert not report["passed"]
+        assert report["eta"] == pytest.approx(1e-6 / 2.0 ** SMALL_STEP_HALVINGS)
 
     def test_bad_inputs(self):
         comp = oracles.abs_composite(1.0)
@@ -161,46 +162,46 @@ class TestStrongConvergence:
         trace = [record(0, 0.4, 1.0), record(1, 0.2, 0.5),
                  record(2, 0.1, 0.21), record(3, 0.0, 0.0)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=2.0)
-        assert report.label == "strong-convergent"
-        assert report.cauchy_ok and report.bound_ok
-        np.testing.assert_allclose(report.tail_errors, [0.4, 0.2, 0.1, 0.0])
+        assert report["label"] == "strong-convergent"
+        assert report["cauchy_ok"] and report["bound_ok"]
+        np.testing.assert_allclose(report["tail_errors"], [0.4, 0.2, 0.1, 0.0])
 
     def test_bound_violation_is_inconclusive(self):
         trace = [record(0, 0.4, 0.5), record(1, 0.2, 0.3),
                  record(2, 0.1, 0.1), record(3, 0.0, 0.0)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=2.0)
-        assert report.label == "inconclusive"
-        assert not report.bound_ok
+        assert report["label"] == "inconclusive"
+        assert not report["bound_ok"]
 
     def test_nonmonotone_tail_is_inconclusive(self):
         trace = [record(0, 0.1, 1.0), record(1, 0.3, 0.9),
                  record(2, 0.2, 0.5), record(3, 0.0, 0.0)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=2.0)
-        assert report.label == "inconclusive"
-        assert not report.cauchy_ok
+        assert report["label"] == "inconclusive"
+        assert not report["cauchy_ok"]
 
     def test_nonpositive_beta_is_inconclusive(self):
         trace = [record(k, 0.1 * (3 - k), 0.1 * (3 - k)) for k in range(4)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=0.0)
-        assert report.label == "inconclusive"
-        assert report.m_tail == 0
+        assert report["label"] == "inconclusive"
+        assert report["m_tail"] == 0
 
     def test_short_tail_is_inconclusive(self):
         trace = [record(0, 0.1, 1.0), record(1, 0.0, 0.0)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=2.0)
-        assert report.label == "inconclusive"
+        assert report["label"] == "inconclusive"
 
     def test_tail_truncated_to_m_tail(self):
         trace = [record(k, 2.0 ** -(k + 1), 2.0 ** -k) for k in range(8)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=0.5, m_tail=5)
-        assert report.m_tail == 5
-        assert report.tail_errors.size == 5
+        assert report["m_tail"] == 5
+        assert report["tail_errors"].size == 5
 
     def test_rejected_records_ignored(self):
         trace = [record(0, 0.4, 1.0), record(1, 9.9, 9.9, accepted=False),
                  record(2, 0.2, 0.5), record(3, 0.1, 0.21), record(4, 0.0, 0.0)]
         report = check_strong_convergence(trace, np.zeros(1), beta_hat=2.0)
-        assert report.label == "strong-convergent"
+        assert report["label"] == "strong-convergent"
 
 
 class TestRatioTail:
@@ -208,33 +209,33 @@ class TestRatioTail:
         rhos = [0.5, 0.9, 0.99, 0.999, 0.9999, 1.0]
         trace = [record(k, 0.0, 1.0, rho=r) for k, r in enumerate(rhos)]
         report = check_ratio_limit(trace)
-        assert report.sufficient
-        assert report.n_defined == 6
-        assert report.trending_to_one
-        np.testing.assert_allclose(report.tail_rho, rhos[-5:])
+        assert report["sufficient"]
+        assert report["n_defined"] == 6
+        assert report["trending_to_one"]
+        np.testing.assert_allclose(report["tail_rho"], rhos[-5:])
 
     def test_undefined_and_rejected_excluded(self):
         trace = [record(0, 0.0, 1.0, rho=None),
                  record(1, 0.0, 1.0, rho=0.9, accepted=False),
                  record(2, 0.0, 1.0, rho=0.8)]
         report = check_ratio_limit(trace)
-        assert report.n_defined == 1
-        assert not report.sufficient
+        assert report["n_defined"] == 1
+        assert not report["sufficient"]
 
     def test_sufficiency_follows_m_tail(self):
         trace = [record(k, 0.0, 1.0, rho=0.9) for k in range(6)]
         short = check_ratio_limit(trace, m_tail=3)
-        assert short.sufficient and short.tail_rho.size == 3
+        assert short["sufficient"] and short["tail_rho"].size == 3
         long = check_ratio_limit(trace, m_tail=8)
-        assert not long.sufficient and long.tail_rho.size == 6
-        assert check_ratio_limit(trace[:3], m_tail=3).sufficient
-        assert not check_ratio_limit(trace[:2], m_tail=3).sufficient
+        assert not long["sufficient"] and long["tail_rho"].size == 6
+        assert check_ratio_limit(trace[:3], m_tail=3)["sufficient"]
+        assert not check_ratio_limit(trace[:2], m_tail=3)["sufficient"]
 
     def test_wandering_tail_not_trending(self):
         rhos = [0.9, 0.99, 0.8, 0.99, 0.9]
         trace = [record(k, 0.0, 1.0, rho=r) for k, r in enumerate(rhos)]
         report = check_ratio_limit(trace)
-        assert not report.trending_to_one
+        assert not report["trending_to_one"]
 
 
 class TestActiveSet:
@@ -244,10 +245,10 @@ class TestActiveSet:
         from scvxkit.problems import simulate_rollout
         z = simulate_rollout(ocp, np.array([[1.0], [-1.0]]))
         report = active_set_report(disc, z)
-        assert report.verdict == "exact"
-        assert report.active_count == 2
-        assert "control_upper[0][0]" in report.active_labels
-        assert "control_lower[1][0]" in report.active_labels
+        assert report["verdict"] == "exact"
+        assert report["active_count"] == 2
+        assert "control_upper[0][0]" in report["active_labels"]
+        assert "control_lower[1][0]" in report["active_labels"]
 
     def test_shortfall_with_interior_controls(self):
         ocp = tiny_ocp()
@@ -255,8 +256,8 @@ class TestActiveSet:
         from scvxkit.problems import simulate_rollout
         z = simulate_rollout(ocp, np.array([[0.5], [0.25]]))
         report = active_set_report(disc, z)
-        assert report.verdict == "shortfall"
-        assert report.active_count == 0
+        assert report["verdict"] == "shortfall"
+        assert report["active_count"] == 0
 
     def test_excess_when_path_constraint_joins(self):
         ocp = tiny_ocp()
@@ -265,8 +266,8 @@ class TestActiveSet:
         # saturated gives three active inequalities against a threshold of 2.
         z = np.array([2.0, 3.0, 2.0, 1.0, -1.0])
         report = active_set_report(disc, z)
-        assert report.verdict == "excess"
-        assert report.active_count == 3
+        assert report["verdict"] == "excess"
+        assert report["active_count"] == 3
 
 
 class TestRate:
@@ -291,72 +292,71 @@ class TestRate:
         errors = oracles.quadratic_error_sequence()
         trace = [record(k, e, e) for k, e in enumerate(errors)]
         est = estimate_rate(trace, np.zeros(1))
-        assert est.defined
-        assert est.order_q == pytest.approx(2.0, abs=0.1)
-        assert est.superlinear_evidence
+        assert est["defined"]
+        assert est["order_q"] == pytest.approx(2.0, abs=0.1)
+        assert est["superlinear_evidence"]
 
     def test_estimate_rate_finite_termination(self):
         trace = [record(0, 0.1, 0.1), record(1, 0.01, 0.01), record(2, 0.0, 0.0)]
         est = estimate_rate(trace, np.zeros(1))
-        assert not est.defined
-        assert "finite termination" in est.reason
+        assert not est["defined"]
+        assert "finite termination" in est["reason"]
 
     def test_estimate_rate_short_tail(self):
         trace = [record(0, 0.1, 0.1), record(1, 0.01, 0.01)]
         est = estimate_rate(trace, np.zeros(1))
-        assert not est.defined
-        assert est.reason == "tail too short"
+        assert not est["defined"]
+        assert est["reason"] == "tail too short"
 
 
 class TestSubdifferential:
     def test_passes_at_sharp_minimizer(self):
         comp, _ = builtin("toy-sharp-1d").build()
         report = check_subdifferential_inequality(comp, np.array([1.0]))
-        assert report.passed
+        assert report["passed"]
         # One-sided slopes at the kink are 8 and 12; the worst direction
         # reports the smaller one.
-        assert report.min_estimate == pytest.approx(8.0, abs=1e-3)
+        assert report["min_estimate"] == pytest.approx(8.0, abs=1e-3)
 
     def test_fails_on_descent_direction(self):
         comp = oracles.linear_composite([1.0])
         report = check_subdifferential_inequality(comp, np.zeros(1))
-        assert not report.passed
-        assert report.min_estimate == pytest.approx(-1.0, abs=1e-9)
+        assert not report["passed"]
+        assert report["min_estimate"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_direction_count_honored(self):
         comp = oracles.abs_composite(1.0)
         report = check_subdifferential_inequality(comp, np.zeros(1), n_directions=10)
-        assert report.n_directions == 2 * 1 + 10
-        assert report.estimates.size == report.n_directions
+        assert report["n_directions"] == 2 * 1 + 10
 
 
 class TestLevelSet:
     def test_ok_run(self):
         trace = [record(0, 1.0, 5.0), record(1, 0.5, 3.0)]
         report = check_level_set(trace, j0=5.0)
-        assert report.passed
-        assert report.verdict == "ok"
+        assert report["passed"]
+        assert report["verdict"] == "ok"
 
     def test_objective_increase_detected(self):
         trace = [record(0, 1.0, 5.0), record(1, 2.0, 6.0)]
         report = check_level_set(trace, j0=5.0)
-        assert not report.passed
-        assert report.verdict == "objective-increase"
+        assert not report["passed"]
+        assert report["verdict"] == "objective-increase"
 
     def test_norm_budget_detected(self):
         trace = [record(0, 50.0, 4.0)]
         report = check_level_set(trace, j0=5.0, norm_budget=10.0)
-        assert not report.passed
-        assert report.verdict == "norm-budget-exceeded"
+        assert not report["passed"]
+        assert report["verdict"] == "norm-budget-exceeded"
 
     def test_increase_takes_precedence(self):
         trace = [record(0, 50.0, 9.0)]
         report = check_level_set(trace, j0=5.0, norm_budget=10.0)
-        assert report.verdict == "objective-increase"
+        assert report["verdict"] == "objective-increase"
 
     def test_real_run_stays_in_level_set(self):
         comp, _ = builtin("toy-sharp-1d").build()
         result = run_scvx(comp, np.array([3.0]))
         j0 = comp.value(np.array([3.0]))
         report = check_level_set(result.trace, j0)
-        assert report.passed
+        assert report["passed"]
