@@ -549,7 +549,11 @@ def cmd_check(args) -> int:
         raise ConfigError("check needs an existing solve run; run solve first")
     summary = _require(_read_json(summary_file, "summary"),
                        {"final_z": _is_vector, "status": lambda v: isinstance(v, str),
-                        "J_final": _number_or_null, "J0": _is_number}, "summary", summary_file)
+                        "J_final": _number_or_null, "J0": _is_number,
+                        "seed": lambda v: _is_int(v) and v >= 0}, "summary", summary_file)
+    # The diagnostics re-sample with the seed the solve used, not the one
+    # the config or SCVX_SEED gives now.
+    config = replace(config, seed=summary["seed"])
     trace = read_trace(str(trace_file), config.output.iterates)
     _, composite, disc, _ = _prepare(config)
 

@@ -49,7 +49,14 @@ def as_decision_vector(values, n: Optional[int] = None, what: str = "decision ve
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Differentiable map R^n -> R^m given by value and Jacobian callables."""
+    """Differentiable map R^n -> R^m given by value and Jacobian callables.
+
+    evaluate takes a stack of points, an array of shape (..., n), and
+    returns their values as one array of shape (..., m); a single point is
+    the stack with no leading axes.  Write it with trailing-axis indexing,
+    z[..., 0] rather than float(z[0]), so that one call serves a whole
+    stack.  jacobian takes one point of shape (n,) and returns (m, n).
+    """
 
     input_dim: int
     output_dim: int
@@ -57,13 +64,27 @@ class SmoothMap:
     jacobian: Callable[[np.ndarray], np.ndarray]
 
     def value(self, z) -> np.ndarray:
-        z = as_decision_vector(z, self.input_dim)
-        out = np.atleast_1d(np.asarray(self.evaluate(z), dtype=float))
-        if out.shape != (self.output_dim,):
-            raise DimensionMismatchError("map value", (self.output_dim,), out.shape)
-        finite = np.isfinite(out)
+        return self._evaluate(as_decision_vector(z, self.input_dim))
+
+    def value_many(self, points) -> np.ndarray:
+        """Values at the rows of a (p, n) array of points, as a (p, m) array."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.input_dim:
+            raise DimensionMismatchError("point rows", (None, self.input_dim), points.shape)
+        finite = np.isfinite(points)
         if not finite.all():
-            raise NonFiniteError("map value", int(np.argmin(finite)))
+            raise NonFiniteError("point rows", int(np.argmin(finite.all(axis=0))))
+        return self._evaluate(points)
+
+    def _evaluate(self, z: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.evaluate(z), dtype=float)
+        shape = z.shape[:-1] + (self.output_dim,)
+        if out.shape != shape:
+            raise DimensionMismatchError("map value", shape, out.shape)
+        finite = np.isfinite(out).reshape(-1, self.output_dim)
+        if not finite.all():
+            # the component of the first point whose value is not finite
+            raise NonFiniteError("map value", int(np.argmin(finite[np.argmin(finite.all(axis=1))])))
         return out
 
     def jac(self, z) -> np.ndarray:
@@ -159,6 +180,15 @@ class CompositeObjective:
     def value(self, z) -> float:
         return self.psi.apply(self.g.value(z))
 
+    def value_many(self, points) -> np.ndarray:
+        """J at the rows of a (p, n_z) array: one call of the inner map.
+
+        Row i equals value(points[i]) bit for bit whenever the inner map's
+        evaluate gives each point of a stack the bits it gives that point
+        alone.
+        """
+        return self.psi.apply_many(self.g.value_many(points))
+
     def max_equality_violation(self, z) -> float:
         v = self.g.value(z)
         eq = v[self.psi.eq_range.start:self.psi.eq_range.stop]
@@ -223,14 +253,13 @@ def fd_check_jacobian(smooth_map: SmoothMap, z, step: float = 1e-6) -> float:
     """
     z = as_decision_vector(z, smooth_map.input_dim)
     jac = smooth_map.jac(z)
-    worst = 0.0
-    for i in range(smooth_map.input_dim):
-        h = step * (1.0 + abs(z[i]))
-        zp = z.copy()
-        zp[i] += h
-        zm = z.copy()
-        zm[i] -= h
-        col = (smooth_map.value(zp) - smooth_map.value(zm)) / (2.0 * h)
-        err = np.max(np.abs(col - jac[:, i]) / (1.0 + np.abs(jac[:, i])))
-        worst = max(worst, float(err))
-    return worst
+    h = step * (1.0 + np.abs(z))
+    # Rows i and n + i of the stack are z shifted by +h_i and -h_i along axis i.
+    n = z.size
+    shifted = np.tile(z, (2 * n, 1))
+    shifted[np.arange(n), np.arange(n)] += h
+    shifted[np.arange(n, 2 * n), np.arange(n)] -= h
+    values = smooth_map.value_many(shifted)
+    cols = (values[:n] - values[n:]).T / (2.0 * h)
+    err = np.abs(cols - jac) / (1.0 + np.abs(jac))
+    return float(np.max(err, initial=0.0))

@@ -64,10 +64,12 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
 def _shell_ratios(objective: CompositeObjective, z_bar: np.ndarray, dirs: np.ndarray,
                   scales: Sequence[float]) -> Tuple[float, np.ndarray]:
     """J(z_bar) and the ratios (J(z_bar + s*u) - J(z_bar)) / s for each
-    shell s and direction u, shell by shell."""
-    j_bar = objective.value(z_bar)
-    return j_bar, np.array([(objective.value(z_bar + s * u) - j_bar) / s
-                            for s in scales for u in dirs])
+    shell s and direction u, shell by shell, from one value_many call."""
+    scales = np.asarray(scales, dtype=float)
+    shells = z_bar + scales[:, None, None] * dirs
+    values = objective.value_many(np.vstack([z_bar, shells.reshape(-1, z_bar.size)]))
+    j_bar = float(values[0])
+    return j_bar, ((values[1:].reshape(scales.size, -1) - j_bar) / scales[:, None]).ravel()
 
 
 def _certificate(ratios: np.ndarray, dirs: np.ndarray, scales: Sequence[float], seed: int,

@@ -31,9 +31,15 @@ from .composite import (
 
 @dataclass(frozen=True)
 class PathConstraint:
-    """Scalar smooth inequality fun(x, u) <= 0 enforced at control nodes."""
+    """Scalar smooth inequality fun(x, u) <= 0 enforced at control nodes.
 
-    fun: Callable[[np.ndarray, np.ndarray], float]
+    Like every callable of an OptimalControlProblem, fun and grad take
+    stacked nodes, x[..., n_x] and u[..., n_u]: fun returns one value per
+    node, shape (...), and grad the pair of gradients, shapes (..., n_x)
+    and (..., n_u) or anything that broadcasts to them.
+    """
+
+    fun: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
     name: str = "path"
 
@@ -47,6 +53,21 @@ class OptimalControlProblem:
     nodes 0..N-2 together with the control; terminal_cost, when present,
     applies to the last state.  control_bounds gives one (lo, hi) interval
     per control component; either side may be infinite.
+
+    Every callable takes stacked nodes: x of shape (..., n_x) and u of
+    shape (..., n_u), one node per index of the leading axes, which
+    transcription fills with all nodes of one or many decision vectors at
+    once.  dynamics returns (..., n_x); the costs return (...); their
+    derivatives return (..., n_x) and (..., n_u) gradients and
+    (..., n_x, n_x) and (..., n_x, n_u) Jacobians, or arrays that broadcast
+    to those shapes (a constant Jacobian may be returned unstacked).  Write
+    the callables with trailing-axis indexing, x[..., 0] rather than
+    float(x[0]), for example
+
+        stage_cost=lambda x, u: 0.5 * u[..., 0] ** 2
+
+    and give each node the bits it would get alone: a stacked
+    (m @ x[..., None])[..., 0] rounds like m @ x, a sum of products may not.
     """
 
     n_x: int
@@ -55,10 +76,10 @@ class OptimalControlProblem:
     dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dynamics_jac: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
     initial_state: np.ndarray
-    stage_cost: Callable[[np.ndarray, np.ndarray], float]
+    stage_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stage_cost_grad: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
     final_state: Optional[np.ndarray] = None
-    terminal_cost: Optional[Callable[[np.ndarray], float]] = None
+    terminal_cost: Optional[Callable[[np.ndarray], np.ndarray]] = None
     terminal_cost_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     path_inequalities: Tuple[PathConstraint, ...] = ()
     control_bounds: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -123,7 +144,10 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
 
     Rows come in one order: N cost rows (stages, then terminal), the
     dynamics defects node by node, the boundary pins, then at each control
-    node its path inequalities followed by its finite control bounds.
+    node its path inequalities followed by its finite control bounds.  The
+    inner map evaluates stacks of decision vectors, and for any stack it
+    calls each of the problem's callables once, with every node stacked;
+    its Jacobian, per point, likewise calls each derivative once.
     """
     n_x, n_u, N = ocp.n_x, ocp.n_u, ocp.n_nodes
     n_z = ocp.n_z
@@ -151,56 +175,64 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
         labels += [f"control_{side}[{k}][{j}]" for j, side, _, _ in bounds]
     n_cost = N
     n_eq = n_x * (N - 1 + len(pins))
+    n_per_node = len(ocp.path_inequalities) + len(bounds)
     dim = len(labels)
 
-    def state_cols(k: int) -> slice:
-        return slice(k * n_x, (k + 1) * n_x)
-
-    def control_cols(k: int) -> slice:
-        base = N * n_x + k * n_u
-        return slice(base, base + n_u)
+    # Column indices of each node's state (N, n_x) and control (N-1, n_u),
+    # and row indices of each node's dynamics defects (N-1, n_x) and of its
+    # path and bound rows (N-1, n_per_node), for assembling the Jacobian.
+    x_cols = np.arange(N * n_x).reshape(N, n_x)
+    u_cols = N * n_x + np.arange((N - 1) * n_u).reshape(N - 1, n_u)
+    defect_rows = n_cost + np.arange((N - 1) * n_x).reshape(N - 1, n_x)
+    node_rows = n_cost + n_eq + np.arange((N - 1) * n_per_node).reshape(N - 1, n_per_node)
+    cost_rows = np.arange(N - 1)[:, None]
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        states, controls = ocp.split(z)
-        terminal = ocp.terminal_cost(states[-1]) if ocp.terminal_cost is not None else 0.0
-        costs = [ocp.stage_cost(states[k], controls[k]) for k in nodes] + [terminal]
-        defects = [states[k + 1] - ocp.dynamics(states[k], controls[k]) for k in nodes]
-        pinned = [states[node] - target for _, node, target in pins]
-        per_node = [[pc.fun(states[k], controls[k]) for pc in ocp.path_inequalities]
-                    + [sign * controls[k][j] - sign * bound for j, _, sign, bound in bounds]
-                    for k in nodes]
-        return np.concatenate([costs, *defects, *pinned, np.ravel(per_node)])
+        lead = z.shape[:-1]
+        states = z[..., :N * n_x].reshape(lead + (N, n_x))
+        controls = z[..., N * n_x:].reshape(lead + (N - 1, n_u))
+        xs = states[..., :-1, :]
+        out = np.empty(lead + (dim,))
+        out[..., :N - 1] = ocp.stage_cost(xs, controls)
+        out[..., N - 1] = ocp.terminal_cost(states[..., -1, :]) if ocp.terminal_cost is not None else 0.0
+        defects = states[..., 1:, :] - ocp.dynamics(xs, controls)
+        out[..., n_cost:n_cost + n_x * (N - 1)] = defects.reshape(lead + (-1,))
+        pos = n_cost + n_x * (N - 1)
+        for _, node, target in pins:
+            out[..., pos:pos + n_x] = states[..., node, :] - target
+            pos += n_x
+        per_node = np.empty(lead + (N - 1, n_per_node))
+        for i, pc in enumerate(ocp.path_inequalities):
+            per_node[..., i] = pc.fun(xs, controls)
+        for i, (j, _, sign, bound) in enumerate(bounds, start=len(ocp.path_inequalities)):
+            per_node[..., i] = sign * controls[..., j] - sign * bound
+        out[..., pos:] = per_node.reshape(lead + (-1,))
+        return out
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         states, controls = ocp.split(z)
+        xs = states[:-1]
         jac = np.zeros((dim, n_z))
-        for k in nodes:
-            gx, gu = ocp.stage_cost_grad(states[k], controls[k])
-            jac[k, state_cols(k)] = gx
-            jac[k, control_cols(k)] = gu
+        gx, gu = ocp.stage_cost_grad(xs, controls)
+        jac[cost_rows, x_cols[:-1]] = gx
+        jac[cost_rows, u_cols] = gu
         if ocp.terminal_cost is not None:
-            jac[N - 1, state_cols(N - 1)] = ocp.terminal_cost_grad(states[-1])
-        pos = n_cost
-        eye = np.eye(n_x)
-        for k in nodes:
-            a_mat, b_mat = ocp.dynamics_jac(states[k], controls[k])
-            rows = slice(pos, pos + n_x)
-            jac[rows, state_cols(k + 1)] = eye
-            jac[rows, state_cols(k)] = -np.asarray(a_mat, dtype=float)
-            jac[rows, control_cols(k)] = -np.asarray(b_mat, dtype=float)
-            pos += n_x
+            jac[N - 1, x_cols[-1]] = ocp.terminal_cost_grad(states[-1])
+        a_mat, b_mat = ocp.dynamics_jac(xs, controls)
+        rows = defect_rows[:, :, None]
+        jac[rows, x_cols[1:, None, :]] = np.eye(n_x)
+        jac[rows, x_cols[:-1, None, :]] = -np.asarray(a_mat, dtype=float)
+        jac[rows, u_cols[:, None, :]] = -np.asarray(b_mat, dtype=float)
+        pos = n_cost + n_x * (N - 1)
         for _, node, _ in pins:
-            jac[pos:pos + n_x, state_cols(node)] = eye
+            jac[pos:pos + n_x, x_cols[node]] = np.eye(n_x)
             pos += n_x
-        for k in nodes:
-            for pc in ocp.path_inequalities:
-                gx, gu = pc.grad(states[k], controls[k])
-                jac[pos, state_cols(k)] = gx
-                jac[pos, control_cols(k)] = gu
-                pos += 1
-            for j, _, sign, _ in bounds:
-                jac[pos, control_cols(k).start + j] = sign
-                pos += 1
+        for i, pc in enumerate(ocp.path_inequalities):
+            gx, gu = pc.grad(xs, controls)
+            jac[node_rows[:, i, None], x_cols[:-1]] = gx
+            jac[node_rows[:, i, None], u_cols] = gu
+        for i, (j, _, sign, _) in enumerate(bounds, start=len(ocp.path_inequalities)):
+            jac[node_rows[:, i], u_cols[:, j]] = sign
         return jac
 
     smooth = SmoothMap(input_dim=n_z, output_dim=dim, evaluate=evaluate, jacobian=jacobian)
@@ -255,6 +287,24 @@ class Benchmark:
         return self.problem(weight), None
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis of stacked vectors.
+
+    A stacked matmul, so each node gets the bits of its own 1-D a @ b;
+    (a * b).sum(-1) and np.einsum round differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for each stacked vector x[..., n], with the bits of m @ x alone."""
+    return (m @ x[..., None])[..., 0]
+
+
+# math.exp elementwise: np.exp rounds differently.
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
 def _convex_lqr_box(n_nodes: int = 6, dt: float = 0.25, control_limit: float = 1.0) -> OptimalControlProblem:
     a_mat = np.array([[1.0, dt], [0.0, 1.0]])
     b_mat = np.array([[0.0], [dt]])
@@ -262,19 +312,19 @@ def _convex_lqr_box(n_nodes: int = 6, dt: float = 0.25, control_limit: float = 1
     c_u = np.array([0.1])
 
     def dynamics(x, u):
-        return a_mat @ x + b_mat @ u
+        return _matvec(a_mat, x) + _matvec(b_mat, u)
 
     def dynamics_jac(x, u):
         return a_mat, b_mat
 
     def stage_cost(x, u):
-        return float(c_x @ x + c_u @ u)
+        return _dot(x, c_x) + _dot(u, c_u)
 
     def stage_cost_grad(x, u):
         return c_x, c_u
 
     def terminal_cost(x):
-        return float(c_x @ x)
+        return _dot(x, c_x)
 
     def terminal_cost_grad(x):
         return c_x
@@ -298,32 +348,32 @@ def _double_integrator_obstacle(n_nodes: int = 8, dt: float = 0.6,
     center = np.asarray(obstacle_center, dtype=float)
     r2 = float(obstacle_radius) ** 2
     effort = 0.05 * dt
+    a_mat = np.eye(4)
+    a_mat[0, 2] = dt
+    a_mat[1, 3] = dt
+    b_mat = np.zeros((4, 2))
+    b_mat[2, 0] = dt
+    b_mat[3, 1] = dt
 
     def dynamics(x, u):
-        return np.concatenate([x[:2] + dt * x[2:], x[2:] + dt * u])
+        return np.concatenate([x[..., :2] + dt * x[..., 2:], x[..., 2:] + dt * u], axis=-1)
 
     def dynamics_jac(x, u):
-        a_mat = np.eye(4)
-        a_mat[0, 2] = dt
-        a_mat[1, 3] = dt
-        b_mat = np.zeros((4, 2))
-        b_mat[2, 0] = dt
-        b_mat[3, 1] = dt
         return a_mat, b_mat
 
     def stage_cost(x, u):
-        return float(effort * (u @ u))
+        return effort * _dot(u, u)
 
     def stage_cost_grad(x, u):
         return np.zeros(4), 2.0 * effort * u
 
     def keep_out(x, u):
-        diff = x[:2] - center
-        return r2 - float(diff @ diff)
+        diff = x[..., :2] - center
+        return r2 - _dot(diff, diff)
 
     def keep_out_grad(x, u):
-        gx = np.zeros(4)
-        gx[:2] = -2.0 * (x[:2] - center)
+        gx = np.zeros(x.shape)
+        gx[..., :2] = -2.0 * (x[..., :2] - center)
         return gx, np.zeros(2)
 
     return OptimalControlProblem(
@@ -343,28 +393,26 @@ def _dubins_car(n_nodes: int = 6, dt: float = 0.5,
     effort = 0.05 * dt
 
     def dynamics(x, u):
-        return np.array([
-            x[0] + dt * u[0] * math.cos(x[2]),
-            x[1] + dt * u[0] * math.sin(x[2]),
-            x[2] + dt * u[1],
-        ])
+        return np.stack([
+            x[..., 0] + dt * u[..., 0] * np.cos(x[..., 2]),
+            x[..., 1] + dt * u[..., 0] * np.sin(x[..., 2]),
+            x[..., 2] + dt * u[..., 1],
+        ], axis=-1)
 
     def dynamics_jac(x, u):
-        s, c = math.sin(x[2]), math.cos(x[2])
-        a_mat = np.array([
-            [1.0, 0.0, -dt * u[0] * s],
-            [0.0, 1.0, dt * u[0] * c],
-            [0.0, 0.0, 1.0],
-        ])
-        b_mat = np.array([
-            [dt * c, 0.0],
-            [dt * s, 0.0],
-            [0.0, dt],
-        ])
+        s, c = np.sin(x[..., 2]), np.cos(x[..., 2])
+        a_mat = np.zeros(x.shape[:-1] + (3, 3))
+        a_mat[..., [0, 1, 2], [0, 1, 2]] = 1.0
+        a_mat[..., 0, 2] = -dt * u[..., 0] * s
+        a_mat[..., 1, 2] = dt * u[..., 0] * c
+        b_mat = np.zeros(x.shape[:-1] + (3, 2))
+        b_mat[..., 0, 0] = dt * c
+        b_mat[..., 1, 0] = dt * s
+        b_mat[..., 2, 1] = dt
         return a_mat, b_mat
 
     def stage_cost(x, u):
-        return float(effort * (u @ u))
+        return effort * _dot(u, u)
 
     def stage_cost_grad(x, u):
         return np.zeros(3), 2.0 * effort * u
@@ -383,10 +431,12 @@ def _dubins_car(n_nodes: int = 6, dt: float = 0.5,
     return replace(ocp, final_state=states[-1].copy())
 
 
+# z ** 2 below is np.float_power, which rounds like the scalar z[0] ** 2;
+# an array ** 2 squares and can differ in the last bit.
 def _toy_sharp_1d_composite(weight: float) -> CompositeObjective:
     smooth = SmoothMap(
         input_dim=1, output_dim=2,
-        evaluate=lambda z: np.array([z[0] ** 2, z[0] - 1.0]),
+        evaluate=lambda z: np.stack([np.float_power(z[..., 0], 2), z[..., 0] - 1.0], axis=-1),
         jacobian=lambda z: np.array([[2.0 * z[0]], [1.0]]),
     )
     outer = ConvexOuter(range(0, 1), range(1, 2), range(2, 2), weight)
@@ -394,9 +444,13 @@ def _toy_sharp_1d_composite(weight: float) -> CompositeObjective:
 
 
 def _toy_sharp_2d_composite(weight: float) -> CompositeObjective:
+    def evaluate(z):
+        squares = np.float_power(z, 2)
+        return np.stack([squares[..., 0] + squares[..., 1], z[..., 0] - 1.0, z[..., 1] - 1.0],
+                        axis=-1)
+
     smooth = SmoothMap(
-        input_dim=2, output_dim=3,
-        evaluate=lambda z: np.array([z[0] ** 2 + z[1] ** 2, z[0] - 1.0, z[1] - 1.0]),
+        input_dim=2, output_dim=3, evaluate=evaluate,
         jacobian=lambda z: np.array([[2.0 * z[0], 2.0 * z[1]], [1.0, 0.0], [0.0, 1.0]]),
     )
     outer = ConvexOuter(range(0, 1), range(1, 3), range(3, 3), weight)
@@ -409,7 +463,7 @@ def _noncompact_composite(weight: float) -> CompositeObjective:
     # stationarity stop can never fire; every sublevel set is unbounded.
     smooth = SmoothMap(
         input_dim=1, output_dim=2,
-        evaluate=lambda z: np.array([-z[0], math.exp(-z[0])]),
+        evaluate=lambda z: np.stack([-z[..., 0], _exp(-z[..., 0])], axis=-1),
         jacobian=lambda z: np.array([[-1.0], [-math.exp(-z[0])]]),
     )
     outer = ConvexOuter(range(0, 2), range(2, 2), range(2, 2), weight)

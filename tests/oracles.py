@@ -155,6 +155,34 @@ def fd_jacobian(fun, z, h=1e-7):
     return jac
 
 
+def transcribed_values(ocp, z):
+    """Inner map of transcribe(ocp, .) at the single point z, one node at a
+    time: each callable sees one x of shape (n_x,) and one u of shape
+    (n_u,).  Rows follow the documented order: N cost rows (stages, then
+    terminal), the dynamics defects node by node, the initial and final
+    pins, then at each control node its path inequalities followed by its
+    finite control bounds, upper before lower."""
+    z = np.asarray(z, dtype=float)
+    n_x, n_u, n_nodes = ocp.n_x, ocp.n_u, ocp.n_nodes
+    states = z[:n_nodes * n_x].reshape(n_nodes, n_x)
+    controls = z[n_nodes * n_x:].reshape(n_nodes - 1, n_u)
+    rows = [ocp.stage_cost(states[k], controls[k]) for k in range(n_nodes - 1)]
+    rows.append(0.0 if ocp.terminal_cost is None else ocp.terminal_cost(states[-1]))
+    for k in range(n_nodes - 1):
+        rows.extend(states[k + 1] - ocp.dynamics(states[k], controls[k]))
+    rows.extend(states[0] - ocp.initial_state)
+    if ocp.final_state is not None:
+        rows.extend(states[-1] - ocp.final_state)
+    for k in range(n_nodes - 1):
+        rows.extend(pc.fun(states[k], controls[k]) for pc in ocp.path_inequalities)
+        for j, (lo, hi) in enumerate(ocp.control_bounds or ()):
+            if np.isfinite(hi):
+                rows.append(controls[k, j] - hi)
+            if np.isfinite(lo):
+                rows.append(lo - controls[k, j])
+    return np.array(rows, dtype=float)
+
+
 def affine_composite(g0, a_mat, n_cost, n_eq, weight):
     """Composite with affine inner map G(z) = g0 + a_mat @ z."""
     g0 = np.asarray(g0, dtype=float)
@@ -162,7 +190,7 @@ def affine_composite(g0, a_mat, n_cost, n_eq, weight):
     dim, n = a_mat.shape
     smooth = SmoothMap(
         input_dim=n, output_dim=dim,
-        evaluate=lambda z, g=g0, a=a_mat: g + a @ z,
+        evaluate=lambda z, g=g0, a=a_mat: g + (a @ z[..., None])[..., 0],
         jacobian=lambda z, a=a_mat: a.copy(),
     )
     outer = ConvexOuter(range(0, n_cost), range(n_cost, n_cost + n_eq),

@@ -437,6 +437,19 @@ class TestCheck:
         solved = Path(load_config(config_path).output.report).read_bytes()
         assert recheck_path.read_bytes() == solved
 
+    def test_check_uses_the_seed_of_the_solve(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config_path = str(CONFIG_DIR / "toy-sharp-2d.json")
+        monkeypatch.setenv("SCVX_SEED", "3")
+        main(["solve", "--config", config_path])
+        monkeypatch.delenv("SCVX_SEED")
+        recheck_path = tmp_path / "other.json"
+        assert main(["check", "--config", config_path,
+                     "--report", str(recheck_path)]) == EXIT_OK
+        solved = Path(load_config(config_path).output.report).read_bytes()
+        assert json.loads(solved)["sharp_minimum"]["seed"] == 3
+        assert recheck_path.read_bytes() == solved
+
     @pytest.mark.parametrize("sidecar", ["unset", "deleted", "truncated"])
     def test_check_without_every_iterate_is_config_error(self, tmp_path, capsys, sidecar):
         out = tmp_path / "out"
@@ -504,6 +517,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("damaged, key, value", [
         ("summary.json", "final_z", "abc"),
+        ("summary.json", "seed", -1),
+        ("summary.json", "seed", 1.5),
         ("trace.jsonl", "J", "x"),
     ])
     def test_check_wrongly_typed_value_is_config_error(self, tmp_path, capsys,

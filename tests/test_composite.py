@@ -20,7 +20,7 @@ def make_toy():
     """J(z) = z^2 + 10 |z - 1| built directly, matching the packaged toy."""
     smooth = SmoothMap(
         input_dim=1, output_dim=2,
-        evaluate=lambda z: np.array([z[0] ** 2, z[0] - 1.0]),
+        evaluate=lambda z: np.stack([z[..., 0] ** 2, z[..., 0] - 1.0], axis=-1),
         jacobian=lambda z: np.array([[2.0 * z[0]], [1.0]]),
     )
     outer = ConvexOuter(range(0, 1), range(1, 2), range(2, 2), 10.0)
@@ -237,7 +237,7 @@ class TestJacobianCheck:
     def test_corrupted_jacobian_fails(self):
         smooth = SmoothMap(
             input_dim=1, output_dim=2,
-            evaluate=lambda z: np.array([z[0] ** 2, z[0] - 1.0]),
+            evaluate=lambda z: np.stack([z[..., 0] ** 2, z[..., 0] - 1.0], axis=-1),
             jacobian=lambda z: np.array([[2.0 * z[0] + 0.05], [1.0]]),
         )
         err = fd_check_jacobian(smooth, np.array([1.7]))

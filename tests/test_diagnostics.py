@@ -14,6 +14,9 @@ from scvxkit import (
 )
 from scvxkit.diagnostics import (
     SMALL_STEP_HALVINGS,
+    SUBDIFFERENTIAL_STEP,
+    SUBDIFFERENTIAL_TOL,
+    _shell_ratios,
     active_set_report,
     check_level_set,
     check_ratio_limit,
@@ -25,6 +28,7 @@ from scvxkit.diagnostics import (
     unit_directions,
 )
 from scvxkit.loop import IterationRecord
+from scvxkit.problems import BUILTIN_NAMES
 
 import oracles
 from test_problems import tiny_ocp
@@ -328,6 +332,63 @@ class TestSubdifferential:
         comp = oracles.abs_composite(1.0)
         report = check_subdifferential_inequality(comp, np.zeros(1), n_directions=10)
         assert report["n_directions"] == 2 * 1 + 10
+
+
+class TestShellsOnePointAtATime:
+    """The shells go through one value_many call; the report sections must
+    equal what one value call per point gives."""
+
+    @staticmethod
+    def looped_ratios(comp, z_bar, dirs, scales):
+        j_bar = comp.value(z_bar)
+        return j_bar, np.array([(comp.value(z_bar + s * u) - j_bar) / s
+                                for s in scales for u in dirs])
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_ratio(self, name):
+        bench = builtin(name)
+        comp, _ = bench.build()
+        z_bar = bench.default_start + 0.01
+        dirs = unit_directions(z_bar.size, 64, seed=0)
+        scales = (1e-3, 1e-2 / 3.0, 1e-6)
+        j_bar, ratios = _shell_ratios(comp, z_bar, dirs, scales)
+        looped_j, looped = self.looped_ratios(comp, z_bar, dirs, scales)
+        assert j_bar == looped_j
+        assert ratios.tobytes() == looped.tobytes()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_sharp_minimum_section(self, name):
+        bench = builtin(name)
+        comp, _ = bench.build()
+        z_bar = bench.default_start
+        delta, seed = 0.01, 2
+        section = estimate_sharp_minimum(comp, z_bar, delta, n_samples=16, seed=seed)
+        dirs = unit_directions(z_bar.size, 16, seed=seed)
+        scales = (delta / 10.0, delta / 3.0, delta)
+        _, ratios = self.looped_ratios(comp, z_bar, dirs, scales)
+        worst = int(np.argmin(ratios))
+        assert section == {
+            "beta_hat": float(np.min(ratios)), "gamma_hat": None, "delta": delta,
+            "norm": "inf", "seed": seed, "n_samples": ratios.size,
+            "worst_ratio": ratios[worst],
+            "worst_point": section["worst_point"],
+        }
+        assert np.array_equal(section["worst_point"],
+                              z_bar + scales[worst // len(dirs)] * dirs[worst % len(dirs)])
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_subdifferential_section(self, name):
+        bench = builtin(name)
+        comp, _ = bench.build()
+        z_bar = bench.default_start
+        section = check_subdifferential_inequality(comp, z_bar, n_directions=16, seed=1)
+        dirs = unit_directions(z_bar.size, 16, seed=1)
+        j_bar, estimates = self.looped_ratios(comp, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
+        assert section == {
+            "passed": bool(np.min(estimates) >= -SUBDIFFERENTIAL_TOL * (1.0 + abs(j_bar))),
+            "min_estimate": float(np.min(estimates)), "n_directions": dirs.shape[0],
+            "step": SUBDIFFERENTIAL_STEP,
+        }
 
 
 class TestLevelSet:

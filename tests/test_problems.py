@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from scvxkit import OptimalControlProblem, builtin, transcribe
-from scvxkit.composite import NonFiniteError, fd_check_jacobian
-from scvxkit.problems import BUILTIN_NAMES, PathConstraint, simulate_rollout
+from scvxkit.composite import DimensionMismatchError, NonFiniteError, SmoothMap, fd_check_jacobian
+from scvxkit.problems import BUILTIN_NAMES, PathConstraint, _dot, _matvec, simulate_rollout
 
 import oracles
 
@@ -15,16 +15,16 @@ def tiny_ocp():
     """Single integrator, three nodes, every feature switched on."""
     return OptimalControlProblem(
         n_x=1, n_u=1, n_nodes=3,
-        dynamics=lambda x, u: np.array([x[0] + u[0]]),
+        dynamics=lambda x, u: x + u,
         dynamics_jac=lambda x, u: (np.array([[1.0]]), np.array([[1.0]])),
         initial_state=np.array([0.0]),
         final_state=np.array([1.0]),
-        stage_cost=lambda x, u: 0.5 * float(u[0]) ** 2,
-        stage_cost_grad=lambda x, u: (np.zeros(1), np.array([u[0]])),
-        terminal_cost=lambda x: float(x[0]),
+        stage_cost=lambda x, u: 0.5 * u[..., 0] ** 2,
+        stage_cost_grad=lambda x, u: (np.zeros(1), u),
+        terminal_cost=lambda x: x[..., 0],
         terminal_cost_grad=lambda x: np.array([1.0]),
         path_inequalities=(
-            PathConstraint(fun=lambda x, u: float(x[0]) - 2.0,
+            PathConstraint(fun=lambda x, u: x[..., 0] - 2.0,
                            grad=lambda x, u: (np.array([1.0]), np.zeros(1)),
                            name="ceiling"),
         ),
@@ -139,10 +139,10 @@ class TestTranscription:
     def test_terminal_cost_absent_still_labeled(self):
         ocp = OptimalControlProblem(
             n_x=1, n_u=1, n_nodes=3,
-            dynamics=lambda x, u: np.array([x[0] + u[0]]),
+            dynamics=lambda x, u: x + u,
             dynamics_jac=lambda x, u: (np.array([[1.0]]), np.array([[1.0]])),
             initial_state=np.zeros(1),
-            stage_cost=lambda x, u: float(u[0]) ** 2,
+            stage_cost=lambda x, u: u[..., 0] ** 2,
             stage_cost_grad=lambda x, u: (np.zeros(1), 2.0 * np.asarray(u)),
         )
         disc = transcribe(ocp, 1.0)
@@ -166,6 +166,66 @@ class TestTranscription:
         assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns: signs of zero count."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def points_around(start, count, seed):
+    """start itself, then seeded points around it at three scales."""
+    rng = np.random.default_rng(seed)
+    scales = np.repeat([1e-6, 1e-2, 1.0], count)[:, None]
+    return np.vstack([start, start + scales * rng.uniform(-1.0, 1.0, (scales.size, start.size))])
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_value_many_matches_one_point_at_a_time(self, name):
+        bench = builtin(name)
+        comp, disc = bench.build()
+        points = points_around(bench.default_start, 20, seed=BUILTIN_NAMES.index(name))
+        values = comp.g.value_many(points)
+        assert same_bits(values, [comp.g.value(z) for z in points])
+        assert same_bits(comp.value_many(points), [comp.value(z) for z in points])
+        if disc is not None:
+            assert same_bits(values, [oracles.transcribed_values(disc.ocp, z) for z in points])
+
+    def test_stacked_products_round_like_one_vector(self, rng):
+        # The built-ins' sums of products go through these two, so each
+        # node gets the bits of its own 1-D a @ b and m @ x.
+        for n in (1, 2, 3, 4):
+            a, b = rng.normal(size=(2, 7, 5, n))
+            m = rng.normal(size=(n, n))
+            assert same_bits(_dot(a, b), [[u @ v for u, v in zip(*pair)] for pair in zip(a, b)])
+            assert same_bits(_matvec(m, a), [[m @ u for u in row] for row in a])
+
+    def test_tiny_problem_matches_reference(self, rng):
+        disc = transcribe(tiny_ocp(), 2.0)
+        points = rng.normal(size=(10, 5))
+        assert same_bits(disc.composite.g.value_many(points),
+                         [oracles.transcribed_values(disc.ocp, z) for z in points])
+
+    def test_value_many_checks_its_points(self):
+        comp, _ = builtin("toy-sharp-2d").build()
+        with pytest.raises(DimensionMismatchError):
+            comp.value_many(np.zeros((3, 1)))
+        with pytest.raises(DimensionMismatchError):
+            comp.value_many(np.zeros(2))
+        with pytest.raises(NonFiniteError):
+            comp.value_many(np.array([[0.0, 0.0], [0.0, np.nan]]))
+
+    def test_value_many_names_the_first_bad_component(self):
+        smooth = SmoothMap(input_dim=1, output_dim=2,
+                           evaluate=lambda z: np.stack([z[..., 0], 1.0 / z[..., 0]], axis=-1),
+                           jacobian=lambda z: np.zeros((2, 1)))
+        with pytest.raises(NonFiniteError) as err, np.errstate(divide="ignore"):
+            smooth.value_many(np.array([[1.0], [0.0]]))
+        assert err.value.index == 1
+        with pytest.raises(DimensionMismatchError):
+            SmoothMap(1, 3, lambda z: z, lambda z: np.zeros((3, 1))).value_many(np.ones((2, 1)))
+
+
 class TestRollout:
     def test_rollout_satisfies_dynamics(self):
         ocp = tiny_ocp()
@@ -182,7 +242,7 @@ class TestRollout:
     def test_rollout_detects_blowup(self):
         ocp = OptimalControlProblem(
             n_x=1, n_u=1, n_nodes=4,
-            dynamics=lambda x, u: np.array([np.inf if x[0] > 1.5 else x[0] + 1.0]),
+            dynamics=lambda x, u: np.where(x > 1.5, np.inf, x + 1.0),
             dynamics_jac=lambda x, u: (np.ones((1, 1)), np.zeros((1, 1))),
             initial_state=np.ones(1),
             stage_cost=lambda x, u: 0.0,
