@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -195,6 +196,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="parent revision of the paired runs")
     parser.add_argument("--seed", type=int, default=SEED, help="seed of the paired runs")
     args = parser.parse_args(argv)
+    # Exit through the finally blocks on SIGTERM too, so no parent tree is left behind.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.pairs < 0 or (args.pairs and not args.parent):
         parser.error("--pairs needs a positive count and --parent")
