@@ -37,6 +37,11 @@ GROWTH_SCALES = (1e-4, 1e-2, 1.0)
 SUBDIFFERENTIAL_STEP = 1e-6
 # Times the small-step probe halves eta before it reports a failure.
 SMALL_STEP_HALVINGS = 3
+# The small-step probe's stand-in for an unconstrained subproblem at z: the
+# radius QUASI_INFINITE_FACTOR * (1 + ||z||_inf).  A minimum-norm step that
+# still reaches UNBOUNDED_FRACTION of it shows the model unbounded below.
+QUASI_INFINITE_FACTOR = 1e6
+UNBOUNDED_FRACTION = 0.5
 # Slack on the tail distances' monotonicity and on their sharp-growth bound.
 STRONG_CONVERGENCE_TOL = 1e-8
 # Relative slack below -(1 + |J|) that a directional derivative may reach.
@@ -130,11 +135,13 @@ def check_small_step(objective: CompositeObjective, z_bar, eta: float,
                      epsilon: float, n_probes: int = 64, seed: int = 0) -> dict:
     """Probe whether model steps stay below epsilon within an eta-ball.
 
-    Each probe point gets an effectively unconstrained subproblem; its step
-    is the smallest-norm optimizer, so a pass certifies that small steps
-    exist, not merely that the LP picked one.  passed is exactly
-    max_step_norm < epsilon.  A probe whose model is unbounded or whose LP
-    fails counts as an infinite step and adds a line to failures.
+    Each probe point z gets an effectively unconstrained subproblem, over
+    the quasi-infinite radius QUASI_INFINITE_FACTOR * (1 + ||z||_inf); its
+    step is the smallest-norm optimizer, so a pass certifies that small
+    steps exist, not merely that the LP picked one.  passed is exactly
+    max_step_norm < epsilon.  A probe whose step reaches UNBOUNDED_FRACTION
+    of that radius (the model is unbounded below) or whose LP fails counts
+    as an infinite step and adds a line to failures.
     """
     if eta <= 0 or epsilon <= 0:
         raise ValueError("eta and epsilon must be positive")
@@ -145,13 +152,13 @@ def check_small_step(objective: CompositeObjective, z_bar, eta: float,
     for i in range(n_probes):
         z = z_bar + 0.99 * eta * rng.uniform(-1.0, 1.0, z_bar.size)
         try:
-            lin = linearize(objective, z)
-            sol = solve_min_norm_step(lin, np.inf)
-            if sol.status == "unbounded":
+            radius = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(z))))
+            step = solve_min_norm_step(linearize(objective, z), radius).step
+            norm = float(np.max(np.abs(step), initial=0.0))
+            if norm >= UNBOUNDED_FRACTION * radius:
                 failures.append(f"probe {i}: model unbounded below")
-                norms.append(np.inf)
-            else:
-                norms.append(float(np.max(np.abs(sol.step), initial=0.0)))
+                norm = np.inf
+            norms.append(norm)
         except SubproblemError as exc:
             failures.append(f"probe {i}: {exc}")
             norms.append(np.inf)

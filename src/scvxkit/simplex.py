@@ -138,6 +138,40 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> tup
         last_obj = obj
 
 
+def _tableau(a_ub: np.ndarray, b_ub: np.ndarray, lb: np.ndarray,
+             ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Starting tableau of the LP in y = x - lb >= 0, written in place.
+
+    Rows are the a_ub rows, one row y_j <= ub_j - lb_j per finite ub_j and
+    a zero objective row.  A row with a negative rhs is negated, its slack
+    enters with -1 and an artificial starts basic in it; upper-bound rows
+    have rhs >= 0.  Returns the tableau, the basis, those rows and the
+    width of the rhs, structural and slack columns: all phase 2 sees.
+    """
+    m_ub, n = a_ub.shape
+    rhs = b_ub - a_ub @ lb
+    finite_ub = np.flatnonzero(np.isfinite(ub))
+    m = m_ub + finite_ub.size
+    art_rows = np.flatnonzero(rhs < 0.0)
+    width = n + m + 1
+
+    # Column-major, so the phase-2 slice and _pivot's flat view are views.
+    tableau = np.zeros((m + 1, width + art_rows.size), order="F")
+    tableau[:m_ub, 0] = rhs
+    tableau[m_ub:m, 0] = ub[finite_ub] - lb[finite_ub]
+    tableau[:m_ub, 1:n + 1] = a_ub
+    tableau[np.arange(m_ub, m), 1 + finite_ub] = 1.0
+    slack = n + 1 + np.arange(m)
+    tableau[np.arange(m), slack] = 1.0
+    tableau[art_rows, :n + 1] *= -1.0
+    tableau[art_rows, slack[art_rows]] = -1.0
+    tableau[art_rows, width + np.arange(art_rows.size)] = 1.0
+
+    basis = slack.copy()
+    basis[art_rows] = width + np.arange(art_rows.size)
+    return tableau, basis, art_rows, width
+
+
 def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSolution:
     """Solve min c@x s.t. a_ub@x <= b_ub, lb <= x <= ub.
 
@@ -157,56 +191,24 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1) if np.size(b_ub) else np.zeros(0)
 
-    # Shift to y = x - lb >= 0 and turn finite upper bounds into rows.
-    rows = [a_ub]
-    rhs = [b_ub - a_ub @ lb]
-    finite_ub = np.flatnonzero(np.isfinite(ub))
-    if finite_ub.size:
-        ub_rows = np.zeros((finite_ub.size, n))
-        ub_rows[np.arange(finite_ub.size), finite_ub] = 1.0
-        rows.append(ub_rows)
-        rhs.append(ub[finite_ub] - lb[finite_ub])
-    a_all = np.vstack(rows)
-    b_all = np.concatenate(rhs)
-    m = a_all.shape[0]
-
-    flip = b_all < 0.0
-    a_all = np.where(flip[:, None], -a_all, a_all)
-    b_all = np.where(flip, -b_all, b_all)
-    slack_sign = np.where(flip, -1.0, 1.0)
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    n_cols = n + m + n_art
-    width = n + m + 1  # rhs, structural and slack columns: all phase 2 sees
-
-    # Column-major, so the phase-2 slice and _pivot's flat view are views.
-    tableau = np.zeros((m + 1, n_cols + 1), order="F")
-    tableau[:m, 0] = b_all
-    tableau[:m, 1:n + 1] = a_all
-    tableau[np.arange(m), n + 1 + np.arange(m)] = slack_sign
-    if n_art:
-        tableau[art_rows, width + np.arange(n_art)] = 1.0
-
-    basis = np.empty(m, dtype=int)
-    basis[~flip] = n + 1 + np.flatnonzero(~flip)
-    basis[flip] = width + np.arange(n_art)
-
+    tableau, basis, art_rows, width = _tableau(a_ub, b_ub, lb, ub)
+    m = basis.size
     if max_iter is None:
-        max_iter = ITERATIONS_PER_VARIABLE * n_cols
+        max_iter = ITERATIONS_PER_VARIABLE * (tableau.shape[1] - 1)
     pivots = 0
 
     # Phase 1: minimize the sum of artificials.
-    if n_art:
+    if art_rows.size:
+        feas_scale = 1.0 + float(np.max(np.abs(tableau[:m, 0])))
         tableau[-1, width:] = 1.0
         for r in art_rows:
             tableau[-1] -= tableau[r]
-        status, pivots = _run(tableau, basis, n_cols + 1, max_iter)
+        status, pivots = _run(tableau, basis, tableau.shape[1], max_iter)
         if status == "limit":
             raise SimplexIterationLimitError(
                 "pivot budget exhausted before a feasible point was found", pivots)
         if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
             raise SimplexError("phase 1 reported unbounded")
-        feas_scale = 1.0 + float(np.max(np.abs(b_all)))
         if -tableau[-1, 0] > FEAS_TOL * feas_scale:
             raise InfeasibleError("constraints are inconsistent")
 

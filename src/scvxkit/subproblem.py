@@ -21,11 +21,6 @@ from .simplex import (
     solve_box_lp,
 )
 
-# Quasi-infinite trust region: a box this much wider than the base point is
-# treated as unconstrained.  A solution that still reaches deep into the box
-# is evidence the model is unbounded below.
-QUASI_INFINITE_FACTOR = 1e6
-UNBOUNDED_FRACTION = 0.5
 # The minimum-norm LP keeps the model within this relative slack of v*.
 MIN_NORM_VALUE_SLACK = 1e-9
 
@@ -38,9 +33,8 @@ class SubproblemError(Exception):
 class LpStandardForm:
     """One LP: min c@x, a_ub@x <= b_ub, lb <= x <= ub.
 
-    The first n_step variables are the step, boxed by half_width; the true
-    objective is c@x + objective_offset.  quasi_infinite marks a box that
-    stands in for an infinite radius.
+    The first n_step variables are the step, boxed by the finite
+    half_width; the true objective is c@x + objective_offset.
     """
 
     c: np.ndarray
@@ -51,7 +45,6 @@ class LpStandardForm:
     objective_offset: float
     n_step: int
     half_width: float
-    quasi_infinite: bool
 
     @property
     def n_variables(self) -> int:
@@ -67,25 +60,20 @@ class SubproblemSolution:
     step: np.ndarray
     model_value: float
     predicted_decrease: float
-    status: str  # "optimal" | "unbounded"
     iterations: int = 0
 
 
 def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
     """Rewrite the model minimization over the inf-norm ball as an LP.
 
-    radius must be positive; np.inf gives the quasi-infinite box
-    QUASI_INFINITE_FACTOR * (1 + ||z||_inf).  Variables are [step, eq
-    auxiliaries, ineq auxiliaries]: n_step + n_eq + n_ineq of them, in
-    2 * n_eq + n_ineq inequality rows.
+    radius must be positive and finite, so the LP is bounded below: the
+    step is boxed and every auxiliary is >= 0 with a positive cost.
+    Variables are [step, eq auxiliaries, ineq auxiliaries]: n_step + n_eq +
+    n_ineq of them, in 2 * n_eq + n_ineq inequality rows.
     """
-    if not radius > 0:
-        raise ValueError("trust-region radius must be positive")
-    quasi_infinite = bool(np.isinf(radius))
-    if quasi_infinite:
-        half_width = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(lin.base_point))))
-    else:
-        half_width = float(radius)
+    if not 0 < radius < np.inf:
+        raise ValueError("trust-region radius must be positive and finite")
+    half_width = float(radius)
     psi = lin.psi
     jac = lin.g_jacobian
     val = lin.g_value
@@ -131,12 +119,11 @@ def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
         objective_offset=offset,
         n_step=n,
         half_width=half_width,
-        quasi_infinite=quasi_infinite,
     )
 
 
 def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
-    """Solve an LP; the objective includes the offset (-inf when unbounded).
+    """Solve an LP; the objective includes the offset.
 
     Simplex failures become SubproblemError; an iteration-limit failure
     keeps the simplex message as it is.
@@ -147,26 +134,7 @@ def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
         raise SubproblemError(str(exc)) from exc
     except SimplexError as exc:
         raise SubproblemError(f"LP solve failed: {exc}") from exc
-    objective = sol.objective + lp.objective_offset if sol.status == "optimal" else -np.inf
-    return replace(sol, objective=objective)
-
-
-def _solution(lin: Linearization, lp: LpStandardForm, sol: BoxLpSolution,
-              model_value: float, iterations: int) -> SubproblemSolution:
-    """Package a solved LP's step.  The model counts as unbounded below when
-    the simplex says so, or when the step reaches UNBOUNDED_FRACTION of a
-    quasi-infinite box."""
-    step = sol.x[:lp.n_step].copy()
-    unbounded = sol.status == "unbounded" or (
-        lp.quasi_infinite
-        and np.max(np.abs(step), initial=0.0) >= UNBOUNDED_FRACTION * lp.half_width)
-    return SubproblemSolution(
-        step=step,
-        model_value=model_value,
-        predicted_decrease=lin.base_value - model_value,
-        status="unbounded" if unbounded else "optimal",
-        iterations=iterations,
-    )
+    return replace(sol, objective=sol.objective + lp.objective_offset)
 
 
 def solve_subproblem(lin: Linearization, radius: float) -> SubproblemSolution:
@@ -177,7 +145,9 @@ def solve_subproblem(lin: Linearization, radius: float) -> SubproblemSolution:
     """
     lp = build_lp(lin, radius)
     sol = lp_solve(lp)
-    return _solution(lin, lp, sol, sol.objective, sol.iterations)
+    return SubproblemSolution(step=sol.x[:lp.n_step].copy(), model_value=sol.objective,
+                              predicted_decrease=lin.base_value - sol.objective,
+                              iterations=sol.iterations)
 
 
 def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution:
@@ -191,8 +161,6 @@ def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution
     """
     lp = build_lp(lin, radius)
     first = lp_solve(lp)
-    if first.status == "unbounded":
-        return _solution(lin, lp, first, first.objective, first.iterations)
     v_star = first.objective
 
     n_vars = lp.n_variables
@@ -218,8 +186,9 @@ def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution
         c=c2, a_ub=a2, b_ub=b2,
         lb=np.concatenate([lp.lb, [0.0]]), ub=np.concatenate([lp.ub, [lp.half_width]]),
         objective_offset=0.0, n_step=n, half_width=lp.half_width,
-        quasi_infinite=lp.quasi_infinite,
     )
     sol = lp_solve(min_norm)
     model_value = float(lp.c @ sol.x[:n_vars]) + lp.objective_offset
-    return _solution(lin, min_norm, sol, model_value, first.iterations + sol.iterations)
+    return SubproblemSolution(step=sol.x[:n].copy(), model_value=model_value,
+                              predicted_decrease=lin.base_value - model_value,
+                              iterations=first.iterations + sol.iterations)

@@ -107,6 +107,50 @@ def dense_pivot(tableau, basis, row, col, rows):
     basis[row] = col
 
 
+def stacked_tableau(a_ub, b_ub, lb, ub):
+    """Starting simplex tableau assembled by stacking and flipping copies.
+
+    Reference for scvxkit.simplex._tableau, which writes the same rows
+    straight into the tableau: the a_ub rows are stacked on the finite
+    upper-bound rows, rows with a negative rhs are negated through copies,
+    and the result is copied into a column-major tableau.  Returns the
+    tableau, the starting basis, the rows carrying an artificial and the
+    width of the rhs, structural and slack columns.
+    """
+    m_ub, n = a_ub.shape
+    rows = [a_ub]
+    rhs = [b_ub - a_ub @ lb]
+    finite_ub = np.flatnonzero(np.isfinite(ub))
+    if finite_ub.size:
+        ub_rows = np.zeros((finite_ub.size, n))
+        ub_rows[np.arange(finite_ub.size), finite_ub] = 1.0
+        rows.append(ub_rows)
+        rhs.append(ub[finite_ub] - lb[finite_ub])
+    a_all = np.vstack(rows)
+    b_all = np.concatenate(rhs)
+    m = a_all.shape[0]
+
+    flip = b_all < 0.0
+    a_all = np.where(flip[:, None], -a_all, a_all)
+    b_all = np.where(flip, -b_all, b_all)
+    slack_sign = np.where(flip, -1.0, 1.0)
+    art_rows = np.flatnonzero(flip)
+    n_art = art_rows.size
+    width = n + m + 1
+
+    tableau = np.zeros((m + 1, n + m + n_art + 1), order="F")
+    tableau[:m, 0] = b_all
+    tableau[:m, 1:n + 1] = a_all
+    tableau[np.arange(m), n + 1 + np.arange(m)] = slack_sign
+    if n_art:
+        tableau[art_rows, width + np.arange(n_art)] = 1.0
+
+    basis = np.empty(m, dtype=int)
+    basis[~flip] = n + 1 + np.flatnonzero(~flip)
+    basis[flip] = width + np.arange(n_art)
+    return tableau, basis, art_rows, width
+
+
 def vertex_min_box_lp(c, a_ub, b_ub, lb, ub, tol=1e-9):
     """Enumerate basic points of a small finite-box LP and take the best.
 

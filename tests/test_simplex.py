@@ -9,6 +9,7 @@ import pytest
 
 from scvxkit import simplex
 from scvxkit.composite import linearize
+from scvxkit.diagnostics import QUASI_INFINITE_FACTOR
 from scvxkit.problems import builtin
 from scvxkit.simplex import (
     InfeasibleError,
@@ -75,10 +76,14 @@ def klee_minty_lp(n):
 
 
 def builtin_subproblem_lp(name, radius):
-    """The first subproblem LP of a built-in at N=8 from its default start."""
+    """The first subproblem LP of a built-in at N=8 from its default start.
+    radius np.inf stands for the quasi-infinite box of the small-step probe."""
     bench = builtin(name, n_nodes=8)
     composite, _ = bench.build()
-    lp = build_lp(linearize(composite, bench.default_start), radius)
+    start = bench.default_start
+    if radius == np.inf:
+        radius = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(start))))
+    lp = build_lp(linearize(composite, start), radius)
     return lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub
 
 
@@ -219,7 +224,7 @@ class TestStatusesAndErrors:
     @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
         "known defect: feasibility tolerances scale with the largest |rhs|, so the 1e6 row "
         "hides the small row's infeasibility; the fix changes pivots and re-records the "
-        "references, ROADMAP item 3, and drops this marker"))
+        "references, ROADMAP item 5(a), and drops this marker"))
     def test_badly_scaled_infeasible_row_raises(self):
         # Row 2 asks -1e-5 x <= -2e-5, that is x >= 2, beyond ub = 1.
         with pytest.raises(InfeasibleError):
@@ -276,6 +281,57 @@ class TestStatusesAndErrors:
         ub = np.array([-1.0, 7.0])
         sol = solve_box_lp(c, np.zeros((0, 2)), np.zeros(0), lb, ub)
         np.testing.assert_allclose(sol.x, [-5.0, 3.0], atol=1e-9)
+
+
+class TestTableauAssembly:
+    """The tableau written in place must equal the stacked assembly of
+    oracles.stacked_tableau bit for bit, signs of zero included."""
+
+    @staticmethod
+    def assert_same_as_stacked(a_ub, b_ub, lb, ub):
+        tableau, basis, art_rows, width = simplex._tableau(a_ub, b_ub, lb, ub)
+        ref, ref_basis, ref_art_rows, ref_width = oracles.stacked_tableau(a_ub, b_ub, lb, ub)
+        assert tableau.flags.f_contiguous
+        assert tableau.shape == ref.shape
+        assert tableau.tobytes(order="F") == ref.tobytes(order="F")
+        np.testing.assert_array_equal(basis, ref_basis)
+        np.testing.assert_array_equal(art_rows, ref_art_rows)
+        assert width == ref_width
+        return art_rows
+
+    def test_random_lps_with_flipped_rows(self, rng):
+        flipped = finite = infinite = 0
+        for _ in range(60):
+            c, a_ub, b_ub, lb, ub = random_bounded_lp(rng, m=int(rng.integers(0, 9)))
+            a_ub[rng.random(a_ub.shape) < 0.3] = 0.0
+            b_ub = b_ub - np.abs(rng.normal(size=b_ub.size)) * 2.0
+            if b_ub.size:
+                # A -0.0 rhs on a row the lower bounds do not shift stays
+                # unflipped, and keeps its sign of zero.
+                a_ub[0] = 0.0
+                b_ub[0] = -0.0
+            ub = np.where(rng.random(ub.size) < 0.4, np.inf, ub)
+            art_rows = self.assert_same_as_stacked(a_ub, b_ub, lb, ub)
+            flipped += art_rows.size
+            finite += int(np.isfinite(ub).sum())
+            infinite += int(np.isinf(ub).sum())
+        assert flipped and finite and infinite
+
+    def test_negative_zero_rhs_is_not_flipped(self):
+        a_ub = np.array([[0.0, 1.0], [2.0, -1.0]])
+        b_ub = np.array([-0.0, -3.0])
+        lb = np.zeros(2)
+        ub = np.array([1.0, np.inf])
+        tableau, _, art_rows, _ = simplex._tableau(a_ub, b_ub, lb, ub)
+        np.testing.assert_array_equal(art_rows, [1])
+        assert np.signbit(tableau[0, 0])
+        self.assert_same_as_stacked(a_ub, b_ub, lb, ub)
+
+    @pytest.mark.parametrize("radius", [1.0, np.inf])
+    @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
+    def test_builtin_subproblem_lps(self, name, radius):
+        _, a_ub, b_ub, lb, ub = builtin_subproblem_lp(name, radius)
+        self.assert_same_as_stacked(a_ub, b_ub, lb, ub)
 
 
 def solve_outcome(*lp, **kwargs):

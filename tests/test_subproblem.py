@@ -1,12 +1,14 @@
 """Tests for the trust-region LP subproblem: standard-form assembly,
-optimality against independent solvers, unboundedness detection, and the
-minimum-norm tie-break."""
+optimality against independent solvers, unboundedness detection over the
+small-step probe's quasi-infinite box, and the minimum-norm tie-break."""
 
 import numpy as np
 import pytest
 
 from scvxkit import SubproblemError
+from scvxkit import diagnostics
 from scvxkit.composite import linearize
+from scvxkit.diagnostics import QUASI_INFINITE_FACTOR, UNBOUNDED_FRACTION, check_small_step
 import scvxkit.subproblem as subproblem_module
 from scvxkit.simplex import solve_box_lp
 from scvxkit.subproblem import (
@@ -29,6 +31,17 @@ def random_composite(rng, n=None):
     a_mat = rng.normal(size=(dim, n))
     weight = float(rng.choice([1.0, 2.0, 5.0, 10.0]))
     return oracles.affine_composite(g0, a_mat, n_cost, n_eq, weight), n_cost, n_eq
+
+
+def probe_radius(z):
+    """Half-width of the quasi-infinite box check_small_step solves over at z."""
+    return QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(z))))
+
+
+def probe_failures(comp, z):
+    """Failure lines of a small-step probe held close around z."""
+    return check_small_step(comp, z, eta=1e-3, epsilon=0.1, n_probes=4)["failures"]
+
 
 class TestBuildLp:
     def test_sizes_and_bounds(self, rng):
@@ -72,8 +85,10 @@ class TestBuildLp:
     def test_bad_radius_rejected(self):
         comp, _, _ = random_composite(np.random.default_rng(0))
         lin = linearize(comp, np.zeros(comp.g.input_dim))
-        for radius in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError):
+        # Only finite trust boxes reach the LP layer; the small-step probe
+        # passes its quasi-infinite box as a finite radius.
+        for radius in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
                 build_lp(lin, radius)
 
 
@@ -88,7 +103,7 @@ class TestOptimality:
             sol = solve_subproblem(lin, radius)
             ref = oracles.scipy_model_min(lin.g_value, lin.g_jacobian,
                                           n_cost, n_eq, comp.psi.penalty_weight, radius)
-            assert sol.status == "optimal"
+            assert np.isfinite(sol.model_value)
             assert sol.model_value == pytest.approx(ref, abs=1e-7)
             assert np.max(np.abs(sol.step)) <= radius + 1e-9
 
@@ -131,25 +146,37 @@ class TestOptimality:
 class TestUnboundedDetection:
     def test_linear_model_flagged_unbounded(self):
         comp = oracles.linear_composite([1.0])
-        lin = linearize(comp, np.zeros(1))
-        sol = solve_subproblem(lin, np.inf)
-        assert sol.status == "unbounded"
-        # The optimizer was pushed at least half way into the huge box.
-        assert sol.predicted_decrease >= 0.5 * build_lp(lin, np.inf).half_width
+        radius = probe_radius(np.zeros(1))
+        sol = solve_subproblem(linearize(comp, np.zeros(1)), radius)
+        # The optimizer was pushed at least half way into the huge box ...
+        assert sol.predicted_decrease >= UNBOUNDED_FRACTION * radius
+        # ... which the small-step probe reports as a model unbounded below.
+        failures = probe_failures(comp, np.zeros(1))
+        assert failures and all(f.endswith("model unbounded below") for f in failures)
 
     def test_sharp_model_stays_optimal(self):
         comp = oracles.abs_composite(2.0)
         lin = linearize(comp, np.zeros(1))
-        sol = solve_subproblem(lin, np.inf)
-        assert sol.status == "optimal"
+        sol = solve_subproblem(lin, probe_radius(np.zeros(1)))
         assert np.max(np.abs(sol.step)) < 1e-6
+        assert probe_failures(comp, np.zeros(1)) == []
 
-    def test_quasi_infinite_radius_scales_with_base_point(self):
+    def test_quasi_infinite_radius_scales_with_base_point(self, monkeypatch):
+        # The probe passes each point's quasi-infinite half-width as the radius.
+        radii = []
+
+        def recording_min_norm_step(lin, radius):
+            radii.append(radius)
+            return solve_min_norm_step(lin, radius)
+
+        monkeypatch.setattr(diagnostics, "solve_min_norm_step", recording_min_norm_step)
         comp = oracles.abs_composite(2.0)
-        near = build_lp(linearize(comp, np.zeros(1)), np.inf).half_width
-        far = build_lp(linearize(comp, np.array([50.0])), np.inf).half_width
+        for z in (np.zeros(1), np.array([50.0])):
+            probe_failures(comp, z)
+        near, far = radii[0], radii[-1]
         assert far > near
         assert near >= 1e6
+        assert build_lp(linearize(comp, np.zeros(1)), near).half_width == near
 
 
 class TestMinNormStep:
@@ -158,7 +185,7 @@ class TestMinNormStep:
         comp = oracles.affine_composite([1.0], np.zeros((1, 3)), 1, 0, 1.0)
         lin = linearize(comp, rng.normal(size=3))
         sol = solve_min_norm_step(lin, 2.0)
-        assert sol.status == "optimal"
+        assert np.isfinite(sol.model_value)
         assert np.max(np.abs(sol.step)) < 1e-7
 
     def test_degenerate_direction_squeezed(self):
@@ -176,17 +203,17 @@ class TestMinNormStep:
             lin = linearize(comp, rng.normal(size=n))
             plain = solve_subproblem(lin, 1.0)
             mn = solve_min_norm_step(lin, 1.0)
-            assert mn.status == "optimal"
+            assert np.isfinite(mn.model_value)
             tol = 1e-6 * (1.0 + abs(plain.model_value))
             assert mn.model_value <= plain.model_value + tol
             assert np.max(np.abs(mn.step)) <= np.max(np.abs(plain.step)) + 1e-7
 
     def test_descending_model_reported_unbounded(self):
         comp = oracles.linear_composite([1.0])
-        lin = linearize(comp, np.zeros(1))
-        sol = solve_min_norm_step(lin, np.inf)
-        assert sol.status == "unbounded"
-        assert np.max(np.abs(sol.step)) >= 0.5 * build_lp(lin, np.inf).half_width
+        radius = probe_radius(np.zeros(1))
+        sol = solve_min_norm_step(linearize(comp, np.zeros(1)), radius)
+        assert np.max(np.abs(sol.step)) >= UNBOUNDED_FRACTION * radius
+        assert "probe 0: model unbounded below" in probe_failures(comp, np.zeros(1))
 
 
 class TestFailurePropagation:
