@@ -306,8 +306,8 @@ class TestTableauAssembly:
             a_ub[rng.random(a_ub.shape) < 0.3] = 0.0
             b_ub = b_ub - np.abs(rng.normal(size=b_ub.size)) * 2.0
             if b_ub.size:
-                # A -0.0 rhs on a row the lower bounds do not shift stays
-                # unflipped, and keeps its sign of zero.
+                # An all-zero row with a -0.0 rhs: its shifted rhs is a
+                # zero of either sign, never flipped.
                 a_ub[0] = 0.0
                 b_ub[0] = -0.0
             ub = np.where(rng.random(ub.size) < 0.4, np.inf, ub)
