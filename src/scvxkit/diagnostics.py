@@ -22,7 +22,7 @@ observational only.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,18 +131,9 @@ def estimate_growth_constant(objective: CompositeObjective, z_bar, n_samples: in
     return _certificate(ratios, dirs, GROWTH_SCALES, seed, gamma_hat=float(np.min(ratios)))
 
 
-def check_small_step(objective: CompositeObjective, z_bar, eta: float,
-                     epsilon: float, n_probes: int = 64, seed: int = 0) -> dict:
-    """Probe whether model steps stay below epsilon within an eta-ball.
-
-    Each probe point z gets an effectively unconstrained subproblem, over
-    the quasi-infinite radius QUASI_INFINITE_FACTOR * (1 + ||z||_inf); its
-    step is the smallest-norm optimizer, so a pass certifies that small
-    steps exist, not merely that the LP picked one.  passed is exactly
-    max_step_norm < epsilon.  A probe whose step reaches UNBOUNDED_FRACTION
-    of that radius (the model is unbounded below) or whose LP fails counts
-    as an infinite step and adds a line to failures.
-    """
+def _small_step(objective: CompositeObjective, z_bar, eta: float, epsilon: float,
+                n_probes: int, seed: int, give_up: bool) -> Optional[dict]:
+    """The check_small_step section; None once give_up and a probe reaches epsilon."""
     if eta <= 0 or epsilon <= 0:
         raise ValueError("eta and epsilon must be positive")
     z_bar = np.asarray(z_bar, dtype=float)
@@ -158,13 +149,30 @@ def check_small_step(objective: CompositeObjective, z_bar, eta: float,
             if norm >= UNBOUNDED_FRACTION * radius:
                 failures.append(f"probe {i}: model unbounded below")
                 norm = np.inf
-            norms.append(norm)
         except SubproblemError as exc:
             failures.append(f"probe {i}: {exc}")
-            norms.append(np.inf)
+            norm = np.inf
+        if give_up and norm >= epsilon:
+            return None
+        norms.append(norm)
     max_norm = float(np.max(norms, initial=0.0))
     return {"passed": bool(max_norm < epsilon), "eta": float(eta), "epsilon": float(epsilon),
             "max_step_norm": max_norm, "n_probes": n_probes, "failures": failures}
+
+
+def check_small_step(objective: CompositeObjective, z_bar, eta: float,
+                     epsilon: float, n_probes: int = 64, seed: int = 0) -> dict:
+    """Probe whether model steps stay below epsilon within an eta-ball.
+
+    Each probe point z gets an effectively unconstrained subproblem, over
+    the quasi-infinite radius QUASI_INFINITE_FACTOR * (1 + ||z||_inf); its
+    step is the smallest-norm optimizer, so a pass certifies that small
+    steps exist, not merely that the LP picked one.  passed is exactly
+    max_step_norm < epsilon.  A probe whose step reaches UNBOUNDED_FRACTION
+    of that radius (the model is unbounded below) or whose LP fails counts
+    as an infinite step and adds a line to failures.
+    """
+    return _small_step(objective, z_bar, eta, epsilon, n_probes, seed, give_up=False)
 
 
 def find_small_step_eta(objective: CompositeObjective, z_bar, epsilon: float,
@@ -172,12 +180,13 @@ def find_small_step_eta(objective: CompositeObjective, z_bar, epsilon: float,
     """Shrink eta from epsilon by halving until the small-step probe passes.
 
     Returns the first passing section, or the last failing one if no eta in
-    the halving schedule works.
+    the halving schedule works.  Every halving but the last is returned only
+    if it passes, so it gives up at its first probe that reaches epsilon.
     """
     for halvings in range(SMALL_STEP_HALVINGS + 1):
-        section = check_small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon,
-                                   n_probes=n_probes, seed=seed)
-        if section["passed"]:
+        section = _small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon, n_probes,
+                              seed, give_up=halvings < SMALL_STEP_HALVINGS)
+        if section is not None and section["passed"]:
             break
     return section
 

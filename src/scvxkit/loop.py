@@ -22,8 +22,9 @@ from .subproblem import SubproblemError, solve_subproblem
 # objective sequence strictly decreasing even when rho0 = 0.
 MIN_ACTUAL_DECREASE = 1e-12
 
-# Small accepted steps must repeat this many times before the loop spends an
-# extra subproblem solve confirming stationarity at the probe radius.
+# Small accepted steps must repeat this many times before the loop tests
+# stationarity at the probe radius min(r, 1), which costs an extra
+# subproblem solve only when the probe finds descent and r > 1.
 SMALL_STEP_STREAK = 3
 
 STATUS_CONVERGED = "converged-stationary"
@@ -134,10 +135,16 @@ def run_scvx(objective: CompositeObjective, z0,
              params: Optional[TrustRegionParams] = None) -> SolveResult:
     """Run the trust-region iteration from z0 until a stopping condition.
 
-    Statuses: converged-stationary (the predicted decrease at the current
-    radius fell below stop_predicted_decrease * (1 + |J|), or did so at
-    radius min(r, 1) in the probe made once SMALL_STEP_STREAK accepted
-    steps in a row were no longer than stop_step_norm),
+    The run stops as converged-stationary when the subproblem's predicted
+    decrease is at most stop_predicted_decrease * (1 + |J|).  Two rules
+    apply that test:
+    - every pass tests it at the current radius r;
+    - the pass after SMALL_STEP_STREAK accepted steps in a row, each no
+      longer than stop_step_norm, tests it at min(r, 1) instead.  If that
+      probe finds descent, its solution is the step when r <= 1, and the
+      pass re-solves at r when r > 1.
+
+    Statuses: converged-stationary (either stop rule held),
     iteration-limit, level-set-violation (an iterate left the norm budget or
     the objective rose above its starting value), subproblem-failure (the LP
     solver gave up; the partial trace is attached).
@@ -145,82 +152,56 @@ def run_scvx(objective: CompositeObjective, z0,
     if params is None:
         params = TrustRegionParams()
     z = as_decision_vector(z0, objective.n_z).copy()
-    J = objective.value(z)
-    J0 = J
+    J = J0 = objective.value(z)
     radius = params.r_init
     lin = None
     trace: List[IterationRecord] = []
     small_streak = 0
+    status, message = STATUS_ITERATIONS, ""
 
-    def stop_tol(value: float) -> float:
-        return params.stop_predicted_decrease * (1.0 + abs(value))
-
-    def terminal_record(sol, rad) -> IterationRecord:
-        return IterationRecord(
-            k=len(trace), z=z.copy(), J=J,
-            step_norm=float(np.max(np.abs(sol.step), initial=0.0)),
-            model_value=sol.model_value,
-            predicted_decrease=sol.predicted_decrease,
-            actual_decrease=0.0, rho=None, radius=rad, accepted=False,
-        )
-
-    while len(trace) < params.max_iterations:
+    while status == STATUS_ITERATIONS and len(trace) < params.max_iterations:
         if lin is None:
             lin = linearize(objective, z)
+        solve_radius = radius
+        if small_streak >= SMALL_STEP_STREAK:
+            small_streak, solve_radius = 0, min(radius, 1.0)
         try:
-            sol = solve_subproblem(lin, radius)
+            sol = solve_subproblem(lin, solve_radius)
         except SubproblemError as exc:
-            return SolveResult(final_z=z, status=STATUS_SUBPROBLEM, trace=trace,
-                               J_final=J, message=str(exc))
+            status, message = STATUS_SUBPROBLEM, str(exc)
+            break
 
-        if sol.predicted_decrease <= stop_tol(J):
-            trace.append(terminal_record(sol, radius))
-            return SolveResult(final_z=z, status=STATUS_CONVERGED, trace=trace, J_final=J)
-
-        candidate = z + sol.step
-        J_candidate = objective.value(candidate)
-        actual = J - J_candidate
-        # The stop test above leaves a predicted decrease above stop_tol(J).
-        rho = actual / sol.predicted_decrease
-        # A ratio that clears rho0 only through rounding counts as a rejection.
-        decreased = actual > MIN_ACTUAL_DECREASE * (1.0 + abs(J))
-        accepted, next_radius = update_radius(rho if decreased else -np.inf, radius, params)
+        actual, rho, accepted = 0.0, None, False
+        if sol.predicted_decrease <= params.stop_predicted_decrease * (1.0 + abs(J)):
+            status = STATUS_CONVERGED
+        elif solve_radius < radius:
+            continue  # the probe found descent; the step is taken at r
+        else:
+            candidate = z + sol.step
+            J_candidate = objective.value(candidate)
+            actual = J - J_candidate
+            # The stop test above leaves a predicted decrease above its tolerance.
+            rho = actual / sol.predicted_decrease
+            # A ratio that clears rho0 only through rounding counts as a rejection.
+            decreased = actual > MIN_ACTUAL_DECREASE * (1.0 + abs(J))
+            accepted, radius = update_radius(rho if decreased else -np.inf, radius, params)
 
         if accepted:
-            z = candidate
-            J = J_candidate
-            lin = None
-
+            z, J, lin = candidate, J_candidate, None
         step_norm = float(np.max(np.abs(sol.step), initial=0.0))
         trace.append(IterationRecord(
             k=len(trace), z=z.copy(), J=J, step_norm=step_norm,
             model_value=sol.model_value,
             predicted_decrease=sol.predicted_decrease,
-            actual_decrease=actual, rho=rho, radius=radius, accepted=accepted,
+            actual_decrease=actual, rho=rho, radius=solve_radius, accepted=accepted,
         ))
 
         if accepted:
-            if float(np.max(np.abs(z))) > params.norm_budget:
-                return SolveResult(final_z=z, status=STATUS_LEVEL_SET, trace=trace, J_final=J,
-                                   message="iterate norm exceeded the budget; "
-                                           "initial level set looks unbounded")
-            if J > J0 + 1e-12 * (1.0 + abs(J0)):
-                return SolveResult(final_z=z, status=STATUS_LEVEL_SET, trace=trace, J_final=J,
-                                   message="objective rose above its starting value")
             small_streak = small_streak + 1 if step_norm <= params.stop_step_norm else 0
-        radius = min(max(next_radius, params.r_min), params.r_max)
+            if float(np.max(np.abs(z))) > params.norm_budget:
+                status, message = STATUS_LEVEL_SET, ("iterate norm exceeded the budget; "
+                                                     "initial level set looks unbounded")
+            elif J > J0 + 1e-12 * (1.0 + abs(J0)):
+                status, message = STATUS_LEVEL_SET, "objective rose above its starting value"
 
-        if small_streak >= SMALL_STEP_STREAK and len(trace) < params.max_iterations:
-            small_streak = 0
-            probe_radius = min(radius, 1.0)
-            lin = linearize(objective, z)
-            try:
-                probe = solve_subproblem(lin, probe_radius)
-            except SubproblemError as exc:
-                return SolveResult(final_z=z, status=STATUS_SUBPROBLEM, trace=trace,
-                                   J_final=J, message=str(exc))
-            if probe.predicted_decrease <= stop_tol(J):
-                trace.append(terminal_record(probe, probe_radius))
-                return SolveResult(final_z=z, status=STATUS_CONVERGED, trace=trace, J_final=J)
-
-    return SolveResult(final_z=z, status=STATUS_ITERATIONS, trace=trace, J_final=J)
+    return SolveResult(final_z=z, status=status, trace=trace, J_final=J, message=message)

@@ -207,7 +207,10 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
         if status == "limit":
             raise SimplexIterationLimitError(
                 "pivot budget exhausted before a feasible point was found", pivots)
-        if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
+        # The phase-1 objective is bounded below, yet on badly scaled rows every
+        # positive entry of the entering column can fall under PIVOT_TOL *
+        # col_scale, and _run then reports it unbounded (ROADMAP item 5(a)).
+        if status == "unbounded":
             raise SimplexError("phase 1 reported unbounded")
         if -tableau[-1, 0] > FEAS_TOL * feas_scale:
             raise InfeasibleError("constraints are inconsistent")

@@ -1,9 +1,12 @@
 """Tests for the empirical diagnostics: direction sets, growth constants,
 small-step probes, convergence-tail reports, and level-set checks."""
 
+import json
+
 import numpy as np
 import pytest
 
+import scvxkit.diagnostics as diagnostics_module
 from scvxkit import (
     builtin,
     check_strong_convergence,
@@ -29,6 +32,7 @@ from scvxkit.diagnostics import (
 )
 from scvxkit.loop import IterationRecord
 from scvxkit.problems import BUILTIN_NAMES
+from scvxkit.subproblem import solve_min_norm_step
 
 import oracles
 from test_problems import tiny_ocp
@@ -153,8 +157,35 @@ class TestSmallStep:
         assert not report["passed"]
         assert report["eta"] == pytest.approx(1e-6 / 2.0 ** SMALL_STEP_HALVINGS)
 
+    @pytest.mark.parametrize("name, max_step_norm", [
+        ("double-integrator-obstacle", "2.9966126084327698"),
+        ("dubins-car", "2.080537491478026"),
+    ])
+    def test_failing_halvings_stop_at_first_large_step(self, monkeypatch, name, max_step_norm):
+        # At these final points probe 0 already reaches epsilon in every
+        # halving, so the first three halvings solve one LP each and the last,
+        # whose section is returned, solves all 64.  The expected sections are
+        # the ones the schedule wrote when every halving ran all its probes.
+        bench = builtin(name)
+        comp, _ = bench.build()
+        z_bar = run_scvx(comp, bench.default_start).final_z
+        solves = []
+
+        def counting(lin, radius):
+            solves.append(radius)
+            return solve_min_norm_step(lin, radius)
+
+        monkeypatch.setattr(diagnostics_module, "solve_min_norm_step", counting)
+        section = find_small_step_eta(comp, z_bar, epsilon=0.05)
+        assert json.dumps(section) == (
+            '{"passed": false, "eta": 0.00625, "epsilon": 0.05, "max_step_norm": '
+            + max_step_norm + ', "n_probes": 64, "failures": []}')
+        assert len(solves) == SMALL_STEP_HALVINGS + 64
+
     def test_bad_inputs(self):
         comp = oracles.abs_composite(1.0)
+        with pytest.raises(ValueError):
+            find_small_step_eta(comp, np.zeros(1), epsilon=0.0)
         with pytest.raises(ValueError):
             check_small_step(comp, np.zeros(1), eta=0.0, epsilon=0.1)
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Tests for the outer trust-region iteration: ratio and radius rules,
 stopping behaviour, trace semantics, and failure statuses."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scvxkit.loop as loop_module
 from scvxkit import (
@@ -16,6 +18,7 @@ from scvxkit import (
 )
 from scvxkit.composite import linearize
 from scvxkit.loop import (
+    SMALL_STEP_STREAK,
     STATUS_CONVERGED,
     STATUS_ITERATIONS,
     STATUS_LEVEL_SET,
@@ -33,7 +36,7 @@ def toy_composite(name="toy-sharp-1d", weight=None):
 
 
 def stop_tolerances(result, j0, params):
-    """stop_tol(J) as the loop computed it before each record's decision."""
+    """The stop tolerance stop_predicted_decrease * (1 + |J|) at the J each record started from."""
     before = [j0] + [rec.J for rec in result.trace[:-1]]
     return [params.stop_predicted_decrease * (1.0 + abs(j)) for j in before]
 
@@ -125,6 +128,21 @@ class TestRadiusUpdate:
         assert lo == self.params.r_min
         _, hi = update_radius(0.99, 900.0, self.params)
         assert hi == self.params.r_max
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rho=st.floats() | st.just(-np.inf), data=st.data())
+    def test_result_stays_in_bounds(self, rho, data):
+        # run_scvx relies on this: it feeds the result back without a clip.
+        positive = st.floats(min_value=1e-300, max_value=1e300)
+        r_min = data.draw(positive)
+        r_max = data.draw(st.floats(min_value=r_min, max_value=1e300))
+        factor = st.floats(min_value=1.0, exclude_min=True, allow_infinity=True)
+        params = TrustRegionParams(r_min=r_min, r_init=r_min, r_max=r_max,
+                                   shrink_factor=data.draw(factor),
+                                   grow_factor=data.draw(factor))
+        radius = data.draw(st.floats(min_value=r_min, max_value=r_max))
+        _, new_radius = update_radius(rho, radius, params)
+        assert r_min <= new_radius <= r_max
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -307,3 +325,63 @@ class TestStationarityProbe:
         direct = solve_subproblem(lin, 0.5)
         assert check_stationarity(comp, z, probe_radius=0.5) == pytest.approx(
             direct.predicted_decrease, abs=1e-12)
+
+
+def trace_digest(result):
+    """Status, message and each record's decision, radius and J to ten digits."""
+    rows = [f"{result.status}|{result.message}"]
+    rows += [f"{rec.k}|{rec.accepted}|{rec.radius:.10g}|{rec.J:.10g}" for rec in result.trace]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+
+
+def counted_run(monkeypatch, name, **params):
+    """run_scvx on a built-in from its default start, and its LP solve count."""
+    calls = []
+
+    def counting(lin, radius):
+        calls.append(radius)
+        return solve_subproblem(lin, radius)
+
+    monkeypatch.setattr(loop_module, "solve_subproblem", counting)
+    bench = builtin(name)
+    result = run_scvx(bench.build()[0], bench.default_start, TrustRegionParams(**params))
+    return result, len(calls)
+
+
+class TestSmallStepProbe:
+    """The stationarity test at radius min(r, 1) that follows SMALL_STEP_STREAK
+    accepted steps no longer than stop_step_norm.  The digests were recorded
+    from the loop that solved that probe LP on its own and, when it found
+    descent at r <= 1, solved the same LP again as the next step; that loop's
+    solve counts are kept beside the current ones."""
+
+    @pytest.mark.parametrize("name, stop_step_norm, r_init, digest, two_solve_count, solves", [
+        # Descent at r <= 1: the probe's solution is the step.
+        ("double-integrator-obstacle", 0.5, 1.0, "6a29a474b3367bfc", 42, 37),
+        ("dubins-car", 10.0, 1.0, "e9ba8b9f591faaf4", 60, 52),
+        # The probe is stationary at radius 1 < r and ends the run.
+        ("toy-sharp-2d", 10.0, 0.5, "bdd41d5ae2a0e78c", 4, 4),
+        # Descent at r > 1: the pass re-solves at r, as before.
+        ("noncompact-levelset", 1e3, 0.5, "4c6a81b914b5e5a2", 22, 22),
+    ])
+    def test_trace_and_solve_count(self, monkeypatch, name, stop_step_norm, r_init, digest,
+                                   two_solve_count, solves):
+        result, count = counted_run(monkeypatch, name, stop_step_norm=stop_step_norm,
+                                    r_init=r_init)
+        assert trace_digest(result) == digest
+        assert count == solves <= two_solve_count
+
+    def test_stationary_probe_ends_the_run_at_unit_radius(self, monkeypatch):
+        result, _ = counted_run(monkeypatch, "toy-sharp-2d", stop_step_norm=10.0, r_init=0.5)
+        *steps, last = result.trace
+        assert all(rec.accepted for rec in steps) and len(steps) == SMALL_STEP_STREAK
+        assert steps[-1].radius > 1.0
+        assert last.rho is None and last.radius == 1.0
+        assert result.status == STATUS_CONVERGED
+
+    def test_one_solve_per_record_when_radius_stays_within_one(self, monkeypatch):
+        # With r_max = 1 every probe radius equals r, so no LP is solved twice.
+        result, count = counted_run(monkeypatch, "double-integrator-obstacle",
+                                    stop_step_norm=10.0, r_init=1.0, r_max=1.0)
+        assert result.status == STATUS_CONVERGED
+        assert count == result.iterations

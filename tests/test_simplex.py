@@ -230,6 +230,34 @@ class TestStatusesAndErrors:
         with pytest.raises(InfeasibleError):
             solve_box_lp([1.0], [[1e6], [-1e-5]], [1e6, -2e-5], [0.0], [1.0])
 
+    @pytest.mark.xfail(strict=True, raises=simplex.SimplexError, reason=(
+        "known defect: every positive entry of a phase-1 entering column falls under "
+        "PIVOT_TOL * col_scale, so _run calls the bounded phase-1 objective unbounded; "
+        "the fix belongs with the per-row tolerances of ROADMAP item 5(a)"))
+    def test_badly_scaled_phase_one_is_not_unbounded(self):
+        # Rows scaled by 10^U(-6, 6), as in the per-row verdict note of ROADMAP
+        # item 5(a); HiGHS finds the optimum.
+        c = [0.8411878972050212, 2.3547165237895866, -0.061015455392154874,
+             0.052561041976055094]
+        a_ub = [[1.2332870212205029e-06, 7.7034848802895527e-07,
+                 -3.5141169218779016e-07, 1.3905784236905828e-06],
+                [4.5266371905023038e+02, 1.6618255071460382e+02,
+                 -3.1607589069014631e+02, -1.0556185964792532e+02],
+                [-8.2747090515271237e+04, -2.0809707299110561e+05,
+                 -2.5033267844781899e+05, 5.9367002382074762e+05],
+                [1.8949095889410242e-04, -2.3286517972764416e-04,
+                 1.1962876720833968e-04, -1.0917420214220142e-04]]
+        b_ub = [-9.1061413433203431e-07, -1.0808220041385885e+03,
+                5.5595262174145249e+05, -2.1389871961103050e-04]
+        lb = [-0.9894310079413491, -0.7986724771948853, -0.6208061750350187,
+              -0.6662457678690127]
+        ub = [-0.45607512669438055, np.inf, np.inf, 1.0448626883785384]
+        ref = oracles.scipy_box_lp(c, a_ub, b_ub, lb, ub)
+        assert ref.status == 0
+        sol = solve_box_lp(c, a_ub, b_ub, lb, ub)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-9)
+
     def test_inconsistent_rows_raise(self):
         # x >= 3 cannot hold inside [0, 2].
         with pytest.raises(InfeasibleError):
