@@ -10,7 +10,7 @@ is what lets the trust-region subproblem be rebuilt as an LP downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,16 +34,26 @@ class NonFiniteError(CompositeError):
         super().__init__(f"{what}: non-finite entry at component {index}")
 
 
-def as_decision_vector(values, n: Optional[int] = None, what: str = "decision vector") -> np.ndarray:
-    """Coerce to a finite 1-D float array, checking length when n is given."""
+def as_points(values, n: int, what: str) -> np.ndarray:
+    """Coerce to a float array of one point (n,) or a stack of points (..., n).
+
+    A scalar is a point of length one.  Every entry must be finite; the
+    error names the first bad component of the first point that has one.
+    """
     arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.ndim != 1:
-        raise DimensionMismatchError(what, "1-D array", f"{arr.ndim}-D array")
-    if n is not None and arr.size != n:
-        raise DimensionMismatchError(what, n, arr.size)
+    if arr.shape[-1] != n:
+        raise DimensionMismatchError(what, f"(..., {n})", arr.shape)
     finite = np.isfinite(arr)
     if not finite.all():
-        raise NonFiniteError(what, int(np.argmin(finite)))
+        raise NonFiniteError(what, int(np.argwhere(~finite)[0, -1]))
+    return arr
+
+
+def as_decision_vector(values, n: int, what: str = "decision vector") -> np.ndarray:
+    """as_points for exactly one point: a finite 1-D float array of length n."""
+    arr = as_points(values, n, what)
+    if arr.ndim != 1:
+        raise DimensionMismatchError(what, "1-D array", f"{arr.ndim}-D array")
     return arr
 
 
@@ -51,11 +61,11 @@ def as_decision_vector(values, n: Optional[int] = None, what: str = "decision ve
 class SmoothMap:
     """Differentiable map R^n -> R^m given by value and Jacobian callables.
 
-    evaluate takes a stack of points, an array of shape (..., n), and
-    returns their values as one array of shape (..., m); a single point is
-    the stack with no leading axes.  Write it with trailing-axis indexing,
-    z[..., 0] rather than float(z[0]), so that one call serves a whole
-    stack.  jacobian takes one point of shape (n,) and returns (m, n).
+    value takes one point (n,) or a stack of points (..., n) and returns
+    the values, shape (..., m), from one call of evaluate, which sees the
+    same array.  Write evaluate with trailing-axis indexing, z[..., 0]
+    rather than float(z[0]), so that one call serves a whole stack.
+    jacobian takes one point of shape (n,) and returns (m, n).
     """
 
     input_dim: int
@@ -64,28 +74,12 @@ class SmoothMap:
     jacobian: Callable[[np.ndarray], np.ndarray]
 
     def value(self, z) -> np.ndarray:
-        return self._evaluate(as_decision_vector(z, self.input_dim))
-
-    def value_many(self, points) -> np.ndarray:
-        """Values at the rows of a (p, n) array of points, as a (p, m) array."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.input_dim:
-            raise DimensionMismatchError("point rows", (None, self.input_dim), points.shape)
-        finite = np.isfinite(points)
-        if not finite.all():
-            raise NonFiniteError("point rows", int(np.argmin(finite.all(axis=0))))
-        return self._evaluate(points)
-
-    def _evaluate(self, z: np.ndarray) -> np.ndarray:
+        z = as_points(z, self.input_dim, "decision vector")
         out = np.asarray(self.evaluate(z), dtype=float)
         shape = z.shape[:-1] + (self.output_dim,)
         if out.shape != shape:
             raise DimensionMismatchError("map value", shape, out.shape)
-        finite = np.isfinite(out).reshape(-1, self.output_dim)
-        if not finite.all():
-            # the component of the first point whose value is not finite
-            raise NonFiniteError("map value", int(np.argmin(finite[np.argmin(finite.all(axis=1))])))
-        return out
+        return as_points(out, self.output_dim, "map value")
 
     def jac(self, z) -> np.ndarray:
         z = as_decision_vector(z, self.input_dim)
@@ -144,22 +138,23 @@ class ConvexOuter:
     def n_ineq(self) -> int:
         return len(self.ineq_range)
 
-    def apply(self, values) -> float:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.output_dim,):
-            raise DimensionMismatchError("outer argument", (self.output_dim,), v.shape)
-        # A Python float, so that repr gives the bare digits.
-        return float(self.apply_many(v[None, :])[0])
+    def apply(self, values):
+        """psi at one argument (m,) or at each argument of a stack (..., m).
 
-    def apply_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized apply over rows of a (m, output_dim) array."""
+        One argument gives a Python float, so that repr gives the bare
+        digits; it is summed as a one-row stack, so it gets the bits it gets
+        in any stack.  A stack gives an array of shape (...).  Only the shape
+        is checked: the callers pass values that as_points has seen.
+        """
         v = np.asarray(values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != self.output_dim:
-            raise DimensionMismatchError("outer argument rows", (None, self.output_dim), v.shape)
-        cost = v[:, self.cost_range.start:self.cost_range.stop].sum(axis=1)
-        eq = np.abs(v[:, self.eq_range.start:self.eq_range.stop]).sum(axis=1)
-        ineq = np.maximum(v[:, self.ineq_range.start:self.ineq_range.stop], 0.0).sum(axis=1)
-        return cost + self.penalty_weight * (eq + ineq)
+        if v.shape[-1:] != (self.output_dim,):
+            raise DimensionMismatchError("outer argument", f"(..., {self.output_dim})", v.shape)
+        rows = np.atleast_2d(v)
+        cost = rows[..., self.cost_range.start:self.cost_range.stop].sum(axis=-1)
+        eq = np.abs(rows[..., self.eq_range.start:self.eq_range.stop]).sum(axis=-1)
+        ineq = np.maximum(rows[..., self.ineq_range.start:self.ineq_range.stop], 0.0).sum(axis=-1)
+        out = cost + self.penalty_weight * (eq + ineq)
+        return float(out[0]) if v.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -177,17 +172,13 @@ class CompositeObjective:
     def n_z(self) -> int:
         return self.g.input_dim
 
-    def value(self, z) -> float:
-        return self.psi.apply(self.g.value(z))
+    def value(self, z):
+        """J at one point, as a float, or at a stack (..., n_z), as an array (...).
 
-    def value_many(self, points) -> np.ndarray:
-        """J at the rows of a (p, n_z) array: one call of the inner map.
-
-        Row i equals value(points[i]) bit for bit whenever the inner map's
-        evaluate gives each point of a stack the bits it gives that point
-        alone.
+        The inner map is called once per call.  A point gets the bits it
+        gets inside a stack whenever the inner map's evaluate does.
         """
-        return self.psi.apply_many(self.g.value_many(points))
+        return self.psi.apply(self.g.value(z))
 
     def max_equality_violation(self, z) -> float:
         v = self.g.value(z)
@@ -224,14 +215,15 @@ class Linearization:
         """J at the base point, computed through the model's code path."""
         return self.psi.apply(self.g_value)
 
-    def model_value(self, d) -> float:
-        d = as_decision_vector(d, self.n_z, what="step")
-        return float(self.model_value_many(d[None, :])[0])
+    def model_value(self, d):
+        """L at one step, as a float, or at a stack (..., n_z), as an array (...).
 
-    def model_value_many(self, steps: np.ndarray) -> np.ndarray:
-        """Vectorized model over rows of a (m, n_z) step array."""
-        steps = np.asarray(steps, dtype=float)
-        return self.psi.apply_many(self.g_value[None, :] + steps @ self.g_jacobian.T)
+        One step is lifted to a one-row stack, so it gets the bits it gets in
+        any stack.
+        """
+        d = as_points(d, self.n_z, "step")
+        values = self.g_value + np.atleast_2d(d) @ self.g_jacobian.T
+        return self.psi.apply(values[0] if d.ndim == 1 else values)
 
 
 def linearize(objective: CompositeObjective, z) -> Linearization:
@@ -259,7 +251,7 @@ def fd_check_jacobian(smooth_map: SmoothMap, z, step: float = 1e-6) -> float:
     shifted = np.tile(z, (2 * n, 1))
     shifted[np.arange(n), np.arange(n)] += h
     shifted[np.arange(n, 2 * n), np.arange(n)] -= h
-    values = smooth_map.value_many(shifted)
+    values = smooth_map.value(shifted)
     cols = (values[:n] - values[n:]).T / (2.0 * h)
     err = np.abs(cols - jac) / (1.0 + np.abs(jac))
     return float(np.max(err, initial=0.0))

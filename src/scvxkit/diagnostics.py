@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .composite import CompositeObjective, linearize
-from .loop import IterationRecord
+from .loop import LEVEL_SET_TOL, IterationRecord
 from .subproblem import SubproblemError, solve_min_norm_step
 
 # Step magnitudes at which the convex model is sampled; its ratios are
@@ -48,8 +48,6 @@ STRONG_CONVERGENCE_TOL = 1e-8
 SUBDIFFERENTIAL_TOL = 1e-6
 # Relative distance from zero at which an inequality counts as active.
 ACTIVE_TOL = 1e-6
-# Relative rise above J(z0) that the level-set check forgives.
-LEVEL_SET_TOL = 1e-12
 
 
 def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -69,10 +67,10 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
 def _shell_ratios(objective: CompositeObjective, z_bar: np.ndarray, dirs: np.ndarray,
                   scales: Sequence[float]) -> Tuple[float, np.ndarray]:
     """J(z_bar) and the ratios (J(z_bar + s*u) - J(z_bar)) / s for each
-    shell s and direction u, shell by shell, from one value_many call."""
+    shell s and direction u, shell by shell, from one value call."""
     scales = np.asarray(scales, dtype=float)
     shells = z_bar + scales[:, None, None] * dirs
-    values = objective.value_many(np.vstack([z_bar, shells.reshape(-1, z_bar.size)]))
+    values = objective.value(np.vstack([z_bar, shells.reshape(-1, z_bar.size)]))
     j_bar = float(values[0])
     return j_bar, ((values[1:].reshape(scales.size, -1) - j_bar) / scales[:, None]).ravel()
 
@@ -126,7 +124,7 @@ def estimate_growth_constant(objective: CompositeObjective, z_bar, n_samples: in
     z_bar = np.asarray(z_bar, dtype=float)
     lin = linearize(objective, z_bar)
     dirs = unit_directions(z_bar.size, n_samples, seed=seed)
-    ratios = np.concatenate([(lin.model_value_many(scale * dirs) - lin.base_value) / scale
+    ratios = np.concatenate([(lin.model_value(scale * dirs) - lin.base_value) / scale
                              for scale in GROWTH_SCALES])
     return _certificate(ratios, dirs, GROWTH_SCALES, seed, gamma_hat=float(np.min(ratios)))
 

@@ -14,13 +14,16 @@ from typing import List, Optional
 
 import numpy as np
 
-from .composite import CompositeObjective, as_decision_vector, linearize
+from .composite import CompositeObjective, NonFiniteError, as_decision_vector, linearize
 from .subproblem import SubproblemError, solve_subproblem
 
 # Acceptance at the low ratio threshold additionally requires a strictly
 # positive actual decrease at this relative scale, which keeps the accepted
 # objective sequence strictly decreasing even when rho0 = 0.
 MIN_ACTUAL_DECREASE = 1e-12
+
+# Relative rise above J(z0) that the level-set test forgives.
+LEVEL_SET_TOL = 1e-12
 
 # Small accepted steps must repeat this many times before the loop tests
 # stationarity at the probe radius min(r, 1), which costs an extra
@@ -147,7 +150,8 @@ def run_scvx(objective: CompositeObjective, z0,
     Statuses: converged-stationary (either stop rule held),
     iteration-limit, level-set-violation (an iterate left the norm budget or
     the objective rose above its starting value), subproblem-failure (the LP
-    solver gave up; the partial trace is attached).
+    solver gave up; the partial trace is attached).  A trial point whose
+    objective is not finite is a rejected step, not an error.
     """
     if params is None:
         params = TrustRegionParams()
@@ -178,7 +182,10 @@ def run_scvx(objective: CompositeObjective, z0,
             continue  # the probe found descent; the step is taken at r
         else:
             candidate = z + sol.step
-            J_candidate = objective.value(candidate)
+            try:
+                J_candidate = objective.value(candidate)
+            except NonFiniteError:
+                J_candidate = np.inf  # off the objective's domain: rho = -inf rejects the step
             actual = J - J_candidate
             # The stop test above leaves a predicted decrease above its tolerance.
             rho = actual / sol.predicted_decrease
@@ -201,7 +208,7 @@ def run_scvx(objective: CompositeObjective, z0,
             if float(np.max(np.abs(z))) > params.norm_budget:
                 status, message = STATUS_LEVEL_SET, ("iterate norm exceeded the budget; "
                                                      "initial level set looks unbounded")
-            elif J > J0 + 1e-12 * (1.0 + abs(J0)):
+            elif J > J0 + LEVEL_SET_TOL * (1.0 + abs(J0)):
                 status, message = STATUS_LEVEL_SET, "objective rose above its starting value"
 
     return SolveResult(final_z=z, status=status, trace=trace, J_final=J, message=message)

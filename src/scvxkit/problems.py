@@ -26,7 +26,7 @@ from .composite import (
     ConvexOuter,
     NonFiniteError,
     SmoothMap,
-    as_decision_vector,
+    as_points,
 )
 
 @dataclass(frozen=True)
@@ -109,11 +109,11 @@ class OptimalControlProblem:
         return self.n_x * self.n_nodes + self.n_u * (self.n_nodes - 1)
 
     def split(self, z) -> Tuple[np.ndarray, np.ndarray]:
-        """Decision vector -> states (N, n_x) and controls (N-1, n_u)."""
-        z = as_decision_vector(z, self.n_z)
-        n_state = self.n_x * self.n_nodes
-        states = z[:n_state].reshape(self.n_nodes, self.n_x)
-        controls = z[n_state:].reshape(self.n_nodes - 1, self.n_u)
+        """Decision vectors (..., n_z) -> states (..., N, n_x) and controls (..., N-1, n_u)."""
+        z = as_points(z, self.n_z, "decision vector")
+        lead, n_state = z.shape[:-1], self.n_x * self.n_nodes
+        states = z[..., :n_state].reshape(lead + (self.n_nodes, self.n_x))
+        controls = z[..., n_state:].reshape(lead + (self.n_nodes - 1, self.n_u))
         return states, controls
 
     def join(self, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
@@ -188,6 +188,7 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
     cost_rows = np.arange(N - 1)[:, None]
 
     def evaluate(z: np.ndarray) -> np.ndarray:
+        # split's reshape, inline: SmoothMap.value has already checked z.
         lead = z.shape[:-1]
         states = z[..., :N * n_x].reshape(lead + (N, n_x))
         controls = z[..., N * n_x:].reshape(lead + (N - 1, n_u))

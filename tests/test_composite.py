@@ -122,8 +122,8 @@ class TestConvexOuter:
             assert outer.apply(v) == pytest.approx(expected, abs=1e-12)
 
     def test_apply_matches_one_dimensional_sums_bitwise(self, rng):
-        # apply goes through apply_many; traces stay byte-identical only if
-        # that equals summing each 1-D block, pairwise blocks included.
+        # apply sums one argument as a one-row stack; traces stay byte-identical
+        # only if that equals summing each 1-D block, pairwise blocks included.
         for _ in range(200):
             n_cost, n_eq, n_ineq = (int(k) for k in rng.integers(0, 300, size=3))
             dim = n_cost + n_eq + n_ineq
@@ -143,9 +143,10 @@ class TestConvexOuter:
     def test_apply_many_matches_rowwise(self, rng):
         outer = ConvexOuter(range(0, 2), range(2, 3), range(3, 5), 7.0)
         rows = rng.normal(size=(40, 5))
-        batch = outer.apply_many(rows)
+        batch = outer.apply(rows)
         single = np.array([outer.apply(r) for r in rows])
         np.testing.assert_array_equal(batch, single)
+        assert outer.apply(rows.reshape(4, 10, 5)).tobytes() == batch.tobytes()
 
     def test_convexity_sampled(self, rng):
         outer = ConvexOuter(range(0, 1), range(1, 3), range(3, 4), 4.0)
@@ -212,9 +213,10 @@ class TestLinearization:
         comp = make_toy()
         lin = linearize(comp, np.array([2.0]))
         steps = rng.normal(size=(30, 1))
-        batch = lin.model_value_many(steps)
+        batch = lin.model_value(steps)
         single = np.array([lin.model_value(d) for d in steps])
-        np.testing.assert_array_equal(batch, single)
+        assert batch.tobytes() == single.tobytes()
+        assert type(lin.model_value(steps[0])) is float
 
     def test_model_never_below_tangent(self, rng):
         # The outer function is convex, so the model majorizes every tangent

@@ -8,6 +8,7 @@ import pytest
 
 import scvxkit.diagnostics as diagnostics_module
 from scvxkit import (
+    TrustRegionParams,
     builtin,
     check_strong_convergence,
     estimate_sharp_minimum,
@@ -30,9 +31,10 @@ from scvxkit.diagnostics import (
     fit_convergence_order,
     unit_directions,
 )
+from scvxkit.composite import linearize
 from scvxkit.loop import IterationRecord
 from scvxkit.problems import BUILTIN_NAMES
-from scvxkit.subproblem import solve_min_norm_step
+from scvxkit.subproblem import solve_min_norm_step, solve_subproblem
 
 import oracles
 from test_problems import tiny_ocp
@@ -366,8 +368,8 @@ class TestSubdifferential:
 
 
 class TestShellsOnePointAtATime:
-    """The shells go through one value_many call; the report sections must
-    equal what one value call per point gives."""
+    """The shells go through one value call on the whole stack; the report
+    sections must equal what one value call per point gives."""
 
     @staticmethod
     def looped_ratios(comp, z_bar, dirs, scales):
@@ -452,3 +454,46 @@ class TestLevelSet:
         j0 = comp.value(np.array([3.0]))
         report = check_level_set(result.trace, j0)
         assert report["passed"]
+
+
+@pytest.fixture(scope="module")
+def di_descent():
+    """The default double-integrator-obstacle run's final point (lambda 50),
+    with the slopes of L and of J along the subproblem's step at radius 1e-6."""
+    bench = builtin("double-integrator-obstacle")
+    comp, _ = bench.build(50.0)
+    z_bar = run_scvx(comp, bench.default_start, TrustRegionParams(max_iterations=300)).final_z
+    lin = linearize(comp, z_bar)
+    d = solve_subproblem(lin, 1e-6).step
+    norm = float(np.max(np.abs(d)))
+    return (comp, z_bar, (lin.model_value(d) - lin.base_value) / norm,
+            (comp.value(z_bar + d) - comp.value(z_bar)) / norm)
+
+
+class TestSampledConstantsOverstate:
+    """Pins of ROADMAP item 2: the sampled growth constant and the sampled
+    subdifferential check both miss a direction in which the model and J
+    descend.  Under item 2's exact directional-derivative LP both xfails
+    pass, and their markers go."""
+
+    def test_model_and_objective_descend_along_the_step(self, di_descent):
+        _, _, model_slope, j_slope = di_descent
+        assert model_slope < -1e-3 and j_slope < -1e-3  # both read -0.00110
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect, ROADMAP item 2: gamma_hat is the smallest sampled ratio, so it only "
+        "bounds the constant from above; it reads 29.91 where the model falls at slope "
+        "-0.00110"))
+    def test_growth_constant_is_at_most_the_step_slope(self, di_descent):
+        comp, z_bar, model_slope, _ = di_descent
+        section = estimate_growth_constant(comp, z_bar, n_samples=64, seed=0)
+        assert section["gamma_hat"] <= model_slope + 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect, ROADMAP item 2: the sampled one-sided differences give min_estimate "
+        "29.91 and pass where J falls at slope -0.00110; criterion 09's 'dJ min 30 on 156 "
+        "dirs' rests on the same sampling"))
+    def test_subdifferential_check_sees_the_descent(self, di_descent):
+        comp, z_bar, _, _ = di_descent
+        section = check_subdifferential_inequality(comp, z_bar, n_directions=64, seed=0)
+        assert section["min_estimate"] < 0.0 and not section["passed"]

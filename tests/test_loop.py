@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import scvxkit.loop as loop_module
 from scvxkit import (
+    CompositeObjective,
+    ConvexOuter,
+    SmoothMap,
     SubproblemError,
     TrustRegionParams,
     builtin,
@@ -281,6 +284,22 @@ class TestTerminationStatuses:
         assert result.status == STATUS_SUBPROBLEM
         assert "synthetic failure" in result.message
         assert isinstance(result.trace, list)
+
+    def test_non_finite_trial_objective_is_a_rejection(self):
+        # J(z) = exp(800 z) / 800 - 2 z: the first unit step from 0 lands at
+        # exp(800) = inf, which must shrink the radius, not end the run.
+        def evaluate(z):
+            with np.errstate(over="ignore"):
+                return np.exp(800.0 * z) / 800.0 - 2.0 * z
+
+        smooth = SmoothMap(1, 1, evaluate, lambda z: (np.exp(800.0 * z) - 2.0)[:, None])
+        comp = CompositeObjective(smooth, ConvexOuter(range(0, 1), range(1, 1), range(1, 1), 1.0))
+        result = run_scvx(comp, np.zeros(1))
+        first = result.trace[0]
+        assert not first.accepted and first.rho == -np.inf and first.actual_decrease == -np.inf
+        assert result.trace[1].radius == first.radius / 2.0
+        assert result.status == STATUS_CONVERGED
+        assert result.final_z[0] == pytest.approx(np.log(2.0) / 800.0, rel=1e-3)
 
     def test_demotion_guard_never_accepts_flat_steps(self):
         # Whatever path the solver takes, an accepted record must show a

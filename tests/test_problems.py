@@ -97,6 +97,15 @@ class TestStacking:
         assert controls.shape == (2, 1)
         np.testing.assert_array_equal(ocp.join(states, controls), z)
 
+    def test_split_takes_stacks(self, rng):
+        ocp = tiny_ocp()
+        points = rng.normal(size=(4, 2, ocp.n_z))
+        states, controls = ocp.split(points)
+        assert states.shape == (4, 2, 3, 1) and controls.shape == (4, 2, 2, 1)
+        for i, j in np.ndindex(4, 2):
+            one = ocp.split(points[i, j])
+            assert same_bits(states[i, j], one[0]) and same_bits(controls[i, j], one[1])
+
     def test_n_z(self):
         ocp = tiny_ocp()
         assert ocp.n_z == 3 * 1 + 2 * 1
@@ -185,9 +194,10 @@ class TestStackedEvaluation:
         bench = builtin(name)
         comp, disc = bench.build()
         points = points_around(bench.default_start, 20, seed=BUILTIN_NAMES.index(name))
-        values = comp.g.value_many(points)
+        values = comp.g.value(points)
         assert same_bits(values, [comp.g.value(z) for z in points])
-        assert same_bits(comp.value_many(points), [comp.value(z) for z in points])
+        assert same_bits(comp.value(points), [comp.value(z) for z in points])
+        assert all(type(comp.value(z)) is float for z in points)
         if disc is not None:
             assert same_bits(values, [oracles.transcribed_values(disc.ocp, z) for z in points])
 
@@ -203,27 +213,26 @@ class TestStackedEvaluation:
     def test_tiny_problem_matches_reference(self, rng):
         disc = transcribe(tiny_ocp(), 2.0)
         points = rng.normal(size=(10, 5))
-        assert same_bits(disc.composite.g.value_many(points),
+        assert same_bits(disc.composite.g.value(points),
                          [oracles.transcribed_values(disc.ocp, z) for z in points])
 
     def test_value_many_checks_its_points(self):
         comp, _ = builtin("toy-sharp-2d").build()
         with pytest.raises(DimensionMismatchError):
-            comp.value_many(np.zeros((3, 1)))
-        with pytest.raises(DimensionMismatchError):
-            comp.value_many(np.zeros(2))
-        with pytest.raises(NonFiniteError):
-            comp.value_many(np.array([[0.0, 0.0], [0.0, np.nan]]))
+            comp.value(np.zeros((3, 1)))
+        with pytest.raises(NonFiniteError) as err:
+            comp.value(np.array([[0.0, 0.0], [0.0, np.nan]]))
+        assert err.value.index == 1
 
     def test_value_many_names_the_first_bad_component(self):
         smooth = SmoothMap(input_dim=1, output_dim=2,
                            evaluate=lambda z: np.stack([z[..., 0], 1.0 / z[..., 0]], axis=-1),
                            jacobian=lambda z: np.zeros((2, 1)))
         with pytest.raises(NonFiniteError) as err, np.errstate(divide="ignore"):
-            smooth.value_many(np.array([[1.0], [0.0]]))
+            smooth.value(np.array([[1.0], [0.0]]))
         assert err.value.index == 1
         with pytest.raises(DimensionMismatchError):
-            SmoothMap(1, 3, lambda z: z, lambda z: np.zeros((3, 1))).value_many(np.ones((2, 1)))
+            SmoothMap(1, 3, lambda z: z, lambda z: np.zeros((3, 1))).value(np.ones((2, 1)))
 
 
 class TestRollout:

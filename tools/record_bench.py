@@ -19,7 +19,8 @@ The file gets one round per call: every run's end-to-end metrics, and per
 workload the quartiles of wall_cal on each side, the number of pairs in
 which the change was faster, and whether both sides gave the same outcomes
 (status, iterations and the bits of J_final of every instance).  A round is
-appended when the file already holds rounds against the same parent.
+appended when the file already holds rounds against the same parent; any
+other existing file is left alone, and the call exits 1 before any run.
 """
 
 from __future__ import annotations
@@ -99,6 +100,18 @@ def outcome_key(record: dict) -> list:
 
 def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int:
     parent_sha = git("rev-parse", "--short", parent)
+    path = Path(output)
+    existing = None
+    if path.exists():
+        try:
+            existing = json.loads(path.read_text())
+        except (OSError, ValueError):
+            pass
+        if not (isinstance(existing, dict) and existing.get("parent") == parent_sha
+                and isinstance(existing.get("rounds"), list)):
+            print(f"{output} exists and is not a pairs file against {parent_sha}; "
+                  "it is left as it is, give another OUT", file=sys.stderr)
+            return 1
     change = git("rev-parse", "--short", "HEAD")
     if git("status", "--porcelain", "--untracked-files=no"):
         change += " with uncommitted changes"
@@ -159,9 +172,7 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
 
     round_ = {"change": change, "seed": seed, "order": "alternating: odd pairs run the parent first",
               "summary": summary, "runs": runs}
-    path = Path(output)
-    existing = json.loads(path.read_text()) if path.is_file() else None
-    if existing is not None and existing.get("parent") == parent_sha:
+    if existing is not None:
         existing["rounds"].append(round_)
         out = existing
     else:
