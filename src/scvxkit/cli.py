@@ -87,24 +87,14 @@ def _is_positive(value) -> bool:
 class DiagnosticsConfig:
     enabled: bool = True
     delta: float = 0.1
-    n_samples: int = 64
-    n_probes: int = 64
-    m_tail: int = 5
     small_step: bool = True
-    epsilon: Optional[float] = None
 
     def __post_init__(self):
         for name in ("enabled", "small_step"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be true or false")
-        for name in ("n_samples", "n_probes", "m_tail"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer")
         if not _is_positive(self.delta):
             raise ValueError("delta must be a positive number")
-        if self.epsilon is not None and not _is_positive(self.epsilon):
-            raise ValueError("epsilon must be a positive number or null")
 
 
 @dataclass(frozen=True)
@@ -376,33 +366,34 @@ def _prepare(config: RunConfig):
 
 def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedProblem],
                     result: SolveResult, config: RunConfig, j0: float) -> dict:
-    """Assemble the full diagnostics report for one finished run."""
+    """Assemble the full diagnostics report for one finished run.
+
+    The small-step probe's epsilon is half the sharp-minimum shell radius delta.
+    """
     cfg = config.diagnostics
     z_bar = result.final_z
     report: dict = {"status": result.status}
 
     report["level_set"] = diag.check_level_set(result.trace, j0,
                                                norm_budget=config.trust_region.norm_budget)
-    report["ratio_tail"] = diag.check_ratio_limit(result.trace, m_tail=cfg.m_tail)
+    report["ratio_tail"] = diag.check_ratio_limit(result.trace)
 
     if result.status != STATUS_CONVERGED:
         report["skipped"] = "minimizer-centric probes need a converged run"
         return report
 
-    report["sharp_minimum"] = diag.estimate_sharp_minimum(
-        composite, z_bar, cfg.delta, n_samples=cfg.n_samples, seed=config.seed)
-    report["model_growth"] = diag.estimate_growth_constant(
-        composite, z_bar, n_samples=cfg.n_samples, seed=config.seed)
+    report["sharp_minimum"] = diag.estimate_sharp_minimum(composite, z_bar, cfg.delta,
+                                                          seed=config.seed)
+    report["model_growth"] = diag.estimate_growth_constant(composite, z_bar, seed=config.seed)
     report["strong_convergence"] = diag.check_strong_convergence(
-        result.trace, z_bar, report["sharp_minimum"]["beta_hat"], m_tail=cfg.m_tail)
-    report["rate"] = diag.estimate_rate(result.trace, z_bar, m_tail=cfg.m_tail)
-    report["subdifferential"] = diag.check_subdifferential_inequality(
-        composite, z_bar, n_directions=cfg.n_samples, seed=config.seed)
+        result.trace, z_bar, report["sharp_minimum"]["beta_hat"])
+    report["rate"] = diag.estimate_rate(result.trace, z_bar)
+    report["subdifferential"] = diag.check_subdifferential_inequality(composite, z_bar,
+                                                                      seed=config.seed)
 
     if cfg.small_step:
-        epsilon = cfg.epsilon if cfg.epsilon is not None else cfg.delta / 2.0
-        report["small_step"] = diag.find_small_step_eta(
-            composite, z_bar, epsilon, n_probes=cfg.n_probes, seed=config.seed)
+        report["small_step"] = diag.find_small_step_eta(composite, z_bar, cfg.delta / 2.0,
+                                                        seed=config.seed)
 
     if disc is not None:
         report["active_set"] = diag.active_set_report(disc, z_bar)

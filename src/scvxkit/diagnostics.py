@@ -30,6 +30,12 @@ from .composite import CompositeObjective, linearize
 from .loop import LEVEL_SET_TOL, IterationRecord
 from .subproblem import SubproblemError, solve_min_norm_step
 
+# Random directions each sampled probe draws on top of the 2n signed axes.
+N_DIRECTIONS = 64
+# Probe points of each small-step section.
+N_PROBES = 64
+# Accepted iterates in the strong-convergence, rate and ratio tails.
+M_TAIL = 5
 # Step magnitudes at which the convex model is sampled; its ratios are
 # nondecreasing in the magnitude, so the smallest approaches the derivative.
 GROWTH_SCALES = (1e-4, 1e-2, 1.0)
@@ -50,12 +56,13 @@ SUBDIFFERENTIAL_TOL = 1e-6
 ACTIVE_TOL = 1e-6
 
 
-def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic unit-norm direction set: signed axes plus seeded draws."""
+def unit_directions(n: int, seed: int = 0) -> np.ndarray:
+    """Deterministic unit-norm direction set: the 2n signed axes plus
+    N_DIRECTIONS seeded draws."""
     eye = np.eye(n)
     rows = [*eye, *-eye]
     rng = np.random.default_rng(seed)
-    while len(rows) < 2 * n + count:
+    while len(rows) < 2 * n + N_DIRECTIONS:
         u = rng.uniform(-1.0, 1.0, n)
         scale = np.max(np.abs(u), initial=0.0)
         if scale < 1e-12:
@@ -92,7 +99,7 @@ def _certificate(ratios: np.ndarray, dirs: np.ndarray, scales: Sequence[float], 
 
 
 def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
-                           n_samples: int = 64, seed: int = 0) -> dict:
+                           seed: int = 0) -> dict:
     """Sample (J(z) - J(z_bar)) / dist on shells at delta/10, delta/3, delta.
 
     beta_hat is the smallest ratio found.  It is positive at a sharp
@@ -104,15 +111,14 @@ def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     z_bar = np.asarray(z_bar, dtype=float)
-    dirs = unit_directions(z_bar.size, n_samples, seed=seed)
+    dirs = unit_directions(z_bar.size, seed=seed)
     scales = (delta / 10.0, delta / 3.0, delta)
     _, ratios = _shell_ratios(objective, z_bar, dirs, scales)
     return _certificate(ratios, dirs, scales, seed, centre=z_bar,
                         beta_hat=float(np.min(ratios)), delta=float(delta))
 
 
-def estimate_growth_constant(objective: CompositeObjective, z_bar, n_samples: int = 64,
-                             seed: int = 0) -> dict:
+def estimate_growth_constant(objective: CompositeObjective, z_bar, seed: int = 0) -> dict:
     """Sample (L(d) - L(0)) / ||d|| over directions and small magnitudes.
 
     The model is convex, so each direction's ratio is nondecreasing in the
@@ -123,14 +129,14 @@ def estimate_growth_constant(objective: CompositeObjective, z_bar, n_samples: in
     """
     z_bar = np.asarray(z_bar, dtype=float)
     lin = linearize(objective, z_bar)
-    dirs = unit_directions(z_bar.size, n_samples, seed=seed)
+    dirs = unit_directions(z_bar.size, seed=seed)
     ratios = np.concatenate([(lin.model_value(scale * dirs) - lin.base_value) / scale
                              for scale in GROWTH_SCALES])
     return _certificate(ratios, dirs, GROWTH_SCALES, seed, gamma_hat=float(np.min(ratios)))
 
 
 def _small_step(objective: CompositeObjective, z_bar, eta: float, epsilon: float,
-                n_probes: int, seed: int, give_up: bool) -> Optional[dict]:
+                seed: int, give_up: bool) -> Optional[dict]:
     """The check_small_step section; None once give_up and a probe reaches epsilon."""
     if eta <= 0 or epsilon <= 0:
         raise ValueError("eta and epsilon must be positive")
@@ -138,7 +144,7 @@ def _small_step(objective: CompositeObjective, z_bar, eta: float, epsilon: float
     rng = np.random.default_rng(seed)
     norms = []
     failures = []
-    for i in range(n_probes):
+    for i in range(N_PROBES):
         z = z_bar + 0.99 * eta * rng.uniform(-1.0, 1.0, z_bar.size)
         try:
             radius = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(z))))
@@ -155,26 +161,27 @@ def _small_step(objective: CompositeObjective, z_bar, eta: float, epsilon: float
         norms.append(norm)
     max_norm = float(np.max(norms, initial=0.0))
     return {"passed": bool(max_norm < epsilon), "eta": float(eta), "epsilon": float(epsilon),
-            "max_step_norm": max_norm, "n_probes": n_probes, "failures": failures}
+            "max_step_norm": max_norm, "n_probes": N_PROBES, "failures": failures}
 
 
 def check_small_step(objective: CompositeObjective, z_bar, eta: float,
-                     epsilon: float, n_probes: int = 64, seed: int = 0) -> dict:
+                     epsilon: float, seed: int = 0) -> dict:
     """Probe whether model steps stay below epsilon within an eta-ball.
 
-    Each probe point z gets an effectively unconstrained subproblem, over
-    the quasi-infinite radius QUASI_INFINITE_FACTOR * (1 + ||z||_inf); its
-    step is the smallest-norm optimizer, so a pass certifies that small
-    steps exist, not merely that the LP picked one.  passed is exactly
-    max_step_norm < epsilon.  A probe whose step reaches UNBOUNDED_FRACTION
-    of that radius (the model is unbounded below) or whose LP fails counts
-    as an infinite step and adds a line to failures.
+    Each of the N_PROBES seeded probe points z gets an effectively
+    unconstrained subproblem, over the quasi-infinite radius
+    QUASI_INFINITE_FACTOR * (1 + ||z||_inf); its step is the smallest-norm
+    optimizer, so a pass certifies that small steps exist, not merely that
+    the LP picked one.  passed is exactly max_step_norm < epsilon.  A probe
+    whose step reaches UNBOUNDED_FRACTION of that radius (the model is
+    unbounded below) or whose LP fails counts as an infinite step and adds a
+    line to failures.
     """
-    return _small_step(objective, z_bar, eta, epsilon, n_probes, seed, give_up=False)
+    return _small_step(objective, z_bar, eta, epsilon, seed, give_up=False)
 
 
 def find_small_step_eta(objective: CompositeObjective, z_bar, epsilon: float,
-                        n_probes: int = 64, seed: int = 0) -> dict:
+                        seed: int = 0) -> dict:
     """Shrink eta from epsilon by halving until the small-step probe passes.
 
     Returns the first passing section, or the last failing one if no eta in
@@ -182,8 +189,8 @@ def find_small_step_eta(objective: CompositeObjective, z_bar, epsilon: float,
     if it passes, so it gives up at its first probe that reaches epsilon.
     """
     for halvings in range(SMALL_STEP_HALVINGS + 1):
-        section = _small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon, n_probes,
-                              seed, give_up=halvings < SMALL_STEP_HALVINGS)
+        section = _small_step(objective, z_bar, epsilon / 2.0 ** halvings, epsilon, seed,
+                              give_up=halvings < SMALL_STEP_HALVINGS)
         if section is not None and section["passed"]:
             break
     return section
@@ -195,10 +202,10 @@ def _distances(records: Sequence[IterationRecord], z_bar: np.ndarray) -> np.ndar
 
 
 def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
-                             beta_hat: float, m_tail: int = 5) -> dict:
+                             beta_hat: float) -> dict:
     """Check the accepted tail against the sharp-growth distance bound.
 
-    tail_errors are the distances of the last m_tail accepted iterates to
+    tail_errors are the distances of the last M_TAIL accepted iterates to
     z_bar.  cauchy_ok says they are nonincreasing, bound_ok that each
     satisfies dist <= (J - J_final) / beta_hat.  label is
     "strong-convergent" when both hold and "inconclusive" otherwise; with
@@ -211,7 +218,7 @@ def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
     if len(accepted) < 3 or not (beta_hat > 0):
         return {"label": "inconclusive", "cauchy_ok": False, "bound_ok": False,
                 "beta_hat": float(beta_hat), "m_tail": 0, "tail_errors": np.zeros(0)}
-    tail = accepted[-min(m_tail, len(accepted)):]
+    tail = accepted[-M_TAIL:]
     j_final = accepted[-1].J
     errors = _distances(tail, z_bar)
     cauchy_ok = bool(np.all(np.diff(errors) <= STRONG_CONVERGENCE_TOL))
@@ -224,17 +231,17 @@ def check_strong_convergence(trace: Sequence[IterationRecord], z_bar,
             "beta_hat": float(beta_hat), "m_tail": len(tail), "tail_errors": errors}
 
 
-def check_ratio_limit(trace: Sequence[IterationRecord], m_tail: int = 5) -> dict:
-    """Report whether |rho - 1| is nonincreasing over the last m_tail accepted
-    ratios (trending_to_one), and whether there are m_tail of them
+def check_ratio_limit(trace: Sequence[IterationRecord]) -> dict:
+    """Report whether |rho - 1| is nonincreasing over the last M_TAIL accepted
+    ratios (trending_to_one), and whether there are M_TAIL of them
     (sufficient); n_defined counts every accepted ratio.  Observed, never
     asserted."""
     rhos = [rec.rho for rec in trace if rec.accepted and rec.rho is not None]
-    tail = np.asarray(rhos[-m_tail:]) if rhos else np.zeros(0)
+    tail = np.asarray(rhos[-M_TAIL:], dtype=float)
     gaps = np.abs(tail - 1.0)
     return {"tail_rho": tail,
             "trending_to_one": bool(tail.size >= 2 and np.all(np.diff(gaps) <= 1e-12)),
-            "sufficient": len(rhos) >= m_tail, "n_defined": len(rhos),
+            "sufficient": len(rhos) >= M_TAIL, "n_defined": len(rhos),
             "note": "observational only; no assertion is attached to this limit"}
 
 
@@ -276,8 +283,8 @@ def fit_convergence_order(errors: Sequence[float]) -> Tuple[float, np.ndarray]:
     return float(slope), e[1:] / e[:-1]
 
 
-def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5) -> dict:
-    """Fit a convergence order to the last accepted iterates.
+def estimate_rate(trace: Sequence[IterationRecord], z_bar) -> dict:
+    """Fit a convergence order to the last M_TAIL + 1 accepted iterates.
 
     order_q is the least-squares slope of log e_{k+1} against log e_k over
     the distances e to z_bar, error_ratios the ratios e_{k+1} / e_k, and
@@ -288,7 +295,7 @@ def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5) -> d
     """
     z_bar = np.asarray(z_bar, dtype=float)
     accepted = [rec for rec in trace if rec.accepted]
-    errors = _distances(accepted[-(m_tail + 1):], z_bar)
+    errors = _distances(accepted[-(M_TAIL + 1):], z_bar)
     if errors.size < 3 or np.any(errors <= 0):
         reason = ("tail too short" if errors.size < 3
                   else "finite termination: exact zeros in the tail")
@@ -301,16 +308,16 @@ def estimate_rate(trace: Sequence[IterationRecord], z_bar, m_tail: int = 5) -> d
 
 
 def check_subdifferential_inequality(objective: CompositeObjective, z_bar,
-                                     n_directions: int = 64, seed: int = 0) -> dict:
+                                     seed: int = 0) -> dict:
     """Estimate dJ(z_bar; s) over unit directions by one-sided differences.
 
     At a minimizer every direction has a nonnegative one-sided derivative;
     passed requires the smallest estimate, min_estimate, to clear
     -SUBDIFFERENTIAL_TOL * (1 + |J|).  n_directions counts the signed axes
-    as well as the n_directions random draws.
+    as well as the N_DIRECTIONS random draws.
     """
     z_bar = np.asarray(z_bar, dtype=float)
-    dirs = unit_directions(z_bar.size, n_directions, seed=seed)
+    dirs = unit_directions(z_bar.size, seed=seed)
     j_bar, estimates = _shell_ratios(objective, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
     threshold = -SUBDIFFERENTIAL_TOL * (1.0 + abs(j_bar))
     return {"passed": bool(np.min(estimates) >= threshold),

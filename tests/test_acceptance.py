@@ -193,7 +193,7 @@ def test_criterion_07_small_step_property(acceptance_log, benchmark_runs):
     for name in ("toy-sharp-1d", "toy-sharp-2d"):
         _, comp, _, result = benchmark_runs[name]
         epsilon = 0.1 / 2.0
-        probe = find_small_step_eta(comp, result.final_z, epsilon, n_probes=64)
+        probe = find_small_step_eta(comp, result.final_z, epsilon)
         ok &= probe["passed"] and probe["n_probes"] >= 64 and probe["eta"] > 0.0
         details.append(f"{name}: eta {probe['eta']:.3g}, max step "
                        f"{probe['max_step_norm']:.3g} < eps {epsilon}, "
@@ -259,7 +259,7 @@ def test_criterion_09_stationarity_at_termination(acceptance_log,
         probe_radius = min(1.0, result.trace[-1].radius)
         residual = check_stationarity(comp, result.final_z, probe_radius)
         bound = 1e-6 * (1.0 + abs(result.J_final))
-        sub = check_subdifferential_inequality(comp, result.final_z, n_directions=64)
+        sub = check_subdifferential_inequality(comp, result.final_z)
         run_ok = residual <= bound and sub["passed"] and sub["n_directions"] >= 64
         ok &= run_ok
         details.append(f"{name}: residual {residual:.2g} (bound {bound:.2g}), "

@@ -103,9 +103,12 @@ class TestParseConfig:
     def test_bad_norm_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             parse_config(minimal_config(diagnostics={"norm": "three"}))
-        # The probes use the inf-norm, n_samples directions and the run seed,
-        # so configs that still set the old keys are rejected by name.
-        for key, value in (("norm", "inf"), ("n_directions", 64), ("seed", 0)):
+        # The probes use the inf-norm, the run seed, fixed sample sizes and
+        # epsilon = delta / 2, so configs that still set the old keys are
+        # rejected by name.
+        for key, value in (("norm", "inf"), ("n_directions", 64), ("seed", 0),
+                           ("n_samples", 64), ("n_probes", 64), ("m_tail", 5),
+                           ("epsilon", 0.05)):
             with pytest.raises(ConfigError) as err:
                 parse_config(minimal_config(diagnostics={key: value}))
             assert f"diagnostics.{key}" in str(err.value)
@@ -115,7 +118,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("enabled", "false"), ("small_step", "no"), ("seed", "abc"), ("seed", 1.5),
-        ("delta", -1), ("n_samples", 2.7), ("seed", -1),
+        ("delta", -1), ("seed", -1),
     ])
     def test_bad_diagnostics_value_rejected(self, tmp_path, capsys, key, value):
         with pytest.raises(ConfigError) as err:
@@ -272,9 +275,9 @@ class TestSolveArtifacts:
         assert report["sharp_minimum"]["beta_hat"] > 0
 
     def test_non_finite_values_written_as_null(self, tmp_path):
-        # Probes up to 40 away from the minimizer meet unbounded models,
-        # whose step norm is infinite.
-        _, out = self.run_solve(tmp_path, diagnostics={"epsilon": 40.0})
+        # delta 80 gives epsilon 40: probes up to 40 away from the minimizer
+        # meet unbounded models, whose step norm is infinite.
+        _, out = self.run_solve(tmp_path, diagnostics={"delta": 80.0})
 
         def reject(token):
             raise ValueError(f"non-finite number {token}")

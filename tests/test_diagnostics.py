@@ -17,6 +17,9 @@ from scvxkit import (
     transcribe,
 )
 from scvxkit.diagnostics import (
+    M_TAIL,
+    N_DIRECTIONS,
+    N_PROBES,
     SMALL_STEP_HALVINGS,
     SUBDIFFERENTIAL_STEP,
     SUBDIFFERENTIAL_TOL,
@@ -59,18 +62,18 @@ class TestDirections:
         np.testing.assert_array_equal(est["error_ratios"], [0.5, 0.5, 0.5])
 
     def test_unit_directions_include_axes(self):
-        dirs = unit_directions(3, 10, seed=1)
-        assert dirs.shape == (2 * 3 + 10, 3)
+        dirs = unit_directions(3, seed=1)
+        assert dirs.shape == (2 * 3 + N_DIRECTIONS, 3)
         eye = np.eye(3)
         np.testing.assert_array_equal(dirs[:3], eye)
         np.testing.assert_array_equal(dirs[3:6], -eye)
         np.testing.assert_allclose(np.max(np.abs(dirs), axis=1), 1.0, atol=1e-12)
 
     def test_unit_directions_deterministic(self):
-        a = unit_directions(4, 8, seed=7)
-        b = unit_directions(4, 8, seed=7)
+        a = unit_directions(4, seed=7)
+        b = unit_directions(4, seed=7)
         np.testing.assert_array_equal(a, b)
-        c = unit_directions(4, 8, seed=8)
+        c = unit_directions(4, seed=8)
         assert not np.array_equal(a, c)
 
 
@@ -101,7 +104,7 @@ class TestSharpMinimum:
         # The reported worst ratio must be recomputable from its point.
         comp, _ = builtin("toy-sharp-1d").build()
         z_bar = np.array([1.0])
-        cert = estimate_sharp_minimum(comp, z_bar, delta=0.2, n_samples=8)
+        cert = estimate_sharp_minimum(comp, z_bar, delta=0.2)
         j_bar = comp.value(z_bar)
         point = cert["worst_point"]
         dist = np.max(np.abs(point - z_bar))
@@ -138,7 +141,7 @@ class TestSmallStep:
         comp, _ = builtin("toy-sharp-1d").build()
         report = check_small_step(comp, np.array([1.0]), eta=0.05, epsilon=0.05)
         assert report["passed"]
-        assert report["n_probes"] == 64
+        assert report["n_probes"] == N_PROBES
         assert report["failures"] == []
         assert report["max_step_norm"] < 0.05
 
@@ -229,10 +232,10 @@ class TestStrongConvergence:
         assert report["label"] == "inconclusive"
 
     def test_tail_truncated_to_m_tail(self):
-        trace = [record(k, 2.0 ** -(k + 1), 2.0 ** -k) for k in range(8)]
-        report = check_strong_convergence(trace, np.zeros(1), beta_hat=0.5, m_tail=5)
-        assert report["m_tail"] == 5
-        assert report["tail_errors"].size == 5
+        trace = [record(k, 2.0 ** -(k + 1), 2.0 ** -k) for k in range(M_TAIL + 3)]
+        report = check_strong_convergence(trace, np.zeros(1), beta_hat=0.5)
+        assert report["m_tail"] == M_TAIL
+        assert report["tail_errors"].size == M_TAIL
 
     def test_rejected_records_ignored(self):
         trace = [record(0, 0.4, 1.0), record(1, 9.9, 9.9, accepted=False),
@@ -260,13 +263,12 @@ class TestRatioTail:
         assert not report["sufficient"]
 
     def test_sufficiency_follows_m_tail(self):
-        trace = [record(k, 0.0, 1.0, rho=0.9) for k in range(6)]
-        short = check_ratio_limit(trace, m_tail=3)
-        assert short["sufficient"] and short["tail_rho"].size == 3
-        long = check_ratio_limit(trace, m_tail=8)
-        assert not long["sufficient"] and long["tail_rho"].size == 6
-        assert check_ratio_limit(trace[:3], m_tail=3)["sufficient"]
-        assert not check_ratio_limit(trace[:2], m_tail=3)["sufficient"]
+        trace = [record(k, 0.0, 1.0, rho=0.9) for k in range(M_TAIL + 1)]
+        longer = check_ratio_limit(trace)
+        assert longer["sufficient"] and longer["tail_rho"].size == M_TAIL
+        shorter = check_ratio_limit(trace[:M_TAIL - 1])
+        assert not shorter["sufficient"] and shorter["tail_rho"].size == M_TAIL - 1
+        assert check_ratio_limit(trace[:M_TAIL])["sufficient"]
 
     def test_wandering_tail_not_trending(self):
         rhos = [0.9, 0.99, 0.8, 0.99, 0.9]
@@ -363,8 +365,8 @@ class TestSubdifferential:
 
     def test_direction_count_honored(self):
         comp = oracles.abs_composite(1.0)
-        report = check_subdifferential_inequality(comp, np.zeros(1), n_directions=10)
-        assert report["n_directions"] == 2 * 1 + 10
+        report = check_subdifferential_inequality(comp, np.zeros(1))
+        assert report["n_directions"] == 2 * 1 + N_DIRECTIONS
 
 
 class TestShellsOnePointAtATime:
@@ -382,7 +384,7 @@ class TestShellsOnePointAtATime:
         bench = builtin(name)
         comp, _ = bench.build()
         z_bar = bench.default_start + 0.01
-        dirs = unit_directions(z_bar.size, 64, seed=0)
+        dirs = unit_directions(z_bar.size, seed=0)
         scales = (1e-3, 1e-2 / 3.0, 1e-6)
         j_bar, ratios = _shell_ratios(comp, z_bar, dirs, scales)
         looped_j, looped = self.looped_ratios(comp, z_bar, dirs, scales)
@@ -395,8 +397,8 @@ class TestShellsOnePointAtATime:
         comp, _ = bench.build()
         z_bar = bench.default_start
         delta, seed = 0.01, 2
-        section = estimate_sharp_minimum(comp, z_bar, delta, n_samples=16, seed=seed)
-        dirs = unit_directions(z_bar.size, 16, seed=seed)
+        section = estimate_sharp_minimum(comp, z_bar, delta, seed=seed)
+        dirs = unit_directions(z_bar.size, seed=seed)
         scales = (delta / 10.0, delta / 3.0, delta)
         _, ratios = self.looped_ratios(comp, z_bar, dirs, scales)
         worst = int(np.argmin(ratios))
@@ -414,8 +416,8 @@ class TestShellsOnePointAtATime:
         bench = builtin(name)
         comp, _ = bench.build()
         z_bar = bench.default_start
-        section = check_subdifferential_inequality(comp, z_bar, n_directions=16, seed=1)
-        dirs = unit_directions(z_bar.size, 16, seed=1)
+        section = check_subdifferential_inequality(comp, z_bar, seed=1)
+        dirs = unit_directions(z_bar.size, seed=1)
         j_bar, estimates = self.looped_ratios(comp, z_bar, dirs, (SUBDIFFERENTIAL_STEP,))
         assert section == {
             "passed": bool(np.min(estimates) >= -SUBDIFFERENTIAL_TOL * (1.0 + abs(j_bar))),
@@ -486,7 +488,7 @@ class TestSampledConstantsOverstate:
         "-0.00110"))
     def test_growth_constant_is_at_most_the_step_slope(self, di_descent):
         comp, z_bar, model_slope, _ = di_descent
-        section = estimate_growth_constant(comp, z_bar, n_samples=64, seed=0)
+        section = estimate_growth_constant(comp, z_bar, seed=0)
         assert section["gamma_hat"] <= model_slope + 1e-9
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -495,5 +497,5 @@ class TestSampledConstantsOverstate:
         "dirs' rests on the same sampling"))
     def test_subdifferential_check_sees_the_descent(self, di_descent):
         comp, z_bar, _, _ = di_descent
-        section = check_subdifferential_inequality(comp, z_bar, n_directions=64, seed=0)
+        section = check_subdifferential_inequality(comp, z_bar, seed=0)
         assert section["min_estimate"] < 0.0 and not section["passed"]

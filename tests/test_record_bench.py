@@ -1,7 +1,8 @@
-"""tools/record_bench.py --pairs never overwrites a file that is not its own."""
+"""tools/record_bench.py --pairs: the records it writes and the files it refuses to overwrite."""
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,42 @@ def test_pairs_refuses_to_overwrite_another_record(record_bench, tmp_path, capsy
     assert record_bench.pairs(BENCH, 1, "HEAD", 0, str(out)) == 1
     assert out.read_text() == content
     assert "is not a pairs file against abc1234" in capsys.readouterr().err
+
+
+def test_pairs_record_median_pass_time_and_its_quartiles(record_bench, tmp_path, monkeypatch):
+    # Stubbed runs: the parent's passes take 5, 1 and 2 s plus pair/10 (median 2 +
+    # pair/10, mean higher), the change's twice that.
+    monkeypatch.setattr(record_bench, "unpack", lambda rev, dest: None)
+    calls = []
+
+    def run_bench(root, command, workload, seed, seconds, trace):
+        side = "change" if root == record_bench.ROOT else "parent"
+        pair = 1 + sum(c == (workload, side) for c in calls)
+        calls.append((workload, side))
+        scale = 2.0 if side == "change" else 1.0
+        metrics = {"wall_cal": 5.0 + pair, "setup_s": 0.2, "peak_rss_mb": 40.0,
+                   "feasible_fraction": 1.0}
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()},
+                "pass_wall_s": [scale * (t + pair / 10.0) for t in (5.0, 1.0, 2.0)],
+                "outcomes": [], "failures": []}, None
+
+    monkeypatch.setattr(record_bench, "run_bench", run_bench)
+    bench = {"command": ["false"], "run_seconds": 1, "workloads": [{"name": "w"}]}
+    out = tmp_path / "BENCH_pairs.json"
+    assert record_bench.pairs(bench, 4, "HEAD", 0, str(out)) == 0
+
+    record = json.loads(out.read_text())
+    assert record["fields"][-1] == "pass_wall_s"
+    round_ = record["rounds"][0]
+    passes = {(row[0], row[2]): row[-1] for row in round_["runs"]}
+    assert passes == {(pair, side): round((2.0 if side == "change" else 1.0)
+                                          * (2.0 + pair / 10.0), 4)
+                      for pair in range(1, 5) for side in ("parent", "change")}
+    summary = round_["summary"]["w"]
+    parent = [2.1, 2.2, 2.3, 2.4]
+    assert summary["pass_wall_s_parent_q1_median_q3"] == [
+        round(q, 4) for q in statistics.quantiles(parent, n=4)]
+    assert summary["pass_wall_s_change_q1_median_q3"] == [
+        round(2.0 * q, 4) for q in statistics.quantiles(parent, n=4)]
+    assert summary["medians_parent_change"]["pass_wall_s"] == [2.25, 4.5]
+    assert summary["wall_cal_parent_q1_median_q3"] == summary["wall_cal_change_q1_median_q3"]

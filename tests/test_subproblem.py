@@ -40,7 +40,7 @@ def probe_radius(z):
 
 def probe_failures(comp, z):
     """Failure lines of a small-step probe held close around z."""
-    return check_small_step(comp, z, eta=1e-3, epsilon=0.1, n_probes=4)["failures"]
+    return check_small_step(comp, z, eta=1e-3, epsilon=0.1)["failures"]
 
 
 class TestBuildLp:

@@ -15,10 +15,11 @@ With --pairs N, each workload runs untraced N times on the parent commit
 REV and N times on this checkout, in alternating pairs: odd pairs run the
 parent first.  The parent runs from the committed files of REV, unpacked
 with git archive into a temporary directory that is deleted afterwards.
-The file gets one round per call: every run's end-to-end metrics, and per
-workload the quartiles of wall_cal on each side, the number of pairs in
-which the change was faster, and whether both sides gave the same outcomes
-(status, iterations and the bits of J_final of every instance).  A round is
+The file gets one round per call: every run's end-to-end metrics and the
+median of its raw pass times (pass_wall_s), and per workload the quartiles
+of wall_cal and of pass_wall_s on each side, the number of pairs in which
+the change had the lower wall_cal, and whether both sides gave the same
+outcomes (status, iterations and the bits of J_final of every instance).  A round is
 appended when the file already holds rounds against the same parent; any
 other existing file is left alone, and the call exits 1 before any run.
 """
@@ -39,7 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 FIELDS = ["pair", "workload", "side", "failed", "wall_cal", "setup_s", "peak_rss_mb",
-          "feasible_fraction"]
+          "feasible_fraction", "pass_wall_s"]
+SIDES = ("parent", "change")
 
 
 def run_bench(root: Path, command: list, workload: str, seed: int, seconds, trace: int):
@@ -85,12 +87,11 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def quartiles(values: list):
+def quartiles(values: list, digits: int = 2):
     """q1, median and q3 (statistics.quantiles, exclusive), or None below 4 values."""
     if len(values) < 4:
         return None
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return [round(q1, 2), round(median, 2), round(q3, 2)]
+    return [round(q, digits) for q in statistics.quantiles(values, n=4)]
 
 
 def outcome_key(record: dict) -> list:
@@ -121,13 +122,11 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
     parent_root = scratch / f"parent-{parent_sha}"
     try:
         parent_root.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_sha],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
+        unpack(parent_sha, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
         for pair in range(1, n_pairs + 1):
             for workload in workloads:
-                sides = ("parent", "change") if pair % 2 else ("change", "parent")
+                sides = SIDES if pair % 2 else SIDES[::-1]
                 for side in sides:
                     record, failure = run_bench(roots[side], bench["command"], workload, seed,
                                                 bench["run_seconds"], 0)
@@ -136,6 +135,7 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
                     if record is None:
                         continue
                     metrics = {k: v["value"] for k, v in record["metrics"].items()}
+                    metrics["pass_wall_s"] = statistics.median(record["pass_wall_s"])
                     runs.append([pair, workload, side, len(record["failures"])]
                                 + [round(metrics[k], 4) for k in FIELDS[4:]])
                     outcomes.setdefault((workload, side), set()).add(
@@ -145,25 +145,29 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
 
     summary = {}
     for workload in workloads:
-        wall = {side: {r[0]: r[4] for r in runs if r[1] == workload and r[2] == side}
-                for side in ("parent", "change")}
-        both = sorted(set(wall["parent"]) & set(wall["change"]))
-        parent_wall = [wall["parent"][p] for p in both]
-        change_wall = [wall["change"][p] for p in both]
-        medians = {side: {k: statistics.median(r[i] for r in runs
-                                               if r[1] == workload and r[2] == side)
+        by_pair = {side: {r[0]: r for r in runs if r[1] == workload and r[2] == side}
+                   for side in SIDES}
+        both = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
+
+        def paired(side, field):
+            return [by_pair[side][p][FIELDS.index(field)] for p in both]
+
+        parent_wall, change_wall = paired("parent", "wall_cal"), paired("change", "wall_cal")
+        medians = {side: {k: statistics.median(r[i] for r in by_pair[side].values())
                           for i, k in enumerate(FIELDS[5:], start=5)}
-                   for side in ("parent", "change") if wall[side]}
+                   for side in SIDES if by_pair[side]}
         summary[workload] = {
             "pairs": len(both),
             "wall_cal_parent_q1_median_q3": quartiles(parent_wall),
             "wall_cal_change_q1_median_q3": quartiles(change_wall),
+            "pass_wall_s_parent_q1_median_q3": quartiles(paired("parent", "pass_wall_s"), 4),
+            "pass_wall_s_change_q1_median_q3": quartiles(paired("change", "pass_wall_s"), 4),
             "change_better_pairs": sum(c < p for p, c in zip(parent_wall, change_wall)),
             "median_change": (round(statistics.median(change_wall)
                                     / statistics.median(parent_wall) - 1.0, 3)
                               if both else None),
             "medians_parent_change": {k: [round(medians[s][k], 4) if s in medians else None
-                                          for s in ("parent", "change")] for k in FIELDS[5:]},
+                                          for s in SIDES] for k in FIELDS[5:]},
             "failed": sum(r[3] for r in runs if r[1] == workload),
             # one set of outcomes over every run of both sides
             "same_outcomes": len(outcomes.get((workload, "parent"), set())
@@ -191,6 +195,13 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
         }
     path.write_text(json.dumps(out, indent=1) + "\n")
     return report(failed)
+
+
+def unpack(rev: str, dest: Path) -> None:
+    """Unpack the committed files of rev into the directory dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def report(failed: list) -> int:
