@@ -193,26 +193,25 @@ class CompositeObjective:
 
 @dataclass(frozen=True)
 class Linearization:
-    """First-order surrogate data for a composite objective at a base point.
+    """First-order surrogate data for a composite objective at one point.
 
     The convex model is L(d) = psi(g_value + g_jacobian @ d).  Evaluated at
-    d = 0 it reproduces the objective at the base point through the identical
-    arithmetic path, so L(0) == J(base_point) holds exactly, not just to
-    rounding.
+    d = 0 it reproduces the objective at the point it was taken at through
+    the identical arithmetic path, so L(0) == J(z) holds exactly there, not
+    just to rounding.
     """
 
-    base_point: np.ndarray
     g_value: np.ndarray
     g_jacobian: np.ndarray
     psi: ConvexOuter
 
     @property
     def n_z(self) -> int:
-        return self.base_point.size
+        return self.g_jacobian.shape[1]
 
     @property
     def base_value(self) -> float:
-        """J at the base point, computed through the model's code path."""
+        """J at the point the model was taken at, through the model's code path."""
         return self.psi.apply(self.g_value)
 
     def model_value(self, d):
@@ -230,7 +229,6 @@ def linearize(objective: CompositeObjective, z) -> Linearization:
     """Freeze G(z) and its Jacobian at z for use in the convex model."""
     z = as_decision_vector(z, objective.n_z)
     return Linearization(
-        base_point=z.copy(),
         g_value=objective.g.value(z),
         g_jacobian=objective.g.jac(z),
         psi=objective.psi,

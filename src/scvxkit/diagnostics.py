@@ -286,15 +286,19 @@ def fit_convergence_order(errors: Sequence[float]) -> Tuple[float, np.ndarray]:
 def estimate_rate(trace: Sequence[IterationRecord], z_bar) -> dict:
     """Fit a convergence order to the last M_TAIL + 1 accepted iterates.
 
-    order_q is the least-squares slope of log e_{k+1} against log e_k over
-    the distances e to z_bar, error_ratios the ratios e_{k+1} / e_k, and
-    superlinear_evidence wants them strictly decreasing and ending below
-    0.1.  defined is False, with the reason, when the tail is too short or
-    holds exact zeros (finite termination): a fine outcome that simply
-    leaves no rate to estimate.
+    Trailing accepted iterates equal to z_bar are left out first: a run's
+    final point is its last accepted iterate, whose distance 0 says nothing
+    about the rate.  order_q is the least-squares slope of log e_{k+1}
+    against log e_k over the distances e to z_bar, error_ratios the ratios
+    e_{k+1} / e_k, and superlinear_evidence wants them strictly decreasing
+    and ending below 0.1.  defined is False, with the reason, when the tail
+    is too short or holds exact zeros (finite termination): a fine outcome
+    that simply leaves no rate to estimate.
     """
     z_bar = np.asarray(z_bar, dtype=float)
     accepted = [rec for rec in trace if rec.accepted]
+    while accepted and np.array_equal(accepted[-1].z, z_bar):
+        accepted.pop()
     errors = _distances(accepted[-(M_TAIL + 1):], z_bar)
     if errors.size < 3 or np.any(errors <= 0):
         reason = ("tail too short" if errors.size < 3

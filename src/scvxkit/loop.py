@@ -25,11 +25,6 @@ MIN_ACTUAL_DECREASE = 1e-12
 # Relative rise above J(z0) that the level-set test forgives.
 LEVEL_SET_TOL = 1e-12
 
-# Small accepted steps must repeat this many times before the loop tests
-# stationarity at the probe radius min(r, 1), which costs an extra
-# subproblem solve only when the probe finds descent and r > 1.
-SMALL_STEP_STREAK = 3
-
 STATUS_CONVERGED = "converged-stationary"
 STATUS_ITERATIONS = "iteration-limit"
 STATUS_LEVEL_SET = "level-set-violation"
@@ -49,7 +44,6 @@ class TrustRegionParams:
     r_min: float = 1e-10
     r_max: float = 1e3
     stop_predicted_decrease: float = 1e-8
-    stop_step_norm: float = 1e-9
     max_iterations: int = 200
     norm_budget: float = 1e4
 
@@ -65,8 +59,8 @@ class TrustRegionParams:
             raise ValueError("shrink_factor and grow_factor must exceed 1")
         if not (0.0 < self.r_min <= self.r_init <= self.r_max):
             raise ValueError("need 0 < r_min <= r_init <= r_max")
-        if not (self.stop_predicted_decrease > 0.0 and self.stop_step_norm > 0.0):
-            raise ValueError("stopping tolerances must be positive")
+        if not self.stop_predicted_decrease > 0.0:
+            raise ValueError("stop_predicted_decrease must be positive")
         if not isinstance(self.max_iterations, (int, np.integer)):
             raise TypeError("max_iterations must be an integer")
         if not self.max_iterations >= 1:
@@ -80,9 +74,10 @@ class IterationRecord:
     """Outcome of one outer iteration.
 
     z and J are the iterate and objective after the accept/reject decision,
-    so over accepted records J is strictly decreasing.  rho is None only on
-    the terminal record, whose predicted decrease fell below the stopping
-    tolerance: a stationarity signal rather than a ratio.
+    so over accepted records J is strictly decreasing.  radius is the one
+    the iteration's subproblem was solved at, before the radius update.
+    rho is None only on the terminal record, whose predicted decrease fell
+    below the stopping tolerance: a stationarity signal rather than a ratio.
     """
 
     k: int
@@ -138,20 +133,15 @@ def run_scvx(objective: CompositeObjective, z0,
              params: Optional[TrustRegionParams] = None) -> SolveResult:
     """Run the trust-region iteration from z0 until a stopping condition.
 
-    The run stops as converged-stationary when the subproblem's predicted
-    decrease is at most stop_predicted_decrease * (1 + |J|).  Two rules
-    apply that test:
-    - every pass tests it at the current radius r;
-    - the pass after SMALL_STEP_STREAK accepted steps in a row, each no
-      longer than stop_step_norm, tests it at min(r, 1) instead.  If that
-      probe finds descent, its solution is the step when r <= 1, and the
-      pass re-solves at r when r > 1.
+    Each pass solves one subproblem at the current radius r.  The run stops
+    as converged-stationary when its predicted decrease is at most
+    stop_predicted_decrease * (1 + |J|).
 
-    Statuses: converged-stationary (either stop rule held),
-    iteration-limit, level-set-violation (an iterate left the norm budget or
-    the objective rose above its starting value), subproblem-failure (the LP
-    solver gave up; the partial trace is attached).  A trial point whose
-    objective is not finite is a rejected step, not an error.
+    Statuses: converged-stationary, iteration-limit, level-set-violation (an
+    iterate left the norm budget or the objective rose above its starting
+    value), subproblem-failure (the LP solver gave up; the partial trace is
+    attached).  A trial point whose objective is not finite is a rejected
+    step, not an error.
     """
     if params is None:
         params = TrustRegionParams()
@@ -160,26 +150,20 @@ def run_scvx(objective: CompositeObjective, z0,
     radius = params.r_init
     lin = None
     trace: List[IterationRecord] = []
-    small_streak = 0
     status, message = STATUS_ITERATIONS, ""
 
     while status == STATUS_ITERATIONS and len(trace) < params.max_iterations:
         if lin is None:
             lin = linearize(objective, z)
-        solve_radius = radius
-        if small_streak >= SMALL_STEP_STREAK:
-            small_streak, solve_radius = 0, min(radius, 1.0)
         try:
-            sol = solve_subproblem(lin, solve_radius)
+            sol = solve_subproblem(lin, radius)
         except SubproblemError as exc:
             status, message = STATUS_SUBPROBLEM, str(exc)
             break
 
-        actual, rho, accepted = 0.0, None, False
+        actual, rho, accepted, next_radius = 0.0, None, False, radius
         if sol.predicted_decrease <= params.stop_predicted_decrease * (1.0 + abs(J)):
             status = STATUS_CONVERGED
-        elif solve_radius < radius:
-            continue  # the probe found descent; the step is taken at r
         else:
             candidate = z + sol.step
             try:
@@ -191,7 +175,7 @@ def run_scvx(objective: CompositeObjective, z0,
             rho = actual / sol.predicted_decrease
             # A ratio that clears rho0 only through rounding counts as a rejection.
             decreased = actual > MIN_ACTUAL_DECREASE * (1.0 + abs(J))
-            accepted, radius = update_radius(rho if decreased else -np.inf, radius, params)
+            accepted, next_radius = update_radius(rho if decreased else -np.inf, radius, params)
 
         if accepted:
             z, J, lin = candidate, J_candidate, None
@@ -200,11 +184,11 @@ def run_scvx(objective: CompositeObjective, z0,
             k=len(trace), z=z.copy(), J=J, step_norm=step_norm,
             model_value=sol.model_value,
             predicted_decrease=sol.predicted_decrease,
-            actual_decrease=actual, rho=rho, radius=solve_radius, accepted=accepted,
+            actual_decrease=actual, rho=rho, radius=radius, accepted=accepted,
         ))
+        radius = next_radius
 
         if accepted:
-            small_streak = small_streak + 1 if step_norm <= params.stop_step_norm else 0
             if float(np.max(np.abs(z))) > params.norm_budget:
                 status, message = STATUS_LEVEL_SET, ("iterate norm exceeded the budget; "
                                                      "initial level set looks unbounded")

@@ -142,7 +142,7 @@ class TestParseConfig:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("norm_budget", True), ("r_init", True), ("stop_step_norm", True), ("rho0", False),
+        ("norm_budget", True), ("r_init", True), ("stop_predicted_decrease", True), ("rho0", False),
     ])
     def test_boolean_trust_region_value_rejected(self, tmp_path, capsys, key, value):
         # A bool is an int to Python: true as the norm budget would be 1.
@@ -152,6 +152,13 @@ class TestParseConfig:
         path = write_config(tmp_path, trust_region={key: value})
         assert main(["solve", "--config", path]) == EXIT_CONFIG
         assert "trust_region" in capsys.readouterr().err
+
+    def test_retired_stop_step_norm_rejected(self, tmp_path, capsys):
+        # stop_step_norm is not a TrustRegionParams field, so strict parsing
+        # rejects it by name.
+        path = write_config(tmp_path, trust_region={"stop_step_norm": 1e-9})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "trust_region.stop_step_norm" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [[], 0, False, ""])
     def test_wrongly_typed_overrides_rejected(self, tmp_path, capsys, value):

@@ -336,10 +336,22 @@ class TestRate:
         assert est["superlinear_evidence"]
 
     def test_estimate_rate_finite_termination(self):
-        trace = [record(0, 0.1, 0.1), record(1, 0.01, 0.01), record(2, 0.0, 0.0)]
+        # The zero comes before the last iterate; a trailing one is left out
+        # as the run's own final point.
+        trace = [record(0, 0.1, 0.1), record(1, 0.01, 0.01), record(2, 0.0, 0.0),
+                 record(3, 0.001, 0.001)]
         est = estimate_rate(trace, np.zeros(1))
         assert not est["defined"]
         assert "finite termination" in est["reason"]
+
+    def test_real_run_has_a_rate(self):
+        # The final point is the last accepted iterate; its own distance 0
+        # must not make the tail read as finite termination.
+        bench = builtin("double-integrator-obstacle")
+        result = run_scvx(bench.build()[0], bench.default_start)
+        est = estimate_rate(result.trace, result.final_z)
+        assert est["defined"], est["reason"]
+        assert np.all(est["error_ratios"] < 1.0)
 
     def test_estimate_rate_short_tail(self):
         trace = [record(0, 0.1, 0.1), record(1, 0.01, 0.01)]
