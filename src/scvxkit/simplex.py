@@ -175,21 +175,21 @@ def _tableau(a_ub: np.ndarray, b_ub: np.ndarray, lb: np.ndarray,
 def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSolution:
     """Solve min c@x s.t. a_ub@x <= b_ub, lb <= x <= ub.
 
-    All lower bounds must be finite.  Raises InfeasibleError when the
-    constraints are inconsistent and SimplexIterationLimitError when the
-    pivot budget (50 per tableau column by default) runs out.
+    c, a_ub, b_ub and lb must be finite and ub may be +inf, else ValueError.
+    Raises InfeasibleError when the constraints are inconsistent and
+    SimplexIterationLimitError when the pivot budget (50 per tableau column
+    by default) runs out.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    if not np.all(np.isfinite(lb)):
-        raise ValueError("solve_box_lp requires finite lower bounds")
-    if np.any(ub < lb):
-        raise InfeasibleError("empty box: some ub < lb")
-
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1) if np.size(b_ub) else np.zeros(0)
+    if not all(np.all(np.isfinite(v)) for v in (c, a_ub, b_ub, lb)) or np.any(np.isnan(ub)):
+        raise ValueError("solve_box_lp requires finite c, a_ub, b_ub and lb, and ub without NaN")
+    if np.any(ub < lb):
+        raise InfeasibleError("empty box: some ub < lb")
 
     tableau, basis, art_rows, width = _tableau(a_ub, b_ub, lb, ub)
     m = basis.size

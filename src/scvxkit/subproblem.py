@@ -4,7 +4,10 @@ The model L(d) = psi(G(z) + dG(z) d) restricted to an inf-norm ball is an
 LP after the usual epigraph rewrite: each absolute-value term gets one
 auxiliary bounded by the term from both sides, each hinge term gets one
 nonnegative auxiliary bounded below by the term, and the trust region
-becomes box bounds on the step variables.
+becomes box bounds on the step variables.  Every LP is assembled by
+LpStandardForm.extend: build_lp appends the auxiliaries and their rows to
+the step box, and the minimum-norm LP appends its norm bound and rows to
+build_lp's LP.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ class SubproblemError(Exception):
 class LpStandardForm:
     """One LP: min c@x, a_ub@x <= b_ub, lb <= x <= ub.
 
-    The first n_step variables are the step, boxed by the finite
-    half_width; the true objective is c@x + objective_offset.
+    The true objective is c@x + objective_offset.  The LPs of this module
+    put the step variables first.
     """
 
     c: np.ndarray
@@ -43,8 +46,6 @@ class LpStandardForm:
     lb: np.ndarray
     ub: np.ndarray
     objective_offset: float
-    n_step: int
-    half_width: float
 
     @property
     def n_variables(self) -> int:
@@ -54,13 +55,37 @@ class LpStandardForm:
     def n_rows(self) -> int:
         return self.a_ub.shape[0]
 
+    def extend(self, c, lb, ub, b_ub, blocks) -> LpStandardForm:
+        """This LP with variables and rows appended; this LP is left as it is.
+
+        The new variables follow the old ones, with costs c and bounds
+        lb <= x <= ub.  The new rows a @ x <= b_ub follow the old rows, and
+        a is zero but for blocks: (i, j, values) puts the 2-d values at new
+        row i and variable j onward.  The old rows get zero coefficients on
+        the new variables.  The blocks go straight into the one new a_ub:
+        rows assembled in an array of their own, then copied, made build_lp
+        about 6x slower at convex-lqr-box N=40 (a second large allocation).
+        """
+        m, n = self.a_ub.shape
+        a = np.zeros((m + len(b_ub), n + len(c)))
+        a[:m, :n] = self.a_ub
+        for i, j, values in blocks:
+            a[m + i:m + i + values.shape[0], j:j + values.shape[1]] = values
+        return LpStandardForm(
+            c=np.concatenate([self.c, c]),
+            a_ub=a,
+            b_ub=np.concatenate([self.b_ub, b_ub]),
+            lb=np.concatenate([self.lb, lb]),
+            ub=np.concatenate([self.ub, ub]),
+            objective_offset=self.objective_offset,
+        )
+
 
 @dataclass(frozen=True)
 class SubproblemSolution:
     step: np.ndarray
     model_value: float
     predicted_decrease: float
-    iterations: int = 0
 
 
 def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
@@ -68,58 +93,45 @@ def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
 
     radius must be positive and finite, so the LP is bounded below: the
     step is boxed and every auxiliary is >= 0 with a positive cost.
-    Variables are [step, eq auxiliaries, ineq auxiliaries]: n_step + n_eq +
-    n_ineq of them, in 2 * n_eq + n_ineq inequality rows.
+    Variables are [step, eq auxiliaries, ineq auxiliaries]: n_z + n_eq +
+    n_ineq of them, in 2 * n_eq + n_ineq inequality rows, appended with
+    LpStandardForm.extend to the step box.
     """
     if not 0 < radius < np.inf:
         raise ValueError("trust-region radius must be positive and finite")
-    half_width = float(radius)
     psi = lin.psi
     jac = lin.g_jacobian
     val = lin.g_value
     n = lin.n_z
     n_eq = psi.n_eq
-    n_ineq = psi.n_ineq
-    n_vars = n + n_eq + n_ineq
+    n_aux = n_eq + psi.n_ineq
 
     cost_rows = slice(psi.cost_range.start, psi.cost_range.stop)
     eq_rows = slice(psi.eq_range.start, psi.eq_range.stop)
     ineq_rows = slice(psi.ineq_range.start, psi.ineq_range.stop)
 
-    c = np.zeros(n_vars)
-    c[:n] = jac[cost_rows].sum(axis=0)
-    c[n:] = psi.penalty_weight
-    offset = float(np.sum(val[cost_rows]))
-
-    a_ub = np.zeros((2 * n_eq + n_ineq, n_vars))
-    b_ub = np.zeros(2 * n_eq + n_ineq)
-    # t_i >= +(g_i + a_i d)  and  t_i >= -(g_i + a_i d)
-    a_ub[:n_eq, :n] = jac[eq_rows]
-    a_ub[:n_eq, n:n + n_eq] = -np.eye(n_eq)
-    b_ub[:n_eq] = -val[eq_rows]
-    a_ub[n_eq:2 * n_eq, :n] = -jac[eq_rows]
-    a_ub[n_eq:2 * n_eq, n:n + n_eq] = -np.eye(n_eq)
-    b_ub[n_eq:2 * n_eq] = val[eq_rows]
-    # s_i >= g_i + a_i d, with s_i >= 0 from its bound
-    a_ub[2 * n_eq:, :n] = jac[ineq_rows]
-    a_ub[2 * n_eq:, n + n_eq:] = -np.eye(n_ineq)
-    b_ub[2 * n_eq:] = -val[ineq_rows]
-
-    lb = np.zeros(n_vars)
-    lb[:n] = -half_width
-    ub = np.full(n_vars, np.inf)
-    ub[:n] = half_width
-
-    return LpStandardForm(
-        c=c,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        lb=lb,
-        ub=ub,
-        objective_offset=offset,
-        n_step=n,
-        half_width=half_width,
+    # Constant arrays are zeros plus the constant: np.full is a Python-level
+    # call, and four of them cost build_lp 5-10% inside lqr-exact solves.
+    step_box = LpStandardForm(
+        c=jac[cost_rows].sum(axis=0),
+        a_ub=np.zeros((0, n)),
+        b_ub=np.zeros(0),
+        lb=np.zeros(n) - radius,
+        ub=np.zeros(n) + radius,
+        objective_offset=float(np.sum(val[cost_rows])),
     )
+
+    # t_i >= +(g_i + a_i d) and t_i >= -(g_i + a_i d); s_i >= g_i + a_i d,
+    # with s_i >= 0 from its bound.  Each line holds one row block.
+    minus_eye = -np.eye(n_eq)
+    blocks = [
+        (0, 0, jac[eq_rows]), (0, n, minus_eye),
+        (n_eq, 0, -jac[eq_rows]), (n_eq, n, minus_eye),
+        (2 * n_eq, 0, jac[ineq_rows]), (2 * n_eq, n + n_eq, -np.eye(psi.n_ineq)),
+    ]
+    b = np.concatenate([-val[eq_rows], val[eq_rows], -val[ineq_rows]])
+    zeros = np.zeros(n_aux)
+    return step_box.extend(zeros + psi.penalty_weight, zeros, zeros + np.inf, b, blocks)
 
 
 def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
@@ -145,9 +157,8 @@ def solve_subproblem(lin: Linearization, radius: float) -> SubproblemSolution:
     """
     lp = build_lp(lin, radius)
     sol = lp_solve(lp)
-    return SubproblemSolution(step=sol.x[:lp.n_step].copy(), model_value=sol.objective,
-                              predicted_decrease=lin.base_value - sol.objective,
-                              iterations=sol.iterations)
+    return SubproblemSolution(step=sol.x[:lin.n_z].copy(), model_value=sol.objective,
+                              predicted_decrease=lin.base_value - sol.objective)
 
 
 def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution:
@@ -160,35 +171,19 @@ def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution
     optimizer of a nearly flat model could sit far away.
     """
     lp = build_lp(lin, radius)
-    first = lp_solve(lp)
-    v_star = first.objective
+    v_star = lp_solve(lp).objective
 
     n_vars = lp.n_variables
-    n = lp.n_step
-    m = lp.n_rows
-
-    c2 = np.zeros(n_vars + 1)
-    c2[-1] = 1.0
-
-    a2 = np.zeros((m + 1 + 2 * n, n_vars + 1))
-    b2 = np.zeros(m + 1 + 2 * n)
-    a2[:m, :n_vars] = lp.a_ub
-    b2[:m] = lp.b_ub
-    a2[m, :n_vars] = lp.c
-    b2[m] = v_star - lp.objective_offset + MIN_NORM_VALUE_SLACK * (1.0 + abs(v_star))
-    # d_i - w <= 0 and -d_i - w <= 0
-    a2[m + 1:m + 1 + n, :n] = np.eye(n)
-    a2[m + 1:m + 1 + n, -1] = -1.0
-    a2[m + 1 + n:, :n] = -np.eye(n)
-    a2[m + 1 + n:, -1] = -1.0
-
-    min_norm = LpStandardForm(
-        c=c2, a_ub=a2, b_ub=b2,
-        lb=np.concatenate([lp.lb, [0.0]]), ub=np.concatenate([lp.ub, [lp.half_width]]),
-        objective_offset=0.0, n_step=n, half_width=lp.half_width,
-    )
-    sol = lp_solve(min_norm)
+    n = lin.n_z
+    # The value row keeps the model near v*; 2n rows hold d_i - w <= 0 and
+    # -d_i - w <= 0.
+    b = np.zeros(1 + 2 * n)
+    b[0] = v_star - lp.objective_offset + MIN_NORM_VALUE_SLACK * (1.0 + abs(v_star))
+    blocks = [(0, 0, lp.c[None]), (1, 0, np.eye(n)), (1 + n, 0, -np.eye(n)),
+              (1, n_vars, np.full((2 * n, 1), -1.0))]
+    # The old costs move into the value row; the LP minimizes w alone.
+    min_norm = replace(lp, c=np.zeros(n_vars), objective_offset=0.0)
+    sol = lp_solve(min_norm.extend([1.0], [0.0], [radius], b, blocks))
     model_value = float(lp.c @ sol.x[:n_vars]) + lp.objective_offset
     return SubproblemSolution(step=sol.x[:n].copy(), model_value=model_value,
-                              predicted_decrease=lin.base_value - model_value,
-                              iterations=first.iterations + sol.iterations)
+                              predicted_decrease=lin.base_value - model_value)

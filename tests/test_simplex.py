@@ -264,10 +264,23 @@ class TestStatusesAndErrors:
             solve_box_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]),
                          np.array([0.0]), np.array([2.0]))
 
-    def test_infinite_lower_bound_rejected(self):
+    @pytest.mark.parametrize("c, a_ub, b_ub, lb, ub", [
+        ([1.0], np.zeros((0, 1)), np.zeros(0), [-np.inf], [1.0]),
+        # Before these were rejected: unbounded, optimal at NaN, optimal at
+        # x = 0 with the row ignored (twice), and unbounded.
+        ([-1.0], np.zeros((0, 1)), np.zeros(0), [0.0], [np.nan]),
+        ([np.nan], np.zeros((0, 1)), np.zeros(0), [0.0], [1.0]),
+        ([-1.0], [[np.nan]], [1.0], [0.0], [1.0]),
+        ([1.0], [[1.0]], [np.nan], [0.0], [1.0]),
+        ([-1.0], [[np.inf]], [1.0], [0.0], [1.0]),
+        ([np.inf], np.zeros((0, 1)), np.zeros(0), [0.0], [1.0]),
+        ([-1.0], [[1.0]], [-np.inf], [0.0], [1.0]),
+    ], ids=["lb-inf", "ub-nan", "c-nan", "a_ub-nan", "b_ub-nan", "a_ub-inf", "c-inf",
+            "b_ub-inf"])
+    def test_infinite_lower_bound_rejected(self, c, a_ub, b_ub, lb, ub):
+        # Non-finite LP data, other than ub = +inf, is a ValueError.
         with pytest.raises(ValueError):
-            solve_box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                         np.array([-np.inf]), np.array([1.0]))
+            solve_box_lp(c, a_ub, b_ub, lb, ub)
 
     def test_iteration_limit_carries_pivot_count(self):
         # A budget of 3 completes phase 1, so phase 2 is where it runs out.

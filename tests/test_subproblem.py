@@ -2,6 +2,8 @@
 optimality against independent solvers, unboundedness detection over the
 small-step probe's quasi-infinite box, and the minimum-norm tie-break."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,13 @@ from scvxkit import SubproblemError
 from scvxkit import diagnostics
 from scvxkit.composite import linearize
 from scvxkit.diagnostics import QUASI_INFINITE_FACTOR, UNBOUNDED_FRACTION, check_small_step
+from scvxkit.loop import STATUS_CONVERGED, run_scvx
+from scvxkit.problems import builtin
 import scvxkit.subproblem as subproblem_module
 from scvxkit.simplex import solve_box_lp
 from scvxkit.subproblem import (
+    MIN_NORM_VALUE_SLACK,
+    LpStandardForm,
     build_lp,
     lp_solve,
     solve_min_norm_step,
@@ -43,6 +49,99 @@ def probe_failures(comp, z):
     return check_small_step(comp, z, eta=1e-3, epsilon=0.1)["failures"]
 
 
+CONVERGING_NAMES = ("convex-lqr-box", "double-integrator-obstacle", "dubins-car",
+                    "toy-sharp-1d", "toy-sharp-2d")
+
+
+@functools.lru_cache(maxsize=None)
+def final_point(name):
+    """The final point of the built-in's default run, which converges, and its model."""
+    bench = builtin(name)
+    comp, _ = bench.build()
+    result = run_scvx(comp, bench.default_start)
+    assert result.status == STATUS_CONVERGED
+    return result.final_z, linearize(comp, result.final_z)
+
+
+def lp_arrays(lp):
+    return (lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub)
+
+
+class TestExtend:
+    @staticmethod
+    def random_lp(rng):
+        n, m = (int(k) for k in rng.integers(1, 5, size=2))
+        a_ub = rng.normal(size=(m, n))
+        a_ub[0, 0] = -0.0
+        return LpStandardForm(c=rng.normal(size=n), a_ub=a_ub, b_ub=rng.normal(size=m),
+                              lb=-rng.uniform(size=n), ub=rng.uniform(size=n),
+                              objective_offset=float(rng.normal()))
+
+    def test_old_lp_leads_and_new_parts_follow(self, rng):
+        for _ in range(10):
+            lp = self.random_lp(rng)
+            m, n = lp.a_ub.shape
+            p, k = (int(v) for v in rng.integers(0, 4, size=2))
+            c, lb, ub = rng.normal(size=p), np.zeros(p), np.full(p, np.inf)
+            rows, b = rng.normal(size=(k, n + p)), rng.normal(size=k)
+            # Two blocks that tile the new rows.
+            out = lp.extend(c, lb, ub, b, [(0, 0, rows[:, :n]), (0, n, rows[:, n:])])
+            assert (out.n_variables, out.n_rows) == (n + p, m + k)
+            # The old LP is the leading block, bit for bit.
+            assert out.a_ub[:m, :n].tobytes() == lp.a_ub.tobytes()
+            # The old rows get +0.0 on the new variables.
+            assert out.a_ub[:m, n:].tobytes() == np.zeros((m, p)).tobytes()
+            # The new rows, costs and bounds follow the old ones.
+            assert out.a_ub[m:].tobytes() == rows.tobytes()
+            for new, old, added in ((out.c, lp.c, c), (out.b_ub, lp.b_ub, b),
+                                    (out.lb, lp.lb, lb), (out.ub, lp.ub, ub)):
+                assert new.tobytes() == old.tobytes() + added.tobytes()
+            assert out.objective_offset == lp.objective_offset
+
+    def test_cells_outside_the_blocks_are_zero(self):
+        lp = LpStandardForm(c=np.ones(2), a_ub=np.array([[1.0, 2.0]]), b_ub=np.ones(1),
+                            lb=np.zeros(2), ub=np.ones(2), objective_offset=0.0)
+        out = lp.extend([1.0], [0.0], [1.0], [3.0, 4.0], [(1, 1, np.array([[5.0, -1.0]]))])
+        np.testing.assert_array_equal(out.a_ub, [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0],
+                                                 [0.0, 5.0, -1.0]])
+        np.testing.assert_array_equal(out.b_ub, [1.0, 3.0, 4.0])
+
+    def test_input_lp_left_unchanged(self, rng):
+        lp = self.random_lp(rng)
+        before = [a.tobytes() for a in lp_arrays(lp)]
+        n = lp.n_variables
+        out = lp.extend([1.0], [0.0], [2.0], np.ones(2), [(0, 0, np.ones((2, n + 1)))])
+        for a in lp_arrays(out):
+            a[...] = 7.0
+        assert [a.tobytes() for a in lp_arrays(lp)] == before
+
+    def test_min_norm_lp_leads_with_build_lp(self, rng, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return solve_box_lp(*args)
+
+        monkeypatch.setattr(subproblem_module, "solve_box_lp", recording)
+        for _ in range(10):
+            comp, _, _ = random_composite(rng)
+            lin = linearize(comp, rng.normal(size=comp.g.input_dim))
+            calls.clear()
+            solve_min_norm_step(lin, 1.5)
+            lp = build_lp(lin, 1.5)
+            trust, min_norm = calls
+            assert [a.tobytes() for a in trust] == [a.tobytes() for a in lp_arrays(lp)]
+            c, a_ub, b_ub, lb, ub = min_norm
+            m, n_vars = lp.a_ub.shape
+            assert a_ub[:m, :n_vars].tobytes() == lp.a_ub.tobytes()
+            for new, old in ((b_ub, lp.b_ub), (lb, lp.lb), (ub, lp.ub)):
+                assert new[:old.size].tobytes() == old.tobytes()
+            # The trust LP's costs move into the value row; w alone is minimized.
+            assert a_ub[m, :n_vars].tobytes() == lp.c.tobytes()
+            assert c.tolist() == [0.0] * n_vars + [1.0]
+            assert (lb[-1], ub[-1], a_ub.shape) == (0.0, 1.5, (m + 1 + 2 * lin.n_z, n_vars + 1))
+
+
 class TestBuildLp:
     def test_sizes_and_bounds(self, rng):
         for _ in range(25):
@@ -54,7 +153,6 @@ class TestBuildLp:
             lp = build_lp(lin, radius)
             assert lp.n_variables == n + n_eq + n_ineq
             assert lp.n_rows == 2 * n_eq + n_ineq
-            assert lp.n_step == n
             np.testing.assert_allclose(lp.lb[:n], -radius)
             np.testing.assert_allclose(lp.ub[:n], radius)
             assert np.all(lp.lb[n:] == 0.0)
@@ -176,7 +274,7 @@ class TestUnboundedDetection:
         near, far = radii[0], radii[-1]
         assert far > near
         assert near >= 1e6
-        assert build_lp(linearize(comp, np.zeros(1)), near).half_width == near
+        assert build_lp(linearize(comp, np.zeros(1)), near).ub[0] == near
 
 
 class TestMinNormStep:
@@ -207,6 +305,26 @@ class TestMinNormStep:
             tol = 1e-6 * (1.0 + abs(plain.model_value))
             assert mn.model_value <= plain.model_value + tol
             assert np.max(np.abs(mn.step)) <= np.max(np.abs(plain.step)) + 1e-7
+
+    @pytest.mark.parametrize("name, box", [
+        *[(name, "unit") for name in CONVERGING_NAMES],
+        ("convex-lqr-box", "quasi-infinite"),
+        *[pytest.param(name, "quasi-infinite", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "known defect, ROADMAP item 5(a): the simplex's feasibility tolerance "
+                "scales with the largest |rhs|, here the quasi-infinite step bounds, so the "
+                "value row may be broken by many times the slack (double-integrator-obstacle "
+                "3.9e3x, dubins-car 194x, the toys 5.6x); item 5(a) drops this marker")))
+          for name in ("double-integrator-obstacle", "dubins-car", "toy-sharp-1d",
+                       "toy-sharp-2d")],
+    ])
+    def test_step_meets_the_value_slack(self, name, box):
+        # At unit radius the steps stay within 1.03x the slack.
+        z, lin = final_point(name)
+        radius = 1.0 if box == "unit" else probe_radius(z)
+        v_star = solve_subproblem(lin, radius).model_value
+        step = solve_min_norm_step(lin, radius).step
+        assert lin.model_value(step) <= v_star + 2.0 * MIN_NORM_VALUE_SLACK * (1.0 + abs(v_star))
 
     def test_descending_model_reported_unbounded(self):
         comp = oracles.linear_composite([1.0])
