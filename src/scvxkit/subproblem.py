@@ -112,7 +112,7 @@ def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
 
     # np.add.reduce and zeros plus a constant do what .sum(), np.sum and
     # np.full do, bit for bit, without their Python-level wrappers; those
-    # cost build_lp about 15% inside lqr-exact solves.
+    # cost build_lp 10-15% inside lqr-exact solves.
     step_box = LpStandardForm(
         c=np.add.reduce(jac[cost_rows], axis=0),
         a_ub=np.zeros((0, n)),
