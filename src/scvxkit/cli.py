@@ -384,7 +384,7 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
 
     report["sharp_minimum"] = diag.estimate_sharp_minimum(composite, z_bar, cfg.delta,
                                                           seed=config.seed)
-    report["model_growth"] = diag.estimate_growth_constant(composite, z_bar, seed=config.seed)
+    report["model_growth"] = diag.estimate_growth_constant(composite, z_bar)
     report["strong_convergence"] = diag.check_strong_convergence(
         result.trace, z_bar, report["sharp_minimum"]["beta_hat"])
     report["rate"] = diag.estimate_rate(result.trace, z_bar)

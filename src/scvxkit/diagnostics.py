@@ -7,9 +7,9 @@ model steps near the minimizer, the tail behavior of the iterate sequence,
 one-sided directional derivatives at the final point, and confinement to
 the starting sublevel set.  Distances and directions use the inf-norm,
 the norm of the trust region and its steps, so the sharpness and growth
-constants compare directly with the radius.  Estimates are sampled with seeded generators,
-signed axis directions always included, so reports are reproducible and a
-negative finding (for example a non-sharp minimum) is itself a result.
+constants compare directly with the radius.  The model growth constant is
+exact, from LPs; the other estimates are sampled with seeded generators, signed
+axes included, so a negative finding (a non-sharp minimum) is reproducible.
 
 Each probe returns its section of the diagnostics report: a dict whose
 keys, in order, are the ones the report writes.  Arrays and numpy scalars
@@ -22,13 +22,14 @@ observational only.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .composite import CompositeObjective, linearize
 from .loop import LEVEL_SET_TOL, IterationRecord
-from .subproblem import SubproblemError, solve_min_norm_step
+from .subproblem import SubproblemError, build_lp, lp_solve, solve_min_norm_step
 
 # Random directions each sampled probe draws on top of the 2n signed axes.
 N_DIRECTIONS = 64
@@ -36,10 +37,7 @@ N_DIRECTIONS = 64
 N_PROBES = 64
 # Accepted iterates in the strong-convergence, rate and ratio tails.
 M_TAIL = 5
-# Step magnitudes at which the convex model is sampled; its ratios are
-# nondecreasing in the magnitude, so the smallest approaches the derivative.
-GROWTH_SCALES = (1e-4, 1e-2, 1.0)
-# Step of the one-sided differences that estimate directional derivatives.
+# Step of the one-sided differences, and half-width of the growth LPs' box.
 SUBDIFFERENTIAL_STEP = 1e-6
 # Times the small-step probe halves eta before it reports a failure.
 SMALL_STEP_HALVINGS = 3
@@ -82,22 +80,6 @@ def _shell_ratios(objective: CompositeObjective, z_bar: np.ndarray, dirs: np.nda
     return j_bar, ((values[1:].reshape(scales.size, -1) - j_bar) / scales[:, None]).ravel()
 
 
-def _certificate(ratios: np.ndarray, dirs: np.ndarray, scales: Sequence[float], seed: int,
-                 centre=None, **constant) -> dict:
-    """Report section of a sampled growth constant, the smallest of ratios.
-
-    constant holds the one of beta_hat and gamma_hat the probe fills; the
-    other stays None.  worst_ratio is that smallest ratio and worst_point
-    the sampled step s*u behind it, or centre + s*u for a probe that samples
-    around centre.  n_samples counts every ratio, all shells included.
-    """
-    worst = int(np.argmin(ratios))
-    step = scales[worst // len(dirs)] * dirs[worst % len(dirs)]
-    return {"beta_hat": None, "gamma_hat": None, "delta": None, **constant, "norm": "inf",
-            "seed": seed, "n_samples": ratios.size, "worst_ratio": ratios[worst],
-            "worst_point": step if centre is None else centre + step}
-
-
 def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
                            seed: int = 0) -> dict:
     """Sample (J(z) - J(z_bar)) / dist on shells at delta/10, delta/3, delta.
@@ -108,38 +90,53 @@ def estimate_sharp_minimum(objective: CompositeObjective, z_bar, delta: float,
     error.  worst_point is the sampled z with that ratio, so the constant
     can be re-derived from the report alone.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     z_bar = np.asarray(z_bar, dtype=float)
     dirs = unit_directions(z_bar.size, seed=seed)
     scales = (delta / 10.0, delta / 3.0, delta)
     _, ratios = _shell_ratios(objective, z_bar, dirs, scales)
-    return _certificate(ratios, dirs, scales, seed, centre=z_bar,
-                        beta_hat=float(np.min(ratios)), delta=float(delta))
+    worst = int(np.argmin(ratios))
+    return {"beta_hat": float(ratios[worst]), "delta": float(delta), "norm": "inf",
+            "seed": seed, "n_samples": ratios.size, "worst_ratio": ratios[worst],
+            "worst_point": z_bar + scales[worst // len(dirs)] * dirs[worst % len(dirs)]}
 
 
-def estimate_growth_constant(objective: CompositeObjective, z_bar, seed: int = 0) -> dict:
-    """Sample (L(d) - L(0)) / ||d|| over directions and small magnitudes.
+def estimate_growth_constant(objective: CompositeObjective, z_bar) -> dict:
+    """Exact smallest slope (L(d) - L(0)) / eps of the model on the eps-sphere.
 
-    The model is convex, so each direction's ratio is nondecreasing in the
-    magnitude and the small-scale samples approach the directional
-    derivative from above; gamma_hat is the smallest ratio found, and a
-    negative value certifies that the model descends.  worst_point is the
-    step d with that ratio.
+    eps is SUBDIFFERENTIAL_STEP.  An eps-box LP that descends gives it alone,
+    as a positively homogeneous model descends most on the sphere; else the
+    2n face LPs d_i = +-eps do.  Slopes divide by eps, never by a tiny ||d||.
+    worst_point is the d behind gamma_hat; a failed n_lps-th LP gives NaN and failure.
     """
-    z_bar = np.asarray(z_bar, dtype=float)
+    eps = SUBDIFFERENTIAL_STEP
     lin = linearize(objective, z_bar)
-    dirs = unit_directions(z_bar.size, seed=seed)
-    ratios = np.concatenate([(lin.model_value(scale * dirs) - lin.base_value) / scale
-                             for scale in GROWTH_SCALES])
-    return _certificate(ratios, dirs, GROWTH_SCALES, seed, gamma_hat=float(np.min(ratios)))
+    n = lin.n_z
+    box = build_lp(lin, eps)
+    slopes, steps = [], []
+    try:
+        for i in range(-1, 2 * n):  # the box, then its faces
+            lb, ub = box.lb.copy(), box.ub.copy()
+            if i >= 0:
+                lb[i % n] = ub[i % n] = eps if i < n else -eps
+            steps.append(lp_solve(replace(box, lb=lb, ub=ub)).x[:n])
+            slopes.append((lin.model_value(steps[-1]) - lin.base_value) / eps)
+            if i < 0 and slopes[0] < -SUBDIFFERENTIAL_TOL * (1.0 + abs(lin.base_value)):
+                break
+    except SubproblemError as exc:
+        return {"gamma_hat": np.nan, "norm": "inf", "epsilon": eps, "n_lps": len(steps) + 1,
+                "worst_point": None, "failure": str(exc)}
+    worst = 0 if len(slopes) == 1 else 1 + int(np.argmin(slopes[1:]))
+    return {"gamma_hat": slopes[worst], "norm": "inf", "epsilon": eps, "n_lps": len(slopes),
+            "worst_point": steps[worst]}
 
 
 def _small_step(objective: CompositeObjective, z_bar, eta: float, epsilon: float,
                 seed: int, give_up: bool) -> Optional[dict]:
     """The check_small_step section; None once give_up and a probe reaches epsilon."""
-    if eta <= 0 or epsilon <= 0:
-        raise ValueError("eta and epsilon must be positive")
+    if not (0 < eta < np.inf and 0 < epsilon < np.inf):
+        raise ValueError("eta and epsilon must be positive and finite")
     z_bar = np.asarray(z_bar, dtype=float)
     rng = np.random.default_rng(seed)
     norms = []
@@ -337,6 +334,8 @@ def check_level_set(trace: Sequence[IterationRecord], j0: float,
     LEVEL_SET_TOL relative, else "norm-budget-exceeded" when some iterate's
     inf-norm (max_norm) passed norm_budget, else "ok"; passed means "ok".
     """
+    if not 0 < norm_budget < np.inf:
+        raise ValueError("norm_budget must be positive and finite")
     max_j = max((rec.J for rec in trace), default=j0)
     max_norm = max((float(np.max(np.abs(rec.z))) for rec in trace), default=0.0)
     if max_j > j0 + LEVEL_SET_TOL * (1.0 + abs(j0)):

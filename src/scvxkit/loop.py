@@ -65,8 +65,8 @@ class TrustRegionParams:
             raise TypeError("max_iterations must be an integer")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.norm_budget > 0.0:
-            raise ValueError("norm_budget must be positive")
+        if not 0.0 < self.norm_budget < np.inf:
+            raise ValueError("norm_budget must be positive and finite")
 
 
 @dataclass

@@ -265,6 +265,49 @@ def lattice_model_instance(rng):
     return composite, 1.25
 
 
+def kinked_model_instance(rng):
+    """Random instance whose model kinks at z = 0 sit on sphere_grid_growth's grid.
+
+    As in lattice_model_instance, coefficients are powers of two (or zero)
+    and offsets multiples of 1/16, but about half the offsets are exactly 0,
+    so those rows are active at z = 0 and kink through d = 0.  Rows with a
+    nonzero offset stay on one side of their kink across any step of
+    inf-norm below 1/32.  With n <= 2 and coefficient ratios powers of two,
+    every kink on a face of the sphere lies at a multiple of a quarter of
+    its radius, a point of the 9-point grid.
+    """
+    n = int(rng.integers(1, 3))
+    dim = int(rng.integers(1, 7))
+    kinds = np.sort(rng.integers(0, 3, size=dim))
+    n_cost = int(np.count_nonzero(kinds == 0))
+    n_eq = int(np.count_nonzero(kinds == 1))
+    a_mat = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], size=(dim, n))
+    g0 = rng.integers(-32, 33, size=dim) / 16.0
+    g0[rng.random(dim) < 0.5] = 0.0
+    weight = float(rng.choice([1.0, 1.5, 2.0, 4.0]))
+    return affine_composite(g0, a_mat, n_cost, n_eq, weight)
+
+
+def sphere_grid_growth(g_value, jacobian, n_cost, n_eq, weight, radius, points=9):
+    """Brute-force smallest slope (L(d) - L(0)) / radius over the inf-sphere.
+
+    Lays a grid of points per axis over the box of that radius and keeps
+    the grid points on its faces, where some |d_i| equals the radius.
+    Returns (min slope, argmin step).  Exact for instances whose kinks on
+    each face line up with the grid; an upper bound otherwise.
+    """
+    g = np.asarray(g_value, dtype=float)
+    jac = np.asarray(jacobian, dtype=float)
+    n = jac.shape[1]
+    axes = [np.linspace(-radius, radius, points)] * n
+    steps = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    steps = steps[np.max(np.abs(steps), axis=1) == radius]
+    values = outer_value_rows(g[None, :] + steps @ jac.T, n_cost, n_eq, weight)
+    slopes = (values - outer_value(g, n_cost, n_eq, weight)) / radius
+    best = int(np.argmin(slopes))
+    return float(slopes[best]), steps[best]
+
+
 def direct_affine_ocp_solve(ocp):
     """Solve a linear-cost, affine-dynamics problem directly as one LP.
 

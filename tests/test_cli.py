@@ -588,15 +588,14 @@ class TestExecuteRun:
     def test_report_layout(self):
         from scvxkit.cli import RunConfig
         _, summary = execute_run(RunConfig(problem_name="toy-sharp-2d"), quiet=True)
-        certificate = ["beta_hat", "gamma_hat", "delta", "norm", "seed", "n_samples",
-                       "worst_ratio", "worst_point"]
         layout = [
             ("status", None),
             ("level_set", ["passed", "verdict", "max_objective", "j0", "max_norm",
                            "norm_budget"]),
             ("ratio_tail", ["tail_rho", "trending_to_one", "sufficient", "n_defined", "note"]),
-            ("sharp_minimum", certificate),
-            ("model_growth", certificate),
+            ("sharp_minimum", ["beta_hat", "delta", "norm", "seed", "n_samples", "worst_ratio",
+                               "worst_point"]),
+            ("model_growth", ["gamma_hat", "norm", "epsilon", "n_lps", "worst_point"]),
             ("strong_convergence", ["label", "cauchy_ok", "bound_ok", "beta_hat", "m_tail",
                                     "tail_errors"]),
             ("rate", ["order_q", "defined", "reason", "superlinear_evidence", "error_ratios"]),

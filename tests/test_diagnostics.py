@@ -2,6 +2,7 @@
 small-step probes, convergence-tail reports, and level-set checks."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +35,12 @@ from scvxkit.diagnostics import (
     fit_convergence_order,
     unit_directions,
 )
+import scvxkit.subproblem as subproblem_module
+from scvxkit.cli import load_config
 from scvxkit.composite import linearize
 from scvxkit.loop import IterationRecord
 from scvxkit.problems import BUILTIN_NAMES
+from scvxkit.simplex import SimplexError, solve_box_lp
 from scvxkit.subproblem import solve_min_norm_step, solve_subproblem
 
 import oracles
@@ -113,8 +117,27 @@ class TestSharpMinimum:
 
     def test_bad_delta(self):
         comp = oracles.abs_composite(1.0)
-        with pytest.raises(ValueError):
-            estimate_sharp_minimum(comp, np.zeros(1), delta=0.0)
+        for delta in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta"):
+                estimate_sharp_minimum(comp, np.zeros(1), delta=delta)
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture(scope="module")
+def bundled_final_points():
+    """Composite and final point of each bundled config's converged run."""
+    points = {}
+    for name in ("convex-lqr-box", "double-integrator-obstacle", "dubins-car",
+                 "toy-sharp-1d", "toy-sharp-2d"):
+        config = load_config(str(CONFIG_DIR / f"{name}.json"))
+        bench = builtin(config.problem_name, **config.overrides)
+        comp, _ = bench.build(config.penalty_weight)
+        result = run_scvx(comp, bench.default_start, config.trust_region)
+        assert result.status == "converged-stationary", name
+        points[name] = comp, result.final_z
+    return points
 
 
 class TestGrowthConstant:
@@ -134,6 +157,68 @@ class TestGrowthConstant:
         comp, _ = builtin("toy-sharp-1d").build()
         cert = estimate_growth_constant(comp, np.array([1.0]))
         assert cert["gamma_hat"] == pytest.approx(8.0, abs=1e-6)
+
+    @staticmethod
+    def rederived(comp, z_bar, section):
+        lin = linearize(comp, z_bar)
+        return (lin.model_value(section["worst_point"]) - lin.base_value) / section["epsilon"]
+
+    @pytest.mark.parametrize("name, expected, n_lps", [
+        ("toy-sharp-1d", 8.0, 3), ("toy-sharp-2d", 8.0, 5), ("convex-lqr-box", 0.1, 35),
+    ])
+    def test_bundled_growth_constants(self, bundled_final_points, name, expected, n_lps):
+        # No descent in the box, so every face is solved: 1 + 2n LPs.
+        comp, z_bar = bundled_final_points[name]
+        section = estimate_growth_constant(comp, z_bar)
+        assert section["gamma_hat"] == pytest.approx(expected, abs=1e-6)
+        assert section["n_lps"] == n_lps == 1 + 2 * z_bar.size
+        assert np.max(np.abs(section["worst_point"])) == SUBDIFFERENTIAL_STEP
+        assert self.rederived(comp, z_bar, section) == section["gamma_hat"]
+
+    @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
+    def test_descent_is_the_subproblem_slope(self, bundled_final_points, name):
+        # The model descends, so the box LP alone gives the constant, and it
+        # is the slope of the subproblem's own step over that box.
+        comp, z_bar = bundled_final_points[name]
+        section = estimate_growth_constant(comp, z_bar)
+        lin = linearize(comp, z_bar)
+        step = solve_subproblem(lin, SUBDIFFERENTIAL_STEP).step
+        slope = (lin.model_value(step) - lin.base_value) / SUBDIFFERENTIAL_STEP
+        assert section["gamma_hat"] < 0.0
+        assert section["gamma_hat"] == slope
+        assert section["n_lps"] == 1
+        assert self.rederived(comp, z_bar, section) == section["gamma_hat"]
+
+    def test_matches_sphere_grid_oracle(self, rng):
+        for _ in range(150):
+            comp = oracles.kinked_model_instance(rng)
+            z_bar = np.zeros(comp.g.input_dim)
+            lin = linearize(comp, z_bar)
+            section = estimate_growth_constant(comp, z_bar)
+            expected, _ = oracles.sphere_grid_growth(
+                lin.g_value, lin.g_jacobian, comp.psi.n_cost, comp.psi.n_eq,
+                comp.psi.penalty_weight, SUBDIFFERENTIAL_STEP)
+            assert section["gamma_hat"] == pytest.approx(expected, abs=1e-8)
+            assert np.max(np.abs(section["worst_point"])) == pytest.approx(
+                SUBDIFFERENTIAL_STEP, rel=1e-12)
+
+    def test_lp_failure_is_reported(self, bundled_final_points, monkeypatch):
+        comp, z_bar = bundled_final_points["toy-sharp-2d"]
+        calls = []
+
+        def failing_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SimplexError("forced")
+            return solve_box_lp(*args)
+
+        monkeypatch.setattr(subproblem_module, "solve_box_lp", failing_third)
+        section = estimate_growth_constant(comp, z_bar)
+        assert len(calls) == 3
+        assert json.dumps({**section, "gamma_hat": None}) == (
+            '{"gamma_hat": null, "norm": "inf", "epsilon": 1e-06, "n_lps": 3, '
+            '"worst_point": null, "failure": "LP solve failed: forced"}')
+        assert np.isnan(section["gamma_hat"])
 
 
 class TestSmallStep:
@@ -195,6 +280,15 @@ class TestSmallStep:
             check_small_step(comp, np.zeros(1), eta=0.0, epsilon=0.1)
         with pytest.raises(ValueError):
             check_small_step(comp, np.zeros(1), eta=0.1, epsilon=0.0)
+        # A non-finite parameter names itself instead of passing vacuously
+        # (epsilon inf) or failing on the probe points (eta NaN or inf).
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta and epsilon"):
+                find_small_step_eta(comp, np.zeros(1), epsilon=bad)
+            with pytest.raises(ValueError, match="eta and epsilon"):
+                check_small_step(comp, np.zeros(1), eta=bad, epsilon=0.1)
+            with pytest.raises(ValueError, match="eta and epsilon"):
+                check_small_step(comp, np.zeros(1), eta=0.1, epsilon=bad)
 
 
 class TestStrongConvergence:
@@ -415,7 +509,7 @@ class TestShellsOnePointAtATime:
         _, ratios = self.looped_ratios(comp, z_bar, dirs, scales)
         worst = int(np.argmin(ratios))
         assert section == {
-            "beta_hat": float(np.min(ratios)), "gamma_hat": None, "delta": delta,
+            "beta_hat": float(np.min(ratios)), "delta": delta,
             "norm": "inf", "seed": seed, "n_samples": ratios.size,
             "worst_ratio": ratios[worst],
             "worst_point": section["worst_point"],
@@ -462,6 +556,12 @@ class TestLevelSet:
         report = check_level_set(trace, j0=5.0, norm_budget=10.0)
         assert report["verdict"] == "objective-increase"
 
+    def test_bad_norm_budget(self):
+        trace = [record(0, 1.0, 5.0)]
+        for budget in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="norm_budget"):
+                check_level_set(trace, j0=5.0, norm_budget=budget)
+
     def test_real_run_stays_in_level_set(self):
         comp, _ = builtin("toy-sharp-1d").build()
         result = run_scvx(comp, np.array([3.0]))
@@ -485,22 +585,18 @@ def di_descent():
 
 
 class TestSampledConstantsOverstate:
-    """Pins of ROADMAP item 2: the sampled growth constant and the sampled
-    subdifferential check both miss a direction in which the model and J
-    descend.  Under item 2's exact directional-derivative LP both xfails
-    pass, and their markers go."""
+    """Pins of ROADMAP item 2 at a point where the model and J descend.  The
+    growth constant comes from item 2's exact LPs and sees the descent; the
+    sampled subdifferential check still misses it, a strict xfail until the
+    check is exact too (item 2's subdifferential half)."""
 
     def test_model_and_objective_descend_along_the_step(self, di_descent):
         _, _, model_slope, j_slope = di_descent
         assert model_slope < -1e-3 and j_slope < -1e-3  # both read -0.00110
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect, ROADMAP item 2: gamma_hat is the smallest sampled ratio, so it only "
-        "bounds the constant from above; it reads 29.91 where the model falls at slope "
-        "-0.00110"))
     def test_growth_constant_is_at_most_the_step_slope(self, di_descent):
         comp, z_bar, model_slope, _ = di_descent
-        section = estimate_growth_constant(comp, z_bar, seed=0)
+        section = estimate_growth_constant(comp, z_bar)
         assert section["gamma_hat"] <= model_slope + 1e-9
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

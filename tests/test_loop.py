@@ -159,8 +159,9 @@ class TestRadiusUpdate:
             TrustRegionParams(norm_budget=-1.0)
         with pytest.raises(ValueError):
             TrustRegionParams(stop_predicted_decrease=0.0)
-        for bad in ({"norm_budget": np.nan}, {"r_init": np.nan}, {"rho1": np.nan},
-                    {"shrink_factor": np.nan}, {"stop_predicted_decrease": np.nan},
+        for bad in ({"norm_budget": np.nan}, {"norm_budget": np.inf}, {"r_init": np.nan},
+                    {"rho1": np.nan}, {"shrink_factor": np.nan},
+                    {"stop_predicted_decrease": np.nan},
                     {"max_iterations": 2.5}, {"max_iterations": True}):
             with pytest.raises((TypeError, ValueError)):
                 TrustRegionParams(**bad)
