@@ -18,7 +18,6 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -44,7 +43,6 @@ from .problems import BUILTIN_NAMES, DiscretizedProblem, builtin
 from .subproblem import SubproblemError
 
 SCHEMA_VERSION = 1
-SEED_ENV_VAR = "SCVX_SEED"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -85,14 +83,12 @@ def _is_positive(value) -> bool:
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
-    enabled: bool = True
     delta: float = 0.1
     small_step: bool = True
 
     def __post_init__(self):
-        for name in ("enabled", "small_step"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be true or false")
+        if not isinstance(self.small_step, bool):
+            raise TypeError("small_step must be true or false")
         if not _is_positive(self.delta):
             raise ValueError("delta must be a positive number")
 
@@ -249,15 +245,7 @@ def _require(row, types: dict, what: str, path):
 
 
 def load_config(path: str) -> RunConfig:
-    config = parse_config(_read_json(path, "config"))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            config = replace(config, seed=int(env_seed))
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}") from None
-    return config
+    return parse_config(_read_json(path, "config"))
 
 
 def _jsonable(obj):
@@ -361,7 +349,7 @@ def _prepare(config: RunConfig):
     if config.start_jitter > 0.0:
         rng = np.random.default_rng(config.seed)
         start = start + config.start_jitter * rng.uniform(-1.0, 1.0, start.size)
-    return bench, composite, disc, start
+    return composite, disc, start
 
 
 def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedProblem],
@@ -400,10 +388,9 @@ def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedPro
     return report
 
 
-def execute_run(config: RunConfig, trace_path: Optional[str] = None,
-                report_path: Optional[str] = None, quiet: bool = False) -> tuple[int, dict]:
+def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
     """Solve one configured instance and write every requested artifact."""
-    bench, composite, disc, start = _prepare(config)
+    composite, disc, start = _prepare(config)
     j0 = composite.value(start)
     t0 = time.perf_counter()
     result = run_scvx(composite, start, config.trust_region)
@@ -434,8 +421,7 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
         "J_final": result.J_final,
         "stationarity_residual": residual,
         "stationarity_probe_radius": probe_radius,
-        "penalty_weight": config.penalty_weight if config.penalty_weight is not None
-                          else bench.default_penalty_weight,
+        "penalty_weight": composite.psi.penalty_weight,
         "seed": config.seed,
         "max_equality_violation": composite.max_equality_violation(result.final_z),
         "max_inequality_violation": composite.max_inequality_violation(result.final_z),
@@ -444,9 +430,8 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
         "runtime_s": runtime,
     }
 
-    trace_target = trace_path or config.output.trace
-    if trace_target:
-        write_trace(trace_target, result.trace)
+    if config.output.trace:
+        write_trace(config.output.trace, result.trace)
     if config.output.iterates:
         write_iterates(config.output.iterates, result.trace)
     if config.output.summary:
@@ -454,12 +439,9 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
     if config.output.plot_dir:
         write_plot_data(config.output.plot_dir, result.trace)
 
-    if config.diagnostics.enabled:
-        report = run_diagnostics(composite, disc, result, config, j0)
-        summary["diagnostics"] = report
-        report_target = report_path or config.output.report
-        if report_target:
-            _write_json(report_target, report)
+    summary["diagnostics"] = run_diagnostics(composite, disc, result, config, j0)
+    if config.output.report:
+        _write_json(config.output.report, summary["diagnostics"])
 
     if not quiet:
         print(f"{config.problem_name}: status={result.status} iterations={result.iterations} "
@@ -470,7 +452,9 @@ def execute_run(config: RunConfig, trace_path: Optional[str] = None,
 
 def cmd_solve(args) -> int:
     config = load_config(args.config)
-    exit_code, _ = execute_run(config, trace_path=args.trace, report_path=args.report)
+    output = replace(config.output, trace=args.trace or config.output.trace,
+                     report=args.report or config.output.report)
+    exit_code, _ = execute_run(replace(config, output=output))
     return exit_code
 
 
@@ -486,7 +470,7 @@ def _bench_row(name: str, summary: Optional[dict], error: str = "") -> dict:
     row["accepted"] = summary["accepted"]
     row["J_final"] = repr(summary["J_final"])
     row["stationarity_residual"] = repr(summary["stationarity_residual"])
-    report = summary.get("diagnostics") or {}
+    report = summary["diagnostics"]
     sharp = report.get("sharp_minimum")
     if sharp is not None:
         row["beta_hat"] = repr(sharp["beta_hat"])
@@ -521,8 +505,7 @@ def cmd_bench(args) -> int:
             rows.append(_bench_row(name, None, error=f"{type(exc).__name__}: {exc}"))
         print(f"bench {name}: {rows[-1]['status']}")
     out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(BENCH_COLUMNS))
         writer.writeheader()
@@ -543,10 +526,22 @@ def cmd_check(args) -> int:
                         "J_final": _number_or_null, "J0": _is_number,
                         "seed": lambda v: _is_int(v) and v >= 0}, "summary", summary_file)
     # The diagnostics re-sample with the seed the solve used, not the one
-    # the config or SCVX_SEED gives now.
+    # the config gives now.
     config = replace(config, seed=summary["seed"])
     trace = read_trace(str(trace_file), config.output.iterates)
-    _, composite, disc, _ = _prepare(config)
+    composite, disc, _ = _prepare(config)
+    # The saved run must be one of this problem: vectors of its length and a
+    # status a solve ends with.
+    if len(summary["final_z"]) != composite.n_z:
+        raise ConfigError(f"summary {summary_file} holds a final_z of length "
+                          f"{len(summary['final_z'])}; the problem has {composite.n_z}")
+    for rec in trace:
+        if rec.z.size != composite.n_z:
+            raise ConfigError(f"iterates {config.output.iterates} holds an iterate of length "
+                              f"{rec.z.size} at k={rec.k}; the problem has {composite.n_z}")
+    if summary["status"] not in _STATUS_EXIT:
+        raise ConfigError(f"summary {summary_file} holds the unknown status "
+                          f"{summary['status']!r}")
 
     result = SolveResult(
         final_z=np.asarray(summary["final_z"], dtype=float),

@@ -20,7 +20,6 @@ from scvxkit.cli import (
     EXIT_ITERATIONS,
     EXIT_OK,
     EXIT_SOLVER,
-    SEED_ENV_VAR,
     ConfigError,
     execute_run,
     load_config,
@@ -52,7 +51,7 @@ class TestParseConfig:
         assert config.problem_name == "toy-sharp-1d"
         assert config.seed == 0
         assert config.penalty_weight is None
-        assert config.diagnostics.enabled
+        assert config.diagnostics.small_step
 
     def test_unknown_root_key(self):
         with pytest.raises(ConfigError) as err:
@@ -160,6 +159,14 @@ class TestParseConfig:
         assert main(["solve", "--config", path]) == EXIT_CONFIG
         assert "trust_region.stop_step_norm" in capsys.readouterr().err
 
+    def test_retired_diagnostics_enabled_rejected(self, tmp_path, capsys):
+        # Every run writes its report, so a config that still switches the
+        # diagnostics on or off is rejected by name.
+        for value in (True, False):
+            path = write_config(tmp_path, diagnostics={"enabled": value})
+            assert main(["solve", "--config", path]) == EXIT_CONFIG
+            assert "diagnostics.enabled" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [[], 0, False, ""])
     def test_wrongly_typed_overrides_rejected(self, tmp_path, capsys, value):
         # Only an absent or null value means no overrides.
@@ -200,18 +207,6 @@ class TestLoadConfig:
             assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "config error" in err and token in err
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, seed=3)
-        monkeypatch.setenv(SEED_ENV_VAR, "11")
-        assert load_config(path).seed == 11
-
-    def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path)
-        for value in ("pi", "-2"):
-            monkeypatch.setenv(SEED_ENV_VAR, value)
-            with pytest.raises(ConfigError):
-                load_config(path)
 
     def test_non_utf8_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -339,6 +334,15 @@ class TestSolveArtifacts:
         assert hashlib.sha256(a.read_bytes()).hexdigest() == \
                hashlib.sha256(b.read_bytes()).hexdigest()
 
+    def test_trace_and_report_flags_replace_the_configured_paths(self, tmp_path, capsys):
+        _, out = self.run_solve(tmp_path)
+        again = tmp_path / "again"
+        assert main(["solve", "--config", str(tmp_path / "run.json"),
+                     "--trace", str(again / "trace.jsonl"),
+                     "--report", str(again / "report.json")]) == EXIT_OK
+        for name in ("trace.jsonl", "report.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
     def test_different_seed_changes_jittered_start(self, tmp_path):
         base = {"start_jitter": 0.3}
         path_a = write_config(tmp_path, name="a.json", seed=1, **base)
@@ -449,14 +453,15 @@ class TestCheck:
 
     def test_check_uses_the_seed_of_the_solve(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        config_path = str(CONFIG_DIR / "toy-sharp-2d.json")
-        monkeypatch.setenv("SCVX_SEED", "3")
-        main(["solve", "--config", config_path])
-        monkeypatch.delenv("SCVX_SEED")
+        data = json.loads((CONFIG_DIR / "toy-sharp-2d.json").read_text())
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**data, "seed": 3}))
+        main(["solve", "--config", str(config_path)])
+        config_path.write_text(json.dumps({**data, "seed": 0}))
         recheck_path = tmp_path / "other.json"
-        assert main(["check", "--config", config_path,
+        assert main(["check", "--config", str(config_path),
                      "--report", str(recheck_path)]) == EXIT_OK
-        solved = Path(load_config(config_path).output.report).read_bytes()
+        solved = Path(load_config(str(config_path)).output.report).read_bytes()
         assert json.loads(solved)["sharp_minimum"]["seed"] == 3
         assert recheck_path.read_bytes() == solved
 
@@ -551,6 +556,39 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error" in err and str(target) in err and key in err
 
+    @pytest.mark.parametrize("damage", ["short-final-z", "long-terminal-iterate",
+                                        "long-accepted-iterate", "unknown-status"])
+    def test_check_saved_run_that_does_not_fit_is_config_error(self, tmp_path, capsys, damage):
+        # toy-sharp-2d has n_z = 2: the saved vectors must have that length
+        # and the status must be one a solve ends with.
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
+                  "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, problem={"name": "toy-sharp-2d"}, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        if damage.endswith("iterate"):
+            target = out / "iterates.jsonl"
+            trace = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+            k = trace[-1]["k"] if damage == "long-terminal-iterate" else \
+                next(row["k"] for row in trace if row["accepted"])
+            rows = [json.loads(line) for line in target.read_text().splitlines()]
+            for row in rows:
+                if row["k"] == k:
+                    row["z"] = row["z"] + [2.0]
+            target.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        else:
+            target = out / "summary.json"
+            data = json.loads(target.read_text())
+            if damage == "short-final-z":
+                data["final_z"] = data["final_z"][:1]
+            else:
+                data["status"] = "bogus"
+            target.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(target) in err
+
     def test_check_needs_output_paths(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
@@ -621,7 +659,7 @@ class TestExecuteRun:
 
         monkeypatch.setattr(cli, "check_stationarity", refuse)
         config = RunConfig(problem_name="dubins-car",
-                           diagnostics=DiagnosticsConfig(enabled=False))
+                           diagnostics=DiagnosticsConfig(small_step=False))
         _, summary = execute_run(config, quiet=True)
         assert summary["status"] == "converged-stationary"
         assert summary["final_radius"] <= 1.0
@@ -638,7 +676,7 @@ class TestExecuteRun:
         monkeypatch.setattr(cli, "check_stationarity",
                             lambda *args: calls.append(args[2]) or probe(*args))
         config = RunConfig(problem_name="toy-sharp-1d",
-                           diagnostics=DiagnosticsConfig(enabled=False))
+                           diagnostics=DiagnosticsConfig(small_step=False))
         _, summary = execute_run(config, quiet=True)
         assert summary["final_radius"] == pytest.approx(10.24)
         assert calls == [1.0]
