@@ -524,10 +524,15 @@ def cmd_check(args) -> int:
     summary = _require(_read_json(summary_file, "summary"),
                        {"final_z": _is_vector, "status": lambda v: isinstance(v, str),
                         "J_final": _number_or_null, "J0": _is_number,
-                        "seed": lambda v: _is_int(v) and v >= 0}, "summary", summary_file)
-    # The diagnostics re-sample with the seed the solve used, not the one
-    # the config gives now.
-    config = replace(config, seed=summary["seed"])
+                        "seed": lambda v: _is_int(v) and v >= 0,
+                        "penalty_weight": _is_positive,
+                        "problem": lambda v: isinstance(v, str)}, "summary", summary_file)
+    if summary["problem"] != config.problem_name:
+        raise ConfigError(f"summary {summary_file} is a solve of {summary['problem']!r}; "
+                          f"the config names {config.problem_name!r}")
+    # The diagnostics re-sample with the seed and re-evaluate under the
+    # penalty weight the solve used, not the ones the config gives now.
+    config = replace(config, seed=summary["seed"], penalty_weight=summary["penalty_weight"])
     trace = read_trace(str(trace_file), config.output.iterates)
     composite, disc, _ = _prepare(config)
     # The saved run must be one of this problem: vectors of its length and a

@@ -4,7 +4,9 @@ Each iteration linearizes the smooth inner map, minimizes the convex model
 over an inf-norm ball, and accepts or rejects the candidate by comparing
 actual to predicted decrease.  After a rejection the linearization is kept
 and only the radius shrinks, so rejected iterations never re-evaluate the
-Jacobian.
+Jacobian.  A fresh linearization with the same Jacobian as the one before it
+(an affine inner map, say) warm-starts its LP from the previous LP's final
+basis.
 """
 
 from __future__ import annotations
@@ -142,21 +144,32 @@ def run_scvx(objective: CompositeObjective, z0,
     value), subproblem-failure (the LP solver gave up; the partial trace is
     attached).  A trial point whose objective is not finite is a rejected
     step, not an error.
+
+    When an accepted step's fresh linearization has a g_jacobian equal,
+    entry for entry, to the previous one, its LP differs from the last LP
+    only in b_ub and the box, and it restarts from the last LP's optimal
+    tableau (solve_subproblem's warm).  Every other LP, a rejection's
+    included, is solved cold, and the last LP's tableau is released first,
+    so that two tableaux are never held at once.
     """
     if params is None:
         params = TrustRegionParams()
     z = as_decision_vector(z0, objective.n_z).copy()
     J = J0 = objective.value(z)
     radius = params.r_init
-    lin = None
+    lin = sol = last_jacobian = None
     trace: List[IterationRecord] = []
     status, message = STATUS_ITERATIONS, ""
 
     while status == STATUS_ITERATIONS and len(trace) < params.max_iterations:
+        warm = None
         if lin is None:
             lin = linearize(objective, z)
+            if last_jacobian is not None and np.array_equal(lin.g_jacobian, last_jacobian):
+                warm = sol.warm
+        sol = None  # a cold solve must not build its tableau beside the last one
         try:
-            sol = solve_subproblem(lin, radius)
+            sol = solve_subproblem(lin, radius, warm)
         except SubproblemError as exc:
             status, message = STATUS_SUBPROBLEM, str(exc)
             break
@@ -178,7 +191,7 @@ def run_scvx(objective: CompositeObjective, z0,
             accepted, next_radius = update_radius(rho if decreased else -np.inf, radius, params)
 
         if accepted:
-            z, J, lin = candidate, J_candidate, None
+            z, J, lin, last_jacobian = candidate, J_candidate, None, lin.g_jacobian
         step_norm = float(np.max(np.abs(sol.step), initial=0.0))
         trace.append(IterationRecord(
             k=len(trace), z=z.copy(), J=J, step_norm=step_norm,

@@ -9,11 +9,20 @@ with the rhs in column 0 and the artificial columns last, so phase 2 runs on
 a contiguous leading slice, without a copy.  Each pivot updates only the
 rows with a nonzero pivot-column entry times the columns with a nonzero
 pivot-row entry; the other cells of the tableau cannot change.
+
+An optimal solve keeps its final phase-2 tableau and basis as a WarmStart.
+An LP with the same c and a_ub and the same finite upper bounds differs
+only in its rhs column, which the tableau's slack block recomputes: that
+block holds B^-1 times the row flips, and the rhs is the same product
+applied to the flipped b.  The old basis stays dual feasible, so a dual
+simplex (Koberstein, "The dual simplex method, techniques for a fast and
+stable implementation", PhD thesis, Paderborn, 2005) restores a feasible
+rhs and phase 2 finishes, in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +52,41 @@ class SimplexIterationLimitError(SimplexError):
         super().__init__(message)
 
 
+class WarmStart:
+    """The final phase-2 tableau and basis of an optimal solve.
+
+    Opaque to callers: pass it as solve_box_lp's warm=.  That solve
+    re-solves the tableau in place, so a state serves one solve only.
+    """
+
+    __slots__ = ("tableau", "basis", "finite_ub")
+
+    def __init__(self, tableau: np.ndarray, basis: np.ndarray, finite_ub: np.ndarray):
+        self.tableau = tableau
+        self.basis = basis
+        self.finite_ub = finite_ub
+
+    def take(self, m_ub: int, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tableau and basis for an LP of m_ub rows and this finite-ub pattern."""
+        if self.tableau is None:
+            raise ValueError("warm start already used by an earlier solve")
+        if (not np.array_equal(self.finite_ub, finite_ub)
+                or self.basis.size != m_ub + np.count_nonzero(finite_ub)):
+            raise ValueError("warm start comes from an LP of another shape or another "
+                             "pattern of finite ub entries")
+        tableau, basis = self.tableau, self.basis
+        self.tableau = self.basis = None
+        return tableau, basis
+
+
 @dataclass(frozen=True)
 class BoxLpSolution:
     x: np.ndarray
     objective: float
     status: str  # "optimal" | "unbounded"
     iterations: int
+    # Set on an optimal solution only: the state solve_box_lp's warm= takes.
+    warm: WarmStart | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
@@ -172,25 +210,13 @@ def _tableau(a_ub: np.ndarray, b_ub: np.ndarray, lb: np.ndarray,
     return tableau, basis, art_rows, width
 
 
-def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSolution:
-    """Solve min c@x s.t. a_ub@x <= b_ub, lb <= x <= ub.
+def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
+    """A cold start: the tableau, its basis feasible and its objective row c.
 
-    c, a_ub, b_ub and lb must be finite and ub may be +inf, else ValueError.
-    Raises InfeasibleError when the constraints are inconsistent and
-    SimplexIterationLimitError when the pivot budget (50 per tableau column
-    by default) runs out.
+    Returns the tableau, the basis, the phase-2 width, the pivots made and
+    the pivot budget of the whole solve.
     """
-    c = np.asarray(c, dtype=float)
     n = c.size
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1) if np.size(b_ub) else np.zeros(0)
-    if not all(np.all(np.isfinite(v)) for v in (c, a_ub, b_ub, lb)) or np.any(np.isnan(ub)):
-        raise ValueError("solve_box_lp requires finite c, a_ub, b_ub and lb, and ub without NaN")
-    if np.any(ub < lb):
-        raise InfeasibleError("empty box: some ub < lb")
-
     tableau, basis, art_rows, width = _tableau(a_ub, b_ub, lb, ub)
     m = basis.size
     if max_iter is None:
@@ -224,14 +250,115 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
                 j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
                 _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
 
-    # Phase 2: original objective, without the artificial columns.
+    # Phase 2 objective row: c, without the artificial columns.
     tableau[-1, :] = 0.0
     tableau[-1, 1:n + 1] = c
     for r in range(m):
         coef = tableau[-1, basis[r]]
         if coef != 0.0:
             tableau[-1] -= coef * tableau[r]
+    return tableau, basis, width, pivots, max_iter
 
+
+def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int) -> tuple[str, int]:
+    """Dual simplex from a dual-feasible tableau until its rhs is feasible.
+
+    The leaving row has the most negative rhs; the entering column has a
+    negative entry in that row and the smallest ratio of reduced cost to
+    that entry, ties going to the largest entry.  Returns the status
+    ("feasible", "infeasible" when a row cannot be made feasible, or
+    "limit" when a pivot beyond the budget is needed) and the pivots made.
+    """
+    m = tableau.shape[0] - 1
+    rhs = tableau[:m, 0]
+    reduced = tableau[-1, 1:]
+    pivots = 0
+    while m:
+        rhs_scale = 1.0 + float(np.abs(rhs).max())
+        row = int(rhs.argmin())
+        if rhs[row] >= -FEAS_TOL * rhs_scale:
+            rhs[rhs < 0.0] = 0.0
+            break
+        body = tableau[row, 1:]
+        row_scale = 1.0 + float(np.abs(body).max())
+        eligible = (body < -PIVOT_TOL * row_scale).nonzero()[0]
+        if eligible.size == 0:
+            return "infeasible", pivots
+        # Reduced costs sit above -OPT_TOL; a slightly negative one counts as 0.
+        ratios = np.maximum(reduced[eligible], 0.0) / -body[eligible]
+        best = float(ratios.min())
+        candidates = eligible[ratios <= best + 1e-12 * (1.0 + best)]
+        col = int(candidates[body[candidates].argmin()]) + 1
+        if pivots >= budget:
+            return "limit", pivots
+        _pivot(tableau, basis, row, col, tableau[:, col].nonzero()[0])
+        pivots += 1
+    return "feasible", pivots
+
+
+def _checked(c, a_ub, b_ub, lb, ub) -> tuple[np.ndarray, ...]:
+    """The LP data as float arrays of the shapes solve_box_lp documents."""
+    c, a_ub, b_ub, lb, ub = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub, lb, ub))
+    if c.ndim != 1:
+        raise ValueError(f"solve_box_lp: c must be 1-D, got shape {c.shape}")
+    n = c.size
+    if a_ub.ndim != 2 or a_ub.shape[1] != n:
+        raise ValueError(f"solve_box_lp: a_ub must have shape (m, {n}), got {a_ub.shape}")
+    for name, value, shape in (("b_ub", b_ub, a_ub.shape[:1]), ("lb", lb, (n,)),
+                               ("ub", ub, (n,))):
+        if value.shape != shape:
+            raise ValueError(f"solve_box_lp: {name} must have shape {shape}, got {value.shape}")
+    if not all(np.all(np.isfinite(v)) for v in (c, a_ub, b_ub, lb)) or np.any(np.isnan(ub)):
+        raise ValueError("solve_box_lp requires finite c, a_ub, b_ub and lb, and ub without NaN")
+    return c, a_ub, b_ub, lb, ub
+
+
+def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
+                 warm: WarmStart | None = None) -> BoxLpSolution:
+    """Solve min c@x s.t. a_ub@x <= b_ub, lb <= x <= ub.
+
+    c must be 1-D of some length n, a_ub of shape (m, n), b_ub of shape
+    (m,), and lb and ub of shape (n,); c, a_ub, b_ub and lb must be finite
+    and ub may be +inf.  Anything else is a ValueError naming the argument.
+    Raises InfeasibleError when the constraints are inconsistent and
+    SimplexIterationLimitError when the pivot budget (50 per tableau column
+    by default) runs out.
+
+    warm is the WarmStart of an earlier optimal solution whose LP had the
+    same c, the same a_ub and finite ub entries at the same places; only
+    b_ub, lb and the finite ub values may differ.  The solve then starts
+    from that LP's final basis with a dual simplex instead of phase 1, and
+    raises what a cold solve raises; it never falls back to a cold solve.
+    A state from an LP of another shape or finite-ub pattern, or one an
+    earlier solve already took, is a ValueError.  c and a_ub are not
+    compared: passing a state for other ones gives a wrong answer.
+    """
+    c, a_ub, b_ub, lb, ub = _checked(c, a_ub, b_ub, lb, ub)
+    n = c.size
+    finite_ub = np.isfinite(ub)
+    if np.any(ub < lb):
+        raise InfeasibleError("empty box: some ub < lb")
+
+    if warm is not None:
+        tableau, basis = warm.take(a_ub.shape[0], finite_ub)
+        width = tableau.shape[1]
+        if max_iter is None:
+            max_iter = ITERATIONS_PER_VARIABLE * (width - 1)
+        # The slack block is B^-1 D, with D the row flips of the first LP,
+        # and the rhs column is B^-1 D b; the objective row's slack block
+        # turns b into the objective entry the same way.
+        b = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
+        np.matmul(tableau[:, n + 1:width], b, out=tableau[:, 0])
+        status, pivots = _dual_run(tableau, basis, max_iter)
+        if status == "limit":
+            raise SimplexIterationLimitError(
+                "pivot budget exhausted before a feasible point was found", pivots)
+        if status == "infeasible":
+            raise InfeasibleError("constraints are inconsistent")
+    else:
+        tableau, basis, width, pivots, max_iter = _phase_one(c, a_ub, b_ub, lb, ub, max_iter)
+
+    m = basis.size
     status, phase2 = _run(tableau, basis, width, max_iter - pivots)
     pivots += phase2
     if status == "limit":
@@ -242,4 +369,5 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None) -> BoxLpSol
     x = y[1:n + 1] + lb
     if status == "unbounded":
         return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=pivots)
-    return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=pivots)
+    return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=pivots,
+                         warm=WarmStart(tableau[:, :width], basis, finite_ub))

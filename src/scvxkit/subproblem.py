@@ -12,7 +12,7 @@ build_lp's LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .simplex import (
     BoxLpSolution,
     SimplexError,
     SimplexIterationLimitError,
+    WarmStart,
     solve_box_lp,
 )
 
@@ -86,6 +87,9 @@ class SubproblemSolution:
     step: np.ndarray
     model_value: float
     predicted_decrease: float
+    # The LP's warm state (solve_subproblem only): it seeds the LP of the
+    # next solve at an unchanged Jacobian.
+    warm: WarmStart | None = field(default=None, repr=False, compare=False)
 
 
 def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
@@ -135,14 +139,18 @@ def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
     return step_box.extend(zeros + psi.penalty_weight, zeros, zeros + np.inf, b, blocks)
 
 
-def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
-    """Solve an LP; the objective includes the offset.
+def lp_solve(lp: LpStandardForm, warm: WarmStart | None = None) -> BoxLpSolution:
+    """Solve an LP, warm from solve_box_lp's warm state if one is given.
 
-    Simplex failures become SubproblemError; an iteration-limit failure
-    keeps the simplex message as it is.
+    The objective includes the offset.  Simplex failures become
+    SubproblemError; an iteration-limit failure keeps the simplex message
+    as it is.
     """
+    data = (lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub)
     try:
-        sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub)
+        # A cold solve keeps the five-argument call, which the tests'
+        # stand-ins for solve_box_lp take.
+        sol = solve_box_lp(*data) if warm is None else solve_box_lp(*data, warm=warm)
     except SimplexIterationLimitError as exc:
         raise SubproblemError(str(exc)) from exc
     except SimplexError as exc:
@@ -150,16 +158,20 @@ def lp_solve(lp: LpStandardForm) -> BoxLpSolution:
     return replace(sol, objective=sol.objective + lp.objective_offset)
 
 
-def solve_subproblem(lin: Linearization, radius: float) -> SubproblemSolution:
+def solve_subproblem(lin: Linearization, radius: float,
+                     warm: WarmStart | None = None) -> SubproblemSolution:
     """Minimize the model over the trust region exactly.
 
     predicted_decrease is L(0) - L(d*), never meaningfully negative since
-    d = 0 is always feasible.
+    d = 0 is always feasible.  warm is the warm state of an earlier
+    solution whose linearization had the same Jacobian, psi and n_z, so
+    that its LP differed only in b_ub and the box; the LP then restarts
+    from that solution's final basis (solve_box_lp's warm=).
     """
     lp = build_lp(lin, radius)
-    sol = lp_solve(lp)
+    sol = lp_solve(lp, warm)
     return SubproblemSolution(step=sol.x[:lin.n_z].copy(), model_value=sol.objective,
-                              predicted_decrease=lin.base_value - sol.objective)
+                              predicted_decrease=lin.base_value - sol.objective, warm=sol.warm)
 
 
 def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution:

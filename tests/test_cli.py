@@ -465,6 +465,51 @@ class TestCheck:
         assert json.loads(solved)["sharp_minimum"]["seed"] == 3
         assert recheck_path.read_bytes() == solved
 
+    def test_check_uses_the_penalty_weight_of_the_solve(self, tmp_path, monkeypatch, capsys):
+        # Re-checked under lambda 3, the report used to read beta_hat 1.01
+        # and gamma_hat 1.0 where the solve at lambda 10 wrote 8.01 and 8.
+        monkeypatch.chdir(tmp_path)
+        data = json.loads((CONFIG_DIR / "toy-sharp-1d.json").read_text())
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**data, "lambda": 10.0}))
+        assert main(["solve", "--config", str(config_path)]) == EXIT_OK
+        config_path.write_text(json.dumps({**data, "lambda": 3.0}))
+        recheck_path = tmp_path / "other.json"
+        assert main(["check", "--config", str(config_path),
+                     "--report", str(recheck_path)]) == EXIT_OK
+        solved = Path(load_config(str(config_path)).output.report).read_bytes()
+        assert json.loads(solved)["model_growth"]["gamma_hat"] == pytest.approx(8.0)
+        assert recheck_path.read_bytes() == solved
+
+    def test_check_of_another_problem_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
+                  "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        write_config(tmp_path, problem={"name": "toy-sharp-2d"}, output=output)
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "'toy-sharp-1d'" in err and "'toy-sharp-2d'" in err
+
+    @pytest.mark.parametrize("key", ["penalty_weight", "problem"])
+    def test_check_summary_without_the_solve_inputs_is_config_error(self, tmp_path, capsys,
+                                                                    key):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
+                  "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        summary = out / "summary.json"
+        data = json.loads(summary.read_text())
+        del data[key]
+        summary.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(summary) in err and key in err
+
     @pytest.mark.parametrize("sidecar", ["unset", "deleted", "truncated"])
     def test_check_without_every_iterate_is_config_error(self, tmp_path, capsys, sidecar):
         out = tmp_path / "out"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scvxkit.loop as loop_module
+import scvxkit.subproblem as subproblem_module
 from scvxkit import (
     CompositeObjective,
     ConvexOuter,
@@ -27,6 +28,7 @@ from scvxkit.loop import (
     update_radius,
 )
 from scvxkit.problems import BUILTIN_NAMES
+from scvxkit.simplex import solve_box_lp
 from scvxkit.subproblem import solve_subproblem
 
 import oracles
@@ -350,9 +352,9 @@ def counted_run(monkeypatch, name, **params):
     """run_scvx on a built-in from its default start, and the radius of each LP solve."""
     radii = []
 
-    def counting(lin, radius):
+    def counting(lin, radius, warm=None):
         radii.append(radius)
-        return solve_subproblem(lin, radius)
+        return solve_subproblem(lin, radius, warm)
 
     monkeypatch.setattr(loop_module, "solve_subproblem", counting)
     bench = builtin(name)
@@ -365,3 +367,60 @@ def counted_run(monkeypatch, name, **params):
 def test_one_solve_per_record_at_its_radius(monkeypatch, name, r_init):
     result, radii = counted_run(monkeypatch, name, r_init=r_init)
     assert radii == [rec.radius for rec in result.trace]
+
+
+class TestWarmStart:
+    """A fresh linearization at an unchanged Jacobian restarts its LP from
+    the last LP's tableau; every other LP is solved cold."""
+
+    @staticmethod
+    def solve(monkeypatch, comp, z0, cold=False):
+        """run_scvx, the warm state passed to each subproblem, and the pivots."""
+        warms, pivots = [], []
+
+        def subproblem(lin, radius, warm=None):
+            warms.append(warm)
+            return solve_subproblem(lin, radius, None if cold else warm)
+
+        def box_lp(*args, **kwargs):
+            sol = solve_box_lp(*args, **kwargs)
+            pivots.append(sol.iterations)
+            return sol
+
+        with monkeypatch.context() as patch:
+            patch.setattr(loop_module, "solve_subproblem", subproblem)
+            patch.setattr(subproblem_module, "solve_box_lp", box_lp)
+            result = run_scvx(comp, z0, TrustRegionParams(max_iterations=300))
+        return result, warms, sum(pivots)
+
+    @pytest.mark.parametrize("n_nodes", [20, 24, 32, 40])
+    def test_convex_lqr_box_matches_cold_run_in_fewer_pivots(self, monkeypatch, n_nodes):
+        bench = builtin("convex-lqr-box", n_nodes=n_nodes)
+        comp, _ = bench.build(100.0)
+        cold, _, cold_pivots = self.solve(monkeypatch, comp, bench.default_start, cold=True)
+        warm, warms, warm_pivots = self.solve(monkeypatch, comp, bench.default_start)
+        # The inner map is affine: every LP after the first is warm.
+        assert warms[0] is None and all(w is not None for w in warms[1:])
+        assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+        assert warm.J_final == pytest.approx(cold.J_final, rel=0.0,
+                                             abs=1e-9 * (1.0 + abs(cold.J_final)))
+        assert warm_pivots < cold_pivots
+
+    @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
+    def test_nonlinear_maps_never_pass_a_warm_state(self, monkeypatch, name):
+        bench = builtin(name)
+        result, warms, _ = self.solve(monkeypatch, bench.build()[0], bench.default_start)
+        assert result.status == STATUS_CONVERGED
+        assert len(warms) == result.iterations and all(w is None for w in warms)
+
+    def test_only_accepted_steps_pass_a_warm_state(self, monkeypatch):
+        # J(z) = -z, affine wherever it is finite, so the Jacobian never
+        # changes; a trial point past 1.5 is off the domain and rejected.
+        # A rejection keeps its linearization, so the LP after it is cold.
+        smooth = SmoothMap(1, 1, lambda z: np.where(z > 1.5, np.inf, -z),
+                           lambda z: np.full((1, 1), -1.0))
+        comp = CompositeObjective(smooth, ConvexOuter(range(0, 1), range(1, 1), range(1, 1), 1.0))
+        result, warms, _ = self.solve(monkeypatch, comp, np.zeros(1))
+        accepted = [rec.accepted for rec in result.trace]
+        assert 0 < sum(accepted) < len(accepted) - 1
+        assert [w is not None for w in warms] == [False] + accepted[:-1]

@@ -282,6 +282,23 @@ class TestStatusesAndErrors:
         with pytest.raises(ValueError):
             solve_box_lp(c, a_ub, b_ub, lb, ub)
 
+    @pytest.mark.parametrize("c, a_ub, b_ub, lb, ub, name", [
+        # Before these were rejected: optimal at x = [1, 9] with the one ub
+        # entry bounding x0 alone, an IndexError, and numpy's broadcast and
+        # matmul messages.
+        ([-1.0, -1.0], [[1.0, 1.0]], [10.0], [0.0, 0.0], [1.0], "ub"),
+        ([-1.0, -1.0], [[1.0, 1.0]], [10.0], [0.0, 0.0], 1.0, "ub"),
+        ([-1.0, -1.0], [[1.0, 1.0]], [10.0], [0.0], [1.0, 1.0], "lb"),
+        ([-1.0, -1.0], [[1.0, 1.0]], [10.0, 5.0], [0.0, 0.0], [1.0, 1.0], "b_ub"),
+        ([-1.0, -1.0], [[1.0, 1.0, 1.0]], [10.0], [0.0, 0.0], [1.0, 1.0], "a_ub"),
+        ([-1.0, -1.0], [1.0, 1.0], [10.0], [0.0, 0.0], [1.0, 1.0], "a_ub"),
+        ([[-1.0, -1.0]], [[1.0, 1.0]], [10.0], [0.0, 0.0], [1.0, 1.0], "c"),
+    ], ids=["short-ub", "scalar-ub", "short-lb", "long-b_ub", "wide-a_ub", "flat-a_ub",
+            "2d-c"])
+    def test_misshaped_argument_rejected(self, c, a_ub, b_ub, lb, ub, name):
+        with pytest.raises(ValueError, match=f"solve_box_lp: {name} must"):
+            solve_box_lp(c, a_ub, b_ub, lb, ub)
+
     def test_iteration_limit_carries_pivot_count(self):
         # A budget of 3 completes phase 1, so phase 2 is where it runs out.
         assert solve_box_lp(*floor_lp()).iterations == 6
@@ -322,6 +339,75 @@ class TestStatusesAndErrors:
         ub = np.array([-1.0, 7.0])
         sol = solve_box_lp(c, np.zeros((0, 2)), np.zeros(0), lb, ub)
         np.testing.assert_allclose(sol.x, [-5.0, 3.0], atol=1e-9)
+
+
+class TestWarmStart:
+    """solve_box_lp(..., warm=) from an earlier optimal solution's state."""
+
+    def test_identical_lp_takes_no_pivot(self, rng):
+        for lp in [sparse_epigraph_lp(rng), floor_lp(), builtin_subproblem_lp("dubins-car", 1.0)]:
+            cold = solve_box_lp(*lp)
+            assert cold.iterations > 0
+            again = solve_box_lp(*lp, warm=cold.warm)
+            assert again.iterations == 0 and again.status == "optimal"
+            np.testing.assert_allclose(again.x, cold.x, rtol=0.0, atol=1e-9)
+            assert again.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+
+    def test_new_rhs_and_box_match_a_cold_solve(self, rng):
+        for _ in range(20):
+            c, a_ub, b_ub, lb, ub = sparse_epigraph_lp(rng, n=20, n_eq=12, n_ineq=12)
+            first = solve_box_lp(c, a_ub, b_ub, lb, ub)
+            b_ub = b_ub + rng.normal(scale=0.5, size=b_ub.size)
+            radius = rng.uniform(0.1, 2.0)
+            lb[:20], ub[:20] = -radius, radius
+            warm = solve_box_lp(c, a_ub, b_ub, lb, ub, warm=first.warm)
+            cold = solve_box_lp(c, a_ub, b_ub, lb, ub)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert warm.iterations < cold.iterations
+
+    def test_state_serves_one_solve(self):
+        first = solve_box_lp(*floor_lp())
+        second = solve_box_lp(*floor_lp(), warm=first.warm)
+        with pytest.raises(ValueError, match="already used"):
+            solve_box_lp(*floor_lp(), warm=first.warm)
+        assert solve_box_lp(*floor_lp(), warm=second.warm).iterations == 0
+
+    @pytest.mark.parametrize("change", ["fewer-rows", "more-variables", "ub-pattern"])
+    def test_state_of_another_lp_shape_rejected(self, change):
+        c, a_ub, b_ub, lb, ub = floor_lp()
+        state = solve_box_lp(c, a_ub, b_ub, lb, ub).warm
+        if change == "fewer-rows":
+            a_ub, b_ub = a_ub[:2], b_ub[:2]
+        elif change == "more-variables":
+            c, lb, ub = np.append(c, 1.0), np.append(lb, 0.0), np.append(ub, 1.0)
+            a_ub = np.hstack([a_ub, np.zeros((3, 1))])
+        else:
+            ub = np.array([3.0, np.inf, 3.0])
+        with pytest.raises(ValueError, match="another shape"):
+            solve_box_lp(c, a_ub, b_ub, lb, ub, warm=state)
+
+    def test_failures_raise_as_a_cold_solve_does(self):
+        # min x0 + 2 x1 subject to x0 + x1 >= b in [0, 3]^2: at b = 2 the
+        # optimum x = (2, 0) has x0 basic, and b = 5 pushes x0 past its
+        # bound, which one dual pivot repairs: x = (3, 2).
+        def lp(b):
+            return (np.array([1.0, 2.0]), np.array([[-1.0, -1.0]]), np.array([-b]),
+                    np.zeros(2), np.full(2, 3.0))
+
+        sol = solve_box_lp(*lp(5.0), warm=solve_box_lp(*lp(2.0)).warm)
+        assert (sol.status, sol.iterations) == ("optimal", 1)
+        np.testing.assert_allclose(sol.x, [3.0, 2.0], rtol=0.0, atol=1e-12)
+        with pytest.raises(SimplexIterationLimitError) as err:
+            solve_box_lp(*lp(5.0), max_iter=0, warm=solve_box_lp(*lp(2.0)).warm)
+        assert (str(err.value), err.value.iterations) == (PHASE_ONE_LIMIT, 0)
+        with pytest.raises(InfeasibleError):
+            solve_box_lp(*lp(7.0), warm=solve_box_lp(*lp(2.0)).warm)
+
+    def test_only_optimal_solutions_keep_a_state(self):
+        sol = solve_box_lp(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0),
+                           np.array([0.0]), np.array([np.inf]))
+        assert sol.status == "unbounded" and sol.warm is None
 
 
 class TestTableauAssembly:

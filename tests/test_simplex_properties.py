@@ -5,7 +5,8 @@ with a zero rhs, infeasible ones and unbounded ones.  Entries are quarter
 integers in [-5, 5], so rows and costs stay within a factor of 20 of each
 other; badly scaled rows are a known weakness of the feasibility tolerances
 and are left out here.  The status must match HiGHS, and the objective must
-agree within 1e-6 (1 + |f|).
+agree within 1e-6 (1 + |f|).  A fifth property restarts solved LPs warm at a
+new rhs and box and holds the warm solve to the same test.
 """
 
 import numpy as np
@@ -41,9 +42,9 @@ def box_lps(draw, max_n=6, max_m=8):
     return c, a_ub, lb, ub, x0
 
 
-def outcome(c, a_ub, b_ub, lb, ub):
+def outcome(c, a_ub, b_ub, lb, ub, warm=None):
     try:
-        sol = solve_box_lp(c, a_ub, b_ub, lb, ub)
+        sol = solve_box_lp(c, a_ub, b_ub, lb, ub, warm=warm)
     except InfeasibleError:
         return "infeasible", None
     if sol.status == "optimal":
@@ -53,9 +54,9 @@ def outcome(c, a_ub, b_ub, lb, ub):
     return sol.status, sol.objective
 
 
-def assert_agrees_with_highs(c, a_ub, b_ub, lb, ub):
+def assert_agrees_with_highs(c, a_ub, b_ub, lb, ub, warm=None):
     ref = oracles.scipy_box_lp(c, a_ub, b_ub, lb, ub)
-    status, objective = outcome(c, a_ub, b_ub, lb, ub)
+    status, objective = outcome(c, a_ub, b_ub, lb, ub, warm)
     assert status == HIGHS_STATUS[ref.status]
     if status == "optimal":
         assert abs(objective - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
@@ -107,3 +108,22 @@ def test_unbounded(lp, pick, descent):
     a_ub = a_ub.copy()
     a_ub[:, k] = -np.abs(a_ub[:, k])
     assert assert_agrees_with_highs(c, a_ub, a_ub @ x0 + 1.0, lb, ub) == "unbounded"
+
+
+@PROPERTY_SETTINGS
+@given(box_lps(), st.data())
+def test_warm_restart_at_new_rhs_and_box(lp, data):
+    # Solve a feasible LP, then move b_ub, lb and the finite ub entries; the
+    # infinite ones stay infinite.  The moved LP may be infeasible.
+    c, a_ub, lb, ub, x0 = lp
+    shifts = st.integers(-8, 8).map(lambda k: k / 4.0)
+    sol = solve_box_lp(c, a_ub, a_ub @ x0 + 1.0, lb, ub)
+    if sol.status != "optimal":
+        return
+    b_ub = a_ub @ x0 + 1.0 + data.draw(hnp.arrays(float, a_ub.shape[0], elements=shifts))
+    lb = lb + data.draw(hnp.arrays(float, c.size, elements=shifts))
+    width = data.draw(hnp.arrays(float, c.size, elements=st.integers(0, 20).map(
+        lambda k: k / 4.0)))
+    ub = np.where(np.isfinite(ub), lb + width, np.inf)
+    cold = assert_agrees_with_highs(c, a_ub, b_ub, lb, ub)
+    assert assert_agrees_with_highs(c, a_ub, b_ub, lb, ub, warm=sol.warm) == cold
