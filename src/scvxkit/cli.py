@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -411,7 +411,14 @@ def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
             residual = math.nan
 
     summary = {
-        "problem": config.problem_name,
+        # The run's inputs as the object parse_config reads, output paths
+        # left out; lambda is the weight the problem was built with.
+        "config": {"schema_version": SCHEMA_VERSION,
+                   "problem": {"name": config.problem_name, "overrides": config.overrides},
+                   "lambda": composite.psi.penalty_weight, "seed": config.seed,
+                   "start_jitter": config.start_jitter,
+                   "trust_region": asdict(config.trust_region),
+                   "diagnostics": asdict(config.diagnostics)},
         "status": result.status,
         "message": result.message,
         "exit_code": exit_code,
@@ -421,8 +428,6 @@ def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
         "J_final": result.J_final,
         "stationarity_residual": residual,
         "stationarity_probe_radius": probe_radius,
-        "penalty_weight": composite.psi.penalty_weight,
-        "seed": config.seed,
         "max_equality_violation": composite.max_equality_violation(result.final_z),
         "max_inequality_violation": composite.max_inequality_violation(result.final_z),
         "final_radius": last_radius,
@@ -514,25 +519,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = load_config(args.config)
-    if not config.output.trace or not config.output.summary:
+    # The config gives only the saved run's paths; its inputs come from the summary.
+    output = load_config(args.config).output
+    if not output.trace or not output.summary:
         raise ConfigError("check needs output.trace and output.summary in the config")
-    trace_file = Path(config.output.trace)
-    summary_file = Path(config.output.summary)
+    trace_file = Path(output.trace)
+    summary_file = Path(output.summary)
     if not trace_file.exists() or not summary_file.exists():
         raise ConfigError("check needs an existing solve run; run solve first")
     summary = _require(_read_json(summary_file, "summary"),
                        {"final_z": _is_vector, "status": lambda v: isinstance(v, str),
                         "J_final": _number_or_null, "J0": _is_number,
-                        "seed": lambda v: _is_int(v) and v >= 0,
-                        "penalty_weight": _is_positive,
-                        "problem": lambda v: isinstance(v, str)}, "summary", summary_file)
-    if summary["problem"] != config.problem_name:
-        raise ConfigError(f"summary {summary_file} is a solve of {summary['problem']!r}; "
-                          f"the config names {config.problem_name!r}")
-    # The diagnostics re-sample with the seed and re-evaluate under the
-    # penalty weight the solve used, not the ones the config gives now.
-    config = replace(config, seed=summary["seed"], penalty_weight=summary["penalty_weight"])
+                        "config": lambda v: isinstance(v, dict)}, "summary", summary_file)
+    try:
+        config = replace(parse_config(summary["config"]), output=output)
+    except ConfigError as exc:
+        raise ConfigError(f"summary {summary_file} holds a bad config: {exc}") from None
     trace = read_trace(str(trace_file), config.output.iterates)
     composite, disc, _ = _prepare(config)
     # The saved run must be one of this problem: vectors of its length and a
@@ -578,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True, help="CSV summary output path")
 
     check = sub.add_parser("check", help="re-run diagnostics on a saved solve")
-    check.add_argument("--config", required=True, help="path to the JSON run config")
+    check.add_argument("--config", required=True,
+                       help="path to a JSON run config; only its output paths are read")
     check.add_argument("--report", default=None, help="override the report output path")
 
     return parser

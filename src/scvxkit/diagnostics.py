@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .composite import CompositeObjective, linearize
-from .loop import LEVEL_SET_TOL, IterationRecord
+from .loop import LEVEL_SET_TOL, IterationRecord, TrustRegionParams
 from .subproblem import SubproblemError, build_lp, lp_solve, solve_min_norm_step
 
 # Random directions each sampled probe draws on top of the 2n signed axes.
@@ -327,7 +327,7 @@ def check_subdifferential_inequality(objective: CompositeObjective, z_bar,
 
 
 def check_level_set(trace: Sequence[IterationRecord], j0: float,
-                    norm_budget: float = 1e4) -> dict:
+                    norm_budget: float = TrustRegionParams.norm_budget) -> dict:
     """Verify J stayed at or below J(z0) and iterates stayed inside the budget.
 
     verdict is "objective-increase" when some J rose above j0 by more than

@@ -146,11 +146,8 @@ def lp_solve(lp: LpStandardForm, warm: WarmStart | None = None) -> BoxLpSolution
     SubproblemError; an iteration-limit failure keeps the simplex message
     as it is.
     """
-    data = (lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub)
     try:
-        # A cold solve keeps the five-argument call, which the tests'
-        # stand-ins for solve_box_lp take.
-        sol = solve_box_lp(*data) if warm is None else solve_box_lp(*data, warm=warm)
+        sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub, warm=warm)
     except SimplexIterationLimitError as exc:
         raise SubproblemError(str(exc)) from exc
     except SimplexError as exc:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from scvxkit.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     ConfigError,
+    OutputConfig,
     execute_run,
     load_config,
     main,
@@ -43,6 +45,17 @@ def write_config(tmp_path, name="run.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(minimal_config(**extra)))
     return str(path)
+
+
+def with_value(data, path, value):
+    """A copy of the config data whose key at the dotted path holds value."""
+    data = json.loads(json.dumps(data))
+    *sections, key = path.split(".")
+    node = data
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return data
 
 
 class TestParseConfig:
@@ -256,7 +269,7 @@ class TestSolveArtifacts:
     def test_summary_contents(self, tmp_path):
         _, out = self.run_solve(tmp_path)
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["problem"] == "toy-sharp-1d"
+        assert summary["config"]["problem"]["name"] == "toy-sharp-1d"
         assert summary["status"] == "converged-stationary"
         assert summary["exit_code"] == 0
         assert summary["J_final"] == pytest.approx(1.0, abs=1e-8)
@@ -386,7 +399,7 @@ class TestExitCodes:
         import scvxkit.subproblem as subproblem_module
         from scvxkit.simplex import solve_box_lp
         monkeypatch.setattr(subproblem_module, "solve_box_lp",
-                            lambda *args: solve_box_lp(*args, max_iter=1))
+                            lambda *args, **kwargs: solve_box_lp(*args, max_iter=1, **kwargs))
         out = tmp_path / "out"
         output = {"trace": str(out / "trace.jsonl"), "summary": str(out / "summary.json")}
         path = write_config(tmp_path, problem={"name": "double-integrator-obstacle"},
@@ -451,51 +464,62 @@ class TestCheck:
         solved = Path(load_config(config_path).output.report).read_bytes()
         assert recheck_path.read_bytes() == solved
 
-    def test_check_uses_the_seed_of_the_solve(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("config_name, path, solved, edited", [
+        ("toy-sharp-2d.json", "seed", 3, 0),
+        ("toy-sharp-1d.json", "lambda", 10.0, 3.0),
+        ("toy-sharp-1d.json", "trust_region.norm_budget", None, 0.5),
+        ("toy-sharp-1d.json", "diagnostics.delta", None, 0.05),
+        ("toy-sharp-1d.json", "diagnostics.small_step", None, False),
+        ("dubins-car.json", "problem.overrides", None, {"dt": 0.6}),
+    ], ids=["seed", "lambda", "norm_budget", "delta", "small_step", "overrides"])
+    def test_check_uses_the_inputs_of_the_solve(self, tmp_path, monkeypatch, capsys,
+                                                config_name, path, solved, edited):
+        # One input is edited between solve and check (solved None keeps the
+        # bundled value); check re-runs under the input summary.json records.
         monkeypatch.chdir(tmp_path)
-        data = json.loads((CONFIG_DIR / "toy-sharp-2d.json").read_text())
+        data = json.loads((CONFIG_DIR / config_name).read_text())
+        if solved is not None:
+            data = with_value(data, path, solved)
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({**data, "seed": 3}))
-        main(["solve", "--config", str(config_path)])
-        config_path.write_text(json.dumps({**data, "seed": 0}))
-        recheck_path = tmp_path / "other.json"
-        assert main(["check", "--config", str(config_path),
-                     "--report", str(recheck_path)]) == EXIT_OK
-        solved = Path(load_config(str(config_path)).output.report).read_bytes()
-        assert json.loads(solved)["sharp_minimum"]["seed"] == 3
-        assert recheck_path.read_bytes() == solved
-
-    def test_check_uses_the_penalty_weight_of_the_solve(self, tmp_path, monkeypatch, capsys):
-        # Re-checked under lambda 3, the report used to read beta_hat 1.01
-        # and gamma_hat 1.0 where the solve at lambda 10 wrote 8.01 and 8.
-        monkeypatch.chdir(tmp_path)
-        data = json.loads((CONFIG_DIR / "toy-sharp-1d.json").read_text())
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({**data, "lambda": 10.0}))
+        config_path.write_text(json.dumps(data))
         assert main(["solve", "--config", str(config_path)]) == EXIT_OK
-        config_path.write_text(json.dumps({**data, "lambda": 3.0}))
+        config_path.write_text(json.dumps(with_value(data, path, edited)))
         recheck_path = tmp_path / "other.json"
         assert main(["check", "--config", str(config_path),
                      "--report", str(recheck_path)]) == EXIT_OK
-        solved = Path(load_config(str(config_path)).output.report).read_bytes()
-        assert json.loads(solved)["model_growth"]["gamma_hat"] == pytest.approx(8.0)
-        assert recheck_path.read_bytes() == solved
+        config = load_config(str(config_path))
+        solved_report = Path(config.output.report).read_bytes()
+        assert recheck_path.read_bytes() == solved_report
+        # The edit matters: a solve under the edited config reports otherwise.
+        edited_path = tmp_path / "edited.json"
+        execute_run(replace(config, output=OutputConfig(report=str(edited_path))), quiet=True)
+        assert edited_path.read_bytes() != solved_report
 
-    def test_check_of_another_problem_is_config_error(self, tmp_path, capsys):
+    def test_check_rechecks_the_recorded_problem(self, tmp_path, capsys):
+        # The config gives only the paths: a config that names another
+        # problem re-checks the problem the solve recorded.
         out = tmp_path / "out"
         output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
-                  "summary": str(out / "summary.json")}
+                  "summary": str(out / "summary.json"), "report": str(out / "report.json")}
         config_path = write_config(tmp_path, output=output)
         assert main(["solve", "--config", config_path]) == EXIT_OK
         write_config(tmp_path, problem={"name": "toy-sharp-2d"}, output=output)
         capsys.readouterr()
-        assert main(["check", "--config", config_path]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err and "'toy-sharp-1d'" in err and "'toy-sharp-2d'" in err
+        recheck_path = out / "report2.json"
+        assert main(["check", "--config", config_path,
+                     "--report", str(recheck_path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("check toy-sharp-1d: ")
+        assert recheck_path.read_bytes() == (out / "report.json").read_bytes()
 
-    @pytest.mark.parametrize("key", ["penalty_weight", "problem"])
-    def test_check_summary_without_the_solve_inputs_is_config_error(self, tmp_path, capsys,
-                                                                    key):
+    @pytest.mark.parametrize("damage, named", [
+        ("no-config", "lacks config"),
+        ("no-problem", "problem"),
+        ("unknown-key", "trust_region.turbo"),
+        ("schema-version-0", "schema_version"),
+        ("negative-lambda", "lambda"),
+    ], ids=["no-config", "no-problem", "unknown-key", "schema-version-0", "negative-lambda"])
+    def test_check_summary_without_a_valid_config_is_config_error(self, tmp_path, capsys,
+                                                                  damage, named):
         out = tmp_path / "out"
         output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
                   "summary": str(out / "summary.json")}
@@ -503,12 +527,21 @@ class TestCheck:
         assert main(["solve", "--config", config_path]) == EXIT_OK
         summary = out / "summary.json"
         data = json.loads(summary.read_text())
-        del data[key]
+        if damage == "no-config":
+            del data["config"]
+        elif damage == "no-problem":
+            del data["config"]["problem"]
+        elif damage == "unknown-key":
+            data["config"]["trust_region"]["turbo"] = True
+        elif damage == "schema-version-0":
+            data["config"]["schema_version"] = 0
+        else:
+            data["config"]["lambda"] = -1.0
         summary.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error" in err and str(summary) in err and key in err
+        assert "config error" in err and str(summary) in err and named in err
 
     @pytest.mark.parametrize("sidecar", ["unset", "deleted", "truncated"])
     def test_check_without_every_iterate_is_config_error(self, tmp_path, capsys, sidecar):
@@ -594,7 +627,8 @@ class TestCheck:
             target.write_text("".join(json.dumps(row) + "\n" for row in rows))
         else:
             data = json.loads(target.read_text())
-            data[key] = value
+            # seed sits in the recorded config, the other keys at the top.
+            (data if key in data else data["config"])[key] = value
             target.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["check", "--config", config_path]) == EXIT_CONFIG
@@ -667,6 +701,18 @@ class TestExecuteRun:
         assert summary["iterations"] >= summary["accepted"]
         assert summary["J0"] >= summary["J_final"]
         np.testing.assert_allclose(summary["final_z"], [1.0, 1.0], atol=1e-8)
+
+    def test_summary_records_the_inputs_parse_config_reads(self):
+        # Output paths stay out; a null lambda is recorded as the weight the
+        # problem was built with.
+        from scvxkit import builtin
+        from scvxkit.cli import RunConfig
+        config = RunConfig(problem_name="toy-sharp-2d", seed=3, start_jitter=0.25)
+        _, summary = execute_run(config, quiet=True)
+        recorded = parse_config(json.loads(json.dumps(summary["config"])))
+        weight = builtin("toy-sharp-2d").default_penalty_weight
+        assert recorded == replace(config, penalty_weight=weight)
+        assert "output" not in summary["config"]
 
     def test_report_layout(self):
         from scvxkit.cli import RunConfig

@@ -206,11 +206,11 @@ class TestGrowthConstant:
         comp, z_bar = bundled_final_points["toy-sharp-2d"]
         calls = []
 
-        def failing_third(*args):
+        def failing_third(*args, **kwargs):
             calls.append(args)
             if len(calls) == 3:
                 raise SimplexError("forced")
-            return solve_box_lp(*args)
+            return solve_box_lp(*args, **kwargs)
 
         monkeypatch.setattr(subproblem_module, "solve_box_lp", failing_third)
         section = estimate_growth_constant(comp, z_bar)

@@ -118,9 +118,9 @@ class TestExtend:
     def test_min_norm_lp_leads_with_build_lp(self, rng, monkeypatch):
         calls = []
 
-        def recording(*args):
+        def recording(*args, **kwargs):
             calls.append(args)
-            return solve_box_lp(*args)
+            return solve_box_lp(*args, **kwargs)
 
         monkeypatch.setattr(subproblem_module, "solve_box_lp", recording)
         for _ in range(10):
@@ -337,7 +337,7 @@ class TestMinNormStep:
 class TestFailurePropagation:
     def test_iteration_limit_becomes_subproblem_error(self, rng, monkeypatch):
         monkeypatch.setattr(subproblem_module, "solve_box_lp",
-                            lambda *args: solve_box_lp(*args, max_iter=1))
+                            lambda *args, **kwargs: solve_box_lp(*args, max_iter=1, **kwargs))
         # Equality rows with nonzero values give negative right-hand sides,
         # so the LP starts in phase 1; cost rows alone start in phase 2.
         # Negative cost gradients send every step entry to its upper bound,
