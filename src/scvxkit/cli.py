@@ -198,20 +198,28 @@ def _read_json(path, what: str, lines: bool = False):
     """Parse the strict-JSON file at path; what names the file in errors.
 
     With lines=True the file is JSON Lines and the result is the list of its
-    rows.  An unreadable file, bytes that are not UTF-8, malformed JSON and
-    the NaN/Infinity tokens all become a ConfigError.
+    rows.  An unreadable file, bytes that are not UTF-8, malformed JSON, the
+    NaN/Infinity tokens and numbers such as 1e999 that overflow to +-inf all
+    become a ConfigError.
     """
     def reject_constant(token):
         raise ConfigError(f"{what} {path} is not strict JSON: {token} is not allowed")
+
+    def finite_float(token):
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"{what} {path} is not strict JSON: {token} overflows to {value}")
+        return value
 
     line = 0  # lines before the text being parsed
     try:
         text = Path(path).read_text(encoding="utf-8")
         if not lines:
-            return json.loads(text, parse_constant=reject_constant)
+            return json.loads(text, parse_constant=reject_constant, parse_float=finite_float)
         rows = []
         for line, row in enumerate(text.splitlines()):
-            rows.append(json.loads(row, parse_constant=reject_constant))
+            rows.append(json.loads(row, parse_constant=reject_constant,
+                                   parse_float=finite_float))
         return rows
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
@@ -533,10 +541,10 @@ def cmd_check(args) -> int:
                         "config": lambda v: isinstance(v, dict)}, "summary", summary_file)
     try:
         config = replace(parse_config(summary["config"]), output=output)
+        composite, disc, _ = _prepare(config)
     except ConfigError as exc:
         raise ConfigError(f"summary {summary_file} holds a bad config: {exc}") from None
     trace = read_trace(str(trace_file), config.output.iterates)
-    composite, disc, _ = _prepare(config)
     # The saved run must be one of this problem: vectors of its length and a
     # status a solve ends with.
     if len(summary["final_z"]) != composite.n_z:

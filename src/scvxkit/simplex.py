@@ -18,6 +18,14 @@ applied to the flipped b.  The old basis stays dual feasible, so a dual
 simplex (Koberstein, "The dual simplex method, techniques for a fast and
 stable implementation", PhD thesis, Paderborn, 2005) restores a feasible
 rhs and phase 2 finishes, in place.
+
+An optimal solution also says whether its x is the LP's only optimum.  When
+every nonbasic reduced cost of the final tableau is positive beyond the
+optimality tolerance, any other feasible point makes some nonbasic variable
+positive and so costs more: strict complementarity at the final basis
+proves the optimum unique (Mangasarian, "Uniqueness of solution in linear
+programming", Linear Algebra Appl. 25, 1979).  A restart from another
+basis may reach another optimal vertex only where this certificate fails.
 """
 
 from __future__ import annotations
@@ -57,14 +65,17 @@ class WarmStart:
 
     Opaque to callers: pass it as solve_box_lp's warm=.  That solve
     re-solves the tableau in place, so a state serves one solve only.
+    source is the caller's to set, to the object whose LP the state solved;
+    solve_box_lp never reads it.
     """
 
-    __slots__ = ("tableau", "basis", "finite_ub")
+    __slots__ = ("tableau", "basis", "finite_ub", "source")
 
     def __init__(self, tableau: np.ndarray, basis: np.ndarray, finite_ub: np.ndarray):
         self.tableau = tableau
         self.basis = basis
         self.finite_ub = finite_ub
+        self.source = None
 
     def take(self, m_ub: int, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tableau and basis for an LP of m_ub rows and this finite-ub pattern."""
@@ -87,6 +98,9 @@ class BoxLpSolution:
     iterations: int
     # Set on an optimal solution only: the state solve_box_lp's warm= takes.
     warm: WarmStart | None = field(default=None, repr=False, compare=False)
+    # True on an optimal solution whose optimum the final tableau certifies
+    # unique: every nonbasic reduced cost exceeds the optimality tolerance.
+    unique: bool = False
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
@@ -332,6 +346,10 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     A state from an LP of another shape or finite-ub pattern, or one an
     earlier solve already took, is a ValueError.  c and a_ub are not
     compared: passing a state for other ones gives a wrong answer.
+
+    An optimal solution's unique is True when its final tableau certifies
+    x as the LP's only optimum (see the module docstring); it costs no
+    pivot.
     """
     c, a_ub, b_ub, lb, ub = _checked(c, a_ub, b_ub, lb, ub)
     n = c.size
@@ -370,4 +388,18 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     if status == "unbounded":
         return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=pivots)
     return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=pivots,
-                         warm=WarmStart(tableau[:, :width], basis, finite_ub))
+                         warm=WarmStart(tableau[:, :width], basis, finite_ub),
+                         unique=_unique(tableau[-1, :width], basis))
+
+
+def _unique(objective_row: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether every nonbasic reduced cost exceeds _run's optimality tolerance.
+
+    The tolerance is OPT_TOL * (1 + max |reduced cost|) over the row given,
+    the objective row of the kept tableau with the rhs in entry 0.
+    """
+    reduced = objective_row[1:]
+    nonbasic = np.ones(reduced.size, dtype=bool)
+    nonbasic[basis - 1] = False
+    rc_tol = OPT_TOL * (1.0 + float(np.max(np.abs(reduced), initial=0.0)))
+    return bool(np.all(reduced[nonbasic] > rc_tol))

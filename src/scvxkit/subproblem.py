@@ -88,7 +88,7 @@ class SubproblemSolution:
     model_value: float
     predicted_decrease: float
     # The LP's warm state (solve_subproblem only): it seeds the LP of the
-    # next solve at an unchanged Jacobian.
+    # next solve at the same linearization or at an unchanged Jacobian.
     warm: WarmStart | None = field(default=None, repr=False, compare=False)
 
 
@@ -164,9 +164,20 @@ def solve_subproblem(lin: Linearization, radius: float,
     solution whose linearization had the same Jacobian, psi and n_z, so
     that its LP differed only in b_ub and the box; the LP then restarts
     from that solution's final basis (solve_box_lp's warm=).
+
+    A state from a solution of this same lin (the re-solve after a rejected
+    step, whose LP differs only in its box) may restart to another optimal
+    vertex than a cold solve reaches.  Its restarted answer is kept only
+    when the LP's optimum is certified unique (BoxLpSolution.unique);
+    otherwise the restarted tableau is dropped and the LP is solved cold.
     """
     lp = build_lp(lin, radius)
     sol = lp_solve(lp, warm)
+    if warm is not None and warm.source is lin and not sol.unique:
+        sol = None  # the cold solve must not build its tableau beside the restarted one
+        sol = lp_solve(lp)
+    if sol.warm is not None:
+        sol.warm.source = lin
     return SubproblemSolution(step=sol.x[:lin.n_z].copy(), model_value=sol.objective,
                               predicted_decrease=lin.base_value - sol.objective, warm=sol.warm)
 

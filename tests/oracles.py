@@ -81,16 +81,22 @@ def scipy_model_min(g_value, jacobian, n_cost, n_eq, weight, radius):
     return float(res.fun) + float(g[:n_cost].sum())
 
 
-def scipy_box_lp(c, a_ub, b_ub, lb, ub):
-    """Reference solve of min c@x, a_ub@x <= b_ub, lb <= x <= ub."""
+def scipy_box_lp(c, a_ub, b_ub, lb, ub, tol=None):
+    """Reference solve of min c@x, a_ub@x <= b_ub, lb <= x <= ub.
+
+    tol, when given, sets HiGHS's primal and dual feasibility tolerances
+    (1e-7 by default); a reference for x needs a tight one, since at the
+    default HiGHS may stop at a vertex that is optimal only to 1e-7.
+    """
     c = np.asarray(c, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     bounds = [(lo, None if np.isinf(hi) else hi) for lo, hi in zip(lb, ub)]
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, c.size) if np.size(a_ub) else None
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1) if np.size(b_ub) else None
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    return res
+    options = {} if tol is None else {"primal_feasibility_tolerance": tol,
+                                      "dual_feasibility_tolerance": tol}
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options)
 
 
 def dense_pivot(tableau, basis, row, col, rows):

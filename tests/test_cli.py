@@ -221,6 +221,15 @@ class TestLoadConfig:
             err = capsys.readouterr().err
             assert "config error" in err and token in err
 
+    def test_overflowing_number_rejected(self, tmp_path, capsys):
+        # Python reads 1e999 as inf, which summary.json would record as null.
+        path = tmp_path / "run.json"
+        path.write_text('{"schema_version": 1, "problem": {"name": "toy-sharp-1d"}, '
+                        '"trust_region": {"r_max": 1e999}}')
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err and "1e999" in err
+
     def test_non_utf8_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(minimal_config()).encode() + b"\xff")
@@ -517,7 +526,9 @@ class TestCheck:
         ("unknown-key", "trust_region.turbo"),
         ("schema-version-0", "schema_version"),
         ("negative-lambda", "lambda"),
-    ], ids=["no-config", "no-problem", "unknown-key", "schema-version-0", "negative-lambda"])
+        ("unknown-builtin", "unknown builtin 'bogus'"),
+    ], ids=["no-config", "no-problem", "unknown-key", "schema-version-0", "negative-lambda",
+            "unknown-builtin"])
     def test_check_summary_without_a_valid_config_is_config_error(self, tmp_path, capsys,
                                                                   damage, named):
         out = tmp_path / "out"
@@ -535,6 +546,8 @@ class TestCheck:
             data["config"]["trust_region"]["turbo"] = True
         elif damage == "schema-version-0":
             data["config"]["schema_version"] = 0
+        elif damage == "unknown-builtin":
+            data["config"]["problem"]["name"] = "bogus"
         else:
             data["config"]["lambda"] = -1.0
         summary.write_text(json.dumps(data))

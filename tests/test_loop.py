@@ -370,13 +370,16 @@ def test_one_solve_per_record_at_its_radius(monkeypatch, name, r_init):
 
 
 class TestWarmStart:
-    """A fresh linearization at an unchanged Jacobian restarts its LP from
-    the last LP's tableau; every other LP is solved cold."""
+    """The LP after a rejection restarts from the rejected LP's tableau,
+    kept only when certified unique, and a fresh linearization at an
+    unchanged Jacobian restarts from the last LP's tableau; every other LP
+    is solved cold."""
 
     @staticmethod
     def solve(monkeypatch, comp, z0, cold=False):
-        """run_scvx, the warm state passed to each subproblem, and the pivots."""
-        warms, pivots = [], []
+        """run_scvx, the warm state passed to each subproblem, the pivots, and
+        the LP arguments and x of each restarted LP solve certified unique."""
+        warms, pivots, certified = [], [], []
 
         def subproblem(lin, radius, warm=None):
             warms.append(warm)
@@ -385,20 +388,22 @@ class TestWarmStart:
         def box_lp(*args, **kwargs):
             sol = solve_box_lp(*args, **kwargs)
             pivots.append(sol.iterations)
+            if kwargs.get("warm") is not None and sol.unique:
+                certified.append((args, sol.x))
             return sol
 
         with monkeypatch.context() as patch:
             patch.setattr(loop_module, "solve_subproblem", subproblem)
             patch.setattr(subproblem_module, "solve_box_lp", box_lp)
             result = run_scvx(comp, z0, TrustRegionParams(max_iterations=300))
-        return result, warms, sum(pivots)
+        return result, warms, sum(pivots), certified
 
     @pytest.mark.parametrize("n_nodes", [20, 24, 32, 40])
     def test_convex_lqr_box_matches_cold_run_in_fewer_pivots(self, monkeypatch, n_nodes):
         bench = builtin("convex-lqr-box", n_nodes=n_nodes)
         comp, _ = bench.build(100.0)
-        cold, _, cold_pivots = self.solve(monkeypatch, comp, bench.default_start, cold=True)
-        warm, warms, warm_pivots = self.solve(monkeypatch, comp, bench.default_start)
+        cold, _, cold_pivots, _ = self.solve(monkeypatch, comp, bench.default_start, cold=True)
+        warm, warms, warm_pivots, _ = self.solve(monkeypatch, comp, bench.default_start)
         # The inner map is affine: every LP after the first is warm.
         assert warms[0] is None and all(w is not None for w in warms[1:])
         assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
@@ -406,21 +411,45 @@ class TestWarmStart:
                                              abs=1e-9 * (1.0 + abs(cold.J_final)))
         assert warm_pivots < cold_pivots
 
-    @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
-    def test_nonlinear_maps_never_pass_a_warm_state(self, monkeypatch, name):
-        bench = builtin(name)
-        result, warms, _ = self.solve(monkeypatch, bench.build()[0], bench.default_start)
-        assert result.status == STATUS_CONVERGED
-        assert len(warms) == result.iterations and all(w is None for w in warms)
+    @pytest.mark.parametrize("name, n_nodes", [("double-integrator-obstacle", 8),
+                                               ("dubins-car", 12)])
+    def test_rejection_restarts_keep_results(self, monkeypatch, name, n_nodes):
+        # Every LP forced cold gives the same run; each certified restart
+        # gives the x of HiGHS at tight tolerances.
+        bench = builtin(name, n_nodes=n_nodes)
+        comp, _ = bench.build()
+        cold, _, cold_pivots, _ = self.solve(monkeypatch, comp, bench.default_start, cold=True)
+        warm, warms, warm_pivots, certified = self.solve(monkeypatch, comp,
+                                                         bench.default_start)
+        assert any(w is not None for w in warms) and certified
+        assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+        assert warm.J_final == pytest.approx(cold.J_final, rel=0.0,
+                                             abs=1e-10 * (1.0 + abs(cold.J_final)))
+        assert warm_pivots < cold_pivots
+        for args, x in certified:
+            ref = oracles.scipy_box_lp(*args, tol=1e-10)
+            np.testing.assert_allclose(x, ref.x, rtol=0.0, atol=1e-9 * (1.0 + np.abs(x).max()))
 
-    def test_only_accepted_steps_pass_a_warm_state(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
+    def test_nonlinear_maps_pass_a_warm_state_only_after_a_rejection(self, monkeypatch, name):
+        bench = builtin(name)
+        result, warms, _, _ = self.solve(monkeypatch, bench.build()[0], bench.default_start)
+        assert result.status == STATUS_CONVERGED
+        # Each accepted step changes the Jacobian, so only a rejection's
+        # re-solve restarts; the last record is the stationarity stop.
+        rejected = [not rec.accepted for rec in result.trace]
+        assert any(rejected)
+        assert [w is not None for w in warms] == [False] + rejected[:-1]
+
+    def test_warm_state_after_a_rejection_or_at_an_unchanged_jacobian(self, monkeypatch):
         # J(z) = -z, affine wherever it is finite, so the Jacobian never
         # changes; a trial point past 1.5 is off the domain and rejected.
-        # A rejection keeps its linearization, so the LP after it is cold.
+        # A rejection's re-solve and an accepted step's fresh linearization
+        # both restart, so every LP after the first is warm.
         smooth = SmoothMap(1, 1, lambda z: np.where(z > 1.5, np.inf, -z),
                            lambda z: np.full((1, 1), -1.0))
         comp = CompositeObjective(smooth, ConvexOuter(range(0, 1), range(1, 1), range(1, 1), 1.0))
-        result, warms, _ = self.solve(monkeypatch, comp, np.zeros(1))
+        result, warms, _, _ = self.solve(monkeypatch, comp, np.zeros(1))
         accepted = [rec.accepted for rec in result.trace]
         assert 0 < sum(accepted) < len(accepted) - 1
-        assert [w is not None for w in warms] == [False] + accepted[:-1]
+        assert [w is not None for w in warms] == [False] + [True] * (len(warms) - 1)

@@ -76,3 +76,39 @@ def test_pairs_record_median_pass_time_and_its_quartiles(record_bench, tmp_path,
         round(2.0 * q, 4) for q in statistics.quantiles(parent, n=4)]
     assert summary["medians_parent_change"]["pass_wall_s"] == [2.25, 4.5]
     assert summary["wall_cal_parent_q1_median_q3"] == summary["wall_cal_change_q1_median_q3"]
+
+
+def test_pairs_compare_statuses_iterations_and_j_final(record_bench, tmp_path, monkeypatch):
+    # The change moves J_final of instance "a" by 3e-12 and keeps its status
+    # and iterations: not the same bits, but the same statuses and iterations.
+    monkeypatch.setattr(record_bench, "unpack", lambda rev, dest: None)
+
+    def run_bench(root, command, workload, seed, seconds, trace):
+        j_a = 2.0 + (3e-12 if root == record_bench.ROOT else 0.0)
+        outcomes = [{"instance": "a", "status": "converged-stationary", "iterations": 7,
+                     "J_final": j_a},
+                    {"instance": "b", "status": "iteration-limit", "iterations": 9,
+                     "J_final": -1.0}]
+        metrics = {"wall_cal": 5.0, "setup_s": 0.2, "peak_rss_mb": 40.0,
+                   "feasible_fraction": 1.0}
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()},
+                "pass_wall_s": [1.0], "outcomes": outcomes, "failures": []}, None
+
+    monkeypatch.setattr(record_bench, "run_bench", run_bench)
+    bench = {"command": ["false"], "run_seconds": 1, "workloads": [{"name": "w"}]}
+    out = tmp_path / "BENCH_pairs.json"
+    assert record_bench.pairs(bench, 2, "HEAD", 0, str(out)) == 0
+
+    summary = json.loads(out.read_text())["rounds"][0]["summary"]["w"]
+    assert summary["same_outcomes"] is False
+    assert summary["same_status_iterations"] is True
+    assert summary["max_rel_dJ_final"] == abs((2.0 + 3e-12) - 2.0) / 3.0
+
+
+def test_compare_outcomes_sees_a_changed_iteration_count(record_bench):
+    def key(iterations):
+        return json.dumps([["a", "converged-stationary", iterations, (1.0).hex()]])
+
+    assert record_bench.compare_outcomes({key(7)}, {key(7)}) == (True, 0.0)
+    assert record_bench.compare_outcomes({key(7)}, {key(8)}) == (False, 0.0)
+    assert record_bench.compare_outcomes({key(7)}, set()) == (True, None)

@@ -410,6 +410,50 @@ class TestWarmStart:
         assert sol.status == "unbounded" and sol.warm is None
 
 
+class TestUniqueOptimum:
+    """BoxLpSolution.unique: strict complementarity at the final basis."""
+
+    @staticmethod
+    def cover_lp(c):
+        """min c @ x subject to x0 + x1 >= 1 in [0, 2]^2."""
+        return (np.asarray(c, dtype=float), np.array([[-1.0, -1.0]]), np.array([-1.0]),
+                np.zeros(2), np.full(2, 2.0))
+
+    @pytest.mark.parametrize("c, objective", [([1.0, 1.0], 1.0), ([0.0, 1.0], 0.0)],
+                             ids=["tied-costs", "cost-free"])
+    def test_non_unique_optimum_is_not_certified(self, c, objective):
+        # Tied costs leave the whole segment x0 + x1 = 1 optimal; a cost-free
+        # x0 may sit anywhere in [1, 2] at x1 = 0.
+        sol = solve_box_lp(*self.cover_lp(c))
+        assert sol.status == "optimal" and sol.objective == pytest.approx(objective, abs=1e-12)
+        assert not sol.unique
+
+    def test_strictly_complementary_optimum_is_certified(self):
+        sol = solve_box_lp(*self.cover_lp([1.0, 2.0]))
+        np.testing.assert_allclose(sol.x, [1.0, 0.0], rtol=0.0, atol=1e-12)
+        assert sol.unique
+
+    def test_restart_reports_its_own_certificate(self):
+        # A restart reads the certificate off its own final tableau.
+        first = solve_box_lp(*self.cover_lp([1.0, 2.0]))
+        again = solve_box_lp(*self.cover_lp([1.0, 2.0]), warm=first.warm)
+        assert first.unique and again.unique and again.iterations == 0
+        tied = solve_box_lp(*self.cover_lp([1.0, 1.0]))
+        assert not solve_box_lp(*self.cover_lp([1.0, 1.0]), warm=tied.warm).unique
+
+    def test_certified_answers_match_highs(self, rng):
+        certified = 0
+        for _ in range(60):
+            lp = random_bounded_lp(rng)
+            sol = solve_box_lp(*lp)
+            if not sol.unique:
+                continue
+            certified += 1
+            ref = oracles.scipy_box_lp(*lp, tol=1e-10)
+            np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-9 * (1.0 + np.abs(sol.x).max()))
+        assert certified >= 50
+
+
 class TestTableauAssembly:
     """The tableau written in place must equal the stacked assembly of
     oracles.stacked_tableau bit for bit, signs of zero included."""

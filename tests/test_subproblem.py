@@ -1,6 +1,7 @@
 """Tests for the trust-region LP subproblem: standard-form assembly,
 optimality against independent solvers, unboundedness detection over the
-small-step probe's quasi-infinite box, and the minimum-norm tie-break."""
+small-step probe's quasi-infinite box, the minimum-norm tie-break, and the
+choice between a restarted and a cold LP."""
 
 import functools
 
@@ -9,7 +10,7 @@ import pytest
 
 from scvxkit import SubproblemError
 from scvxkit import diagnostics
-from scvxkit.composite import linearize
+from scvxkit.composite import Linearization, linearize
 from scvxkit.diagnostics import QUASI_INFINITE_FACTOR, UNBOUNDED_FRACTION, check_small_step
 from scvxkit.loop import STATUS_CONVERGED, run_scvx
 from scvxkit.problems import builtin
@@ -354,3 +355,50 @@ class TestFailurePropagation:
             # A failed run writes this message into summary.json word for word.
             assert str(err.value) == message
             assert err.value.__cause__.iterations == 1
+
+
+class TestRestart:
+    """solve_subproblem given a warm state: a restart at the state's own
+    linearization (after a rejected step) is kept only when certified
+    unique; one at another linearization with the same Jacobian is kept."""
+
+    @staticmethod
+    def resolve(monkeypatch, name, same_lin):
+        """The re-solve at radius 0.5 from the radius-1 solution, a cold solve
+        of the same LP, and (warm, certified unique) for each LP solve of the
+        re-solve."""
+        bench = builtin(name)
+        lin = linearize(bench.build()[0], bench.default_start)
+        warm = solve_subproblem(lin, 1.0).warm
+        if not same_lin:
+            lin = Linearization(lin.g_value + 1e-3, lin.g_jacobian, lin.psi)
+        calls = []
+
+        def box_lp(*args, **kwargs):
+            sol = solve_box_lp(*args, **kwargs)
+            calls.append((kwargs.get("warm") is not None, sol.unique))
+            return sol
+
+        with monkeypatch.context() as patch:
+            patch.setattr(subproblem_module, "solve_box_lp", box_lp)
+            again = solve_subproblem(lin, 0.5, warm)
+        return again, solve_subproblem(lin, 0.5), calls
+
+    def test_certified_restart_is_kept(self, monkeypatch):
+        again, cold, calls = self.resolve(monkeypatch, "convex-lqr-box", same_lin=True)
+        assert calls == [(True, True)]
+        np.testing.assert_allclose(again.step, cold.step, rtol=0.0, atol=1e-9)
+        assert again.model_value == pytest.approx(cold.model_value, rel=1e-12, abs=1e-12)
+
+    def test_uncertified_restart_falls_back_cold(self, monkeypatch):
+        # The first LP of the double integrator has a non-unique optimum.
+        again, cold, calls = self.resolve(monkeypatch, "double-integrator-obstacle",
+                                          same_lin=True)
+        assert [warm for warm, _ in calls] == [True, False] and not calls[0][1]
+        np.testing.assert_array_equal(again.step, cold.step)
+        assert again.model_value == cold.model_value
+
+    def test_restart_at_another_linearization_is_kept_uncertified(self, monkeypatch):
+        again, _, calls = self.resolve(monkeypatch, "double-integrator-obstacle",
+                                       same_lin=False)
+        assert calls == [(True, False)]

@@ -18,8 +18,10 @@ with git archive into a temporary directory that is deleted afterwards.
 The file gets one round per call: every run's end-to-end metrics and the
 median of its raw pass times (pass_wall_s), and per workload the quartiles
 of wall_cal and of pass_wall_s on each side, the number of pairs in which
-the change had the lower wall_cal, and whether both sides gave the same
-outcomes (status, iterations and the bits of J_final of every instance).  A round is
+the change had the lower wall_cal, whether both sides gave the same
+outcomes (status, iterations and the bits of J_final of every instance),
+whether they gave the same statuses and iterations, and the largest
+|J_final change - J_final parent| / (1 + |J_final parent|).  A round is
 appended when the file already holds rounds against the same parent; any
 other existing file is left alone, and the call exits 1 before any run.
 """
@@ -99,6 +101,27 @@ def outcome_key(record: dict) -> list:
             for o in record["outcomes"]]
 
 
+def compare_outcomes(parent: set, change: set) -> tuple[bool, float | None]:
+    """Whether every run of both sides gave the same statuses and iterations,
+    and the largest |dJ_final| / (1 + |J_final|) of an instance between a
+    parent run and a change run (None without a run on each side).
+
+    parent and change hold the JSON of outcome_key of each run.
+    """
+    runs = {side: [json.loads(key) for key in keys] for side, keys in
+            (("parent", parent), ("change", change))}
+    same = len({json.dumps([o[:3] for o in run])
+                for run in runs["parent"] + runs["change"]}) == 1
+    worst = None
+    for p_run in runs["parent"]:
+        for c_run in runs["change"]:
+            for p, c in zip(p_run, c_run):
+                j_p, j_c = float.fromhex(p[3]), float.fromhex(c[3])
+                delta = 0.0 if p[3] == c[3] else abs(j_c - j_p) / (1.0 + abs(j_p))
+                worst = delta if worst is None else max(worst, delta)
+    return same, worst
+
+
 def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int:
     parent_sha = git("rev-parse", "--short", parent)
     path = Path(output)
@@ -145,6 +168,8 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
 
     summary = {}
     for workload in workloads:
+        same_status_iterations, max_rel_dj = compare_outcomes(
+            outcomes.get((workload, "parent"), set()), outcomes.get((workload, "change"), set()))
         by_pair = {side: {r[0]: r for r in runs if r[1] == workload and r[2] == side}
                    for side in SIDES}
         both = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
@@ -172,6 +197,8 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
             # one set of outcomes over every run of both sides
             "same_outcomes": len(outcomes.get((workload, "parent"), set())
                                  | outcomes.get((workload, "change"), set())) == 1,
+            "same_status_iterations": same_status_iterations,
+            "max_rel_dJ_final": max_rel_dj,
         }
 
     round_ = {"change": change, "seed": seed, "order": "alternating: odd pairs run the parent first",
@@ -191,6 +218,10 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
             "quartiles": "statistics.quantiles(n=4), exclusive method; none below 4 pairs",
             "same_outcomes": "every run of the workload, on both sides, gave the same status, "
                              "iterations and J_final bits for every instance",
+            "same_status_iterations": "every run of the workload, on both sides, gave the same "
+                                      "status and iterations for every instance",
+            "max_rel_dJ_final": "largest |J_final change - J_final parent| / "
+                                "(1 + |J_final parent|) over instances and parent/change runs",
             "rounds": [round_],
         }
     path.write_text(json.dumps(out, indent=1) + "\n")
