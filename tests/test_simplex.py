@@ -450,7 +450,8 @@ class TestUniqueOptimum:
                 continue
             certified += 1
             ref = oracles.scipy_box_lp(*lp, tol=1e-10)
-            np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-9 * (1.0 + np.abs(sol.x).max()))
+            np.testing.assert_allclose(sol.x, ref.x, rtol=0.0,
+                                       atol=1e-9 * (1.0 + np.abs(sol.x).max()))
         assert certified >= 50
 
 
