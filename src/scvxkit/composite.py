@@ -127,10 +127,6 @@ class ConvexOuter:
         return len(self.cost_range) + len(self.eq_range) + len(self.ineq_range)
 
     @property
-    def n_cost(self) -> int:
-        return len(self.cost_range)
-
-    @property
     def n_eq(self) -> int:
         return len(self.eq_range)
 

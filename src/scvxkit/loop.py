@@ -4,11 +4,8 @@ Each iteration linearizes the smooth inner map, minimizes the convex model
 over an inf-norm ball, and accepts or rejects the candidate by comparing
 actual to predicted decrease.  After a rejection the linearization is kept
 and only the radius shrinks, so rejected iterations never re-evaluate the
-Jacobian, and the LP after a rejection warm-starts from the rejected LP's
-final basis; the restarted answer is kept only when the LP's optimum is
-certified unique, else that LP is solved cold.  A fresh linearization with
-the same Jacobian as the one before it (an affine inner map, say)
-warm-starts its LP from the previous LP's final basis.
+Jacobian.  Each subproblem gets the last one's solution, and
+solve_subproblem decides from it whether the LP restarts warm or cold.
 """
 
 from __future__ import annotations
@@ -147,37 +144,24 @@ def run_scvx(objective: CompositeObjective, z0,
     attached).  A trial point whose objective is not finite is a rejected
     step, not an error.
 
-    After a rejection the LP is the rejected one over a smaller box, and it
-    restarts from the rejected LP's optimal tableau (solve_subproblem's
-    warm); solve_subproblem keeps the restarted answer only when the LP's
-    optimum is certified unique, and otherwise solves the LP cold, so the
-    step is the one a cold solve gives.  When an accepted step's fresh
-    linearization has a g_jacobian equal, entry for entry, to the previous
-    one, its LP differs from the last LP only in b_ub and the box, and it
-    restarts from the last LP's optimal tableau, kept as it is.  Every
-    other LP is solved cold, and the last LP's tableau is released first,
-    so that two tableaux are never held at once.
+    Each subproblem is handed the last subproblem's solution; the rule by
+    which its LP restarts from the last LP's tableau or is solved cold is
+    solve_subproblem's.
     """
     if params is None:
         params = TrustRegionParams()
     z = as_decision_vector(z0, objective.n_z).copy()
     J = J0 = objective.value(z)
     radius = params.r_init
-    lin = sol = last_jacobian = None
+    lin = sol = None
     trace: List[IterationRecord] = []
     status, message = STATUS_ITERATIONS, ""
 
     while status == STATUS_ITERATIONS and len(trace) < params.max_iterations:
         if lin is None:
             lin = linearize(objective, z)
-            same_jacobian = (last_jacobian is not None
-                             and np.array_equal(lin.g_jacobian, last_jacobian))
-            warm = sol.warm if same_jacobian else None
-        else:
-            warm = sol.warm  # a rejection: the same LP over a smaller box
-        sol = None  # a cold solve must not build its tableau beside the last one
         try:
-            sol = solve_subproblem(lin, radius, warm)
+            sol = solve_subproblem(lin, radius, sol)
         except SubproblemError as exc:
             status, message = STATUS_SUBPROBLEM, str(exc)
             break
@@ -199,7 +183,7 @@ def run_scvx(objective: CompositeObjective, z0,
             accepted, next_radius = update_radius(rho if decreased else -np.inf, radius, params)
 
         if accepted:
-            z, J, lin, last_jacobian = candidate, J_candidate, None, lin.g_jacobian
+            z, J, lin = candidate, J_candidate, None
         step_norm = float(np.max(np.abs(sol.step), initial=0.0))
         trace.append(IterationRecord(
             k=len(trace), z=z.copy(), J=J, step_norm=step_norm,

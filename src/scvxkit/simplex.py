@@ -19,13 +19,14 @@ simplex (Koberstein, "The dual simplex method, techniques for a fast and
 stable implementation", PhD thesis, Paderborn, 2005) restores a feasible
 rhs and phase 2 finishes, in place.
 
-An optimal solution also says whether its x is the LP's only optimum.  When
-every nonbasic reduced cost of the final tableau is positive beyond the
-optimality tolerance, any other feasible point makes some nonbasic variable
-positive and so costs more: strict complementarity at the final basis
-proves the optimum unique (Mangasarian, "Uniqueness of solution in linear
-programming", Linear Algebra Appl. 25, 1979).  A restart from another
-basis may reach another optimal vertex only where this certificate fails.
+An optimal solution's warm state also says, through WarmStart.unique,
+whether its x is the LP's only optimum.  When every nonbasic reduced cost
+of the final tableau is positive beyond the optimality tolerance, any
+other feasible point makes some nonbasic variable positive and so costs
+more: strict complementarity at the final basis proves the optimum unique
+(Mangasarian, "Uniqueness of solution in linear programming", Linear
+Algebra Appl. 25, 1979).  A restart from another basis may reach another
+optimal vertex only where this certificate fails.
 """
 
 from __future__ import annotations
@@ -63,30 +64,51 @@ class SimplexIterationLimitError(SimplexError):
 class WarmStart:
     """The final phase-2 tableau and basis of an optimal solve.
 
-    Opaque to callers: pass it as solve_box_lp's warm=.  That solve
-    re-solves the tableau in place, so a state serves one solve only.
-    source is the caller's to set, to the object whose LP the state solved;
-    solve_box_lp never reads it.
+    Opaque to callers: pass it as solve_box_lp's warm=, ask unique() while
+    it is kept, or release() it to free the tableau.  A solve from it
+    re-solves the tableau in place, so a state serves one solve only, and
+    both that solve and release() leave it empty.
     """
 
-    __slots__ = ("tableau", "basis", "finite_ub", "source")
+    __slots__ = ("tableau", "basis", "finite_ub")
 
     def __init__(self, tableau: np.ndarray, basis: np.ndarray, finite_ub: np.ndarray):
         self.tableau = tableau
         self.basis = basis
         self.finite_ub = finite_ub
-        self.source = None
+
+    def release(self) -> None:
+        """Drop the tableau and basis; the state can seed no further solve."""
+        self.tableau = self.basis = None
+
+    def _kept(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.tableau is None:
+            raise ValueError("warm start already used by an earlier solve or released")
+        return self.tableau, self.basis
+
+    def unique(self) -> bool:
+        """Whether the kept tableau certifies its LP's optimum unique.
+
+        True when every nonbasic reduced cost exceeds _run's optimality
+        tolerance, OPT_TOL * (1 + max |reduced cost|) over the kept
+        objective row: strict complementarity at the final basis (see the
+        module docstring).  It costs no pivot.
+        """
+        tableau, basis = self._kept()
+        reduced = tableau[-1, 1:]
+        nonbasic = np.ones(reduced.size, dtype=bool)
+        nonbasic[basis - 1] = False
+        rc_tol = OPT_TOL * (1.0 + float(np.max(np.abs(reduced), initial=0.0)))
+        return bool(np.all(reduced[nonbasic] > rc_tol))
 
     def take(self, m_ub: int, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tableau and basis for an LP of m_ub rows and this finite-ub pattern."""
-        if self.tableau is None:
-            raise ValueError("warm start already used by an earlier solve")
+        tableau, basis = self._kept()
         if (not np.array_equal(self.finite_ub, finite_ub)
-                or self.basis.size != m_ub + np.count_nonzero(finite_ub)):
+                or basis.size != m_ub + np.count_nonzero(finite_ub)):
             raise ValueError("warm start comes from an LP of another shape or another "
                              "pattern of finite ub entries")
-        tableau, basis = self.tableau, self.basis
-        self.tableau = self.basis = None
+        self.release()
         return tableau, basis
 
 
@@ -98,9 +120,6 @@ class BoxLpSolution:
     iterations: int
     # Set on an optimal solution only: the state solve_box_lp's warm= takes.
     warm: WarmStart | None = field(default=None, repr=False, compare=False)
-    # True on an optimal solution whose optimum the final tableau certifies
-    # unique: every nonbasic reduced cost exceeds the optimality tolerance.
-    unique: bool = False
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
@@ -347,9 +366,8 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     earlier solve already took, is a ValueError.  c and a_ub are not
     compared: passing a state for other ones gives a wrong answer.
 
-    An optimal solution's unique is True when its final tableau certifies
-    x as the LP's only optimum (see the module docstring); it costs no
-    pivot.
+    An optimal solution's warm.unique() says whether its final tableau
+    certifies x as the LP's only optimum (see the module docstring).
     """
     c, a_ub, b_ub, lb, ub = _checked(c, a_ub, b_ub, lb, ub)
     n = c.size
@@ -388,18 +406,5 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     if status == "unbounded":
         return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=pivots)
     return BoxLpSolution(x=x, objective=float(c @ x), status="optimal", iterations=pivots,
-                         warm=WarmStart(tableau[:, :width], basis, finite_ub),
-                         unique=_unique(tableau[-1, :width], basis))
+                         warm=WarmStart(tableau[:, :width], basis, finite_ub))
 
-
-def _unique(objective_row: np.ndarray, basis: np.ndarray) -> bool:
-    """Whether every nonbasic reduced cost exceeds _run's optimality tolerance.
-
-    The tolerance is OPT_TOL * (1 + max |reduced cost|) over the row given,
-    the objective row of the kept tableau with the rhs in entry 0.
-    """
-    reduced = objective_row[1:]
-    nonbasic = np.ones(reduced.size, dtype=bool)
-    nonbasic[basis - 1] = False
-    rc_tol = OPT_TOL * (1.0 + float(np.max(np.abs(reduced), initial=0.0)))
-    return bool(np.all(reduced[nonbasic] > rc_tol))

@@ -87,9 +87,10 @@ class SubproblemSolution:
     step: np.ndarray
     model_value: float
     predicted_decrease: float
-    # The LP's warm state (solve_subproblem only): it seeds the LP of the
-    # next solve at the same linearization or at an unchanged Jacobian.
+    # solve_subproblem only: the LP's warm state and the linearization it
+    # solved, which solve_subproblem's last= reads.
     warm: WarmStart | None = field(default=None, repr=False, compare=False)
+    lin: Linearization | None = field(default=None, repr=False, compare=False)
 
 
 def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
@@ -156,30 +157,41 @@ def lp_solve(lp: LpStandardForm, warm: WarmStart | None = None) -> BoxLpSolution
 
 
 def solve_subproblem(lin: Linearization, radius: float,
-                     warm: WarmStart | None = None) -> SubproblemSolution:
+                     last: SubproblemSolution | None = None) -> SubproblemSolution:
     """Minimize the model over the trust region exactly.
 
     predicted_decrease is L(0) - L(d*), never meaningfully negative since
-    d = 0 is always feasible.  warm is the warm state of an earlier
-    solution whose linearization had the same Jacobian, psi and n_z, so
-    that its LP differed only in b_ub and the box; the LP then restarts
-    from that solution's final basis (solve_box_lp's warm=).
+    d = 0 is always feasible.  last is the solution of the LP before this
+    one, if any; this function alone decides what its warm state does:
 
-    A state from a solution of this same lin (the re-solve after a rejected
-    step, whose LP differs only in its box) may restart to another optimal
-    vertex than a cold solve reaches.  Its restarted answer is kept only
-    when the LP's optimum is certified unique (BoxLpSolution.unique);
-    otherwise the restarted tableau is dropped and the LP is solved cold.
+    - From this same lin (the re-solve after a rejected step, whose LP
+      differs only in its box), the LP restarts from last's final basis
+      (solve_box_lp's warm=).  The restart may reach another optimal vertex
+      than a cold solve, so its answer is kept only when the LP's optimum
+      is certified unique (WarmStart.unique); otherwise its tableau is
+      released and the LP is solved cold.
+    - From a linearization with an equal g_jacobian, entry for entry, and
+      an equal psi (an affine inner map, say), the LP differs only in b_ub
+      and the box, and it restarts from last's final basis, kept as it is.
+    - From any other linearization, last's tableau is released before the
+      LP is built and solved cold.
+
+    So two tableaux are never held at once.
     """
+    warm = last.warm if last is not None else None
+    rejection = warm is not None and last.lin is lin
+    if warm is not None and not rejection and not (
+            last.lin.psi == lin.psi and np.array_equal(last.lin.g_jacobian, lin.g_jacobian)):
+        warm.release()
+        warm = None
     lp = build_lp(lin, radius)
     sol = lp_solve(lp, warm)
-    if warm is not None and warm.source is lin and not sol.unique:
-        sol = None  # the cold solve must not build its tableau beside the restarted one
+    if rejection and not sol.warm.unique():
+        sol.warm.release()
         sol = lp_solve(lp)
-    if sol.warm is not None:
-        sol.warm.source = lin
     return SubproblemSolution(step=sol.x[:lin.n_z].copy(), model_value=sol.objective,
-                              predicted_decrease=lin.base_value - sol.objective, warm=sol.warm)
+                              predicted_decrease=lin.base_value - sol.objective,
+                              warm=sol.warm, lin=lin)
 
 
 def solve_min_norm_step(lin: Linearization, radius: float) -> SubproblemSolution:

@@ -110,7 +110,7 @@ def test_criterion_02_subproblem_oracle_equivalence(acceptance_log):
         lin = linearize(comp, np.zeros(n))
         sol = solve_subproblem(lin, radius)
         grid_min, _ = oracles.model_min_on_grid(
-            lin.g_value, lin.g_jacobian, comp.psi.n_cost, comp.psi.n_eq,
+            lin.g_value, lin.g_jacobian, len(comp.psi.cost_range), comp.psi.n_eq,
             comp.psi.penalty_weight, radius, points=41)
         worst = max(worst, abs(sol.model_value - grid_min))
     elapsed = time.perf_counter() - t0

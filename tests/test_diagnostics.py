@@ -196,7 +196,7 @@ class TestGrowthConstant:
             lin = linearize(comp, z_bar)
             section = estimate_growth_constant(comp, z_bar)
             expected, _ = oracles.sphere_grid_growth(
-                lin.g_value, lin.g_jacobian, comp.psi.n_cost, comp.psi.n_eq,
+                lin.g_value, lin.g_jacobian, len(comp.psi.cost_range), comp.psi.n_eq,
                 comp.psi.penalty_weight, SUBDIFFERENTIAL_STEP)
             assert section["gamma_hat"] == pytest.approx(expected, abs=1e-8)
             assert np.max(np.abs(section["worst_point"])) == pytest.approx(

@@ -1,6 +1,7 @@
 """Tests for the outer trust-region iteration: ratio and radius rules,
 stopping behaviour, trace semantics, and failure statuses."""
 
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -373,22 +374,24 @@ class TestWarmStart:
     """The LP after a rejection restarts from the rejected LP's tableau,
     kept only when certified unique, and a fresh linearization at an
     unchanged Jacobian restarts from the last LP's tableau; every other LP
-    is solved cold."""
+    is solved cold.  Restarts are seen at solve_box_lp's warm=."""
 
     @staticmethod
     def solve(monkeypatch, comp, z0, cold=False):
-        """run_scvx, the warm state passed to each subproblem, the pivots, and
-        the LP arguments and x of each restarted LP solve certified unique."""
-        warms, pivots, certified = [], [], []
+        """run_scvx, whether each subproblem's first LP solve restarted, the
+        pivots, and the LP arguments and x of each restarted LP solve
+        certified unique."""
+        starts, restarted, pivots, certified = [], [], [], []
 
-        def subproblem(lin, radius, warm=None):
-            warms.append(warm)
-            return solve_subproblem(lin, radius, None if cold else warm)
+        def subproblem(lin, radius, last=None):
+            starts.append(len(restarted))
+            return solve_subproblem(lin, radius, None if cold else last)
 
         def box_lp(*args, **kwargs):
             sol = solve_box_lp(*args, **kwargs)
+            restarted.append(kwargs.get("warm") is not None)
             pivots.append(sol.iterations)
-            if kwargs.get("warm") is not None and sol.unique:
+            if restarted[-1] and sol.warm.unique():
                 certified.append((args, sol.x))
             return sol
 
@@ -396,7 +399,7 @@ class TestWarmStart:
             patch.setattr(loop_module, "solve_subproblem", subproblem)
             patch.setattr(subproblem_module, "solve_box_lp", box_lp)
             result = run_scvx(comp, z0, TrustRegionParams(max_iterations=300))
-        return result, warms, sum(pivots), certified
+        return result, [restarted[i] for i in starts], sum(pivots), certified
 
     @pytest.mark.parametrize("n_nodes", [20, 24, 32, 40])
     def test_convex_lqr_box_matches_cold_run_in_fewer_pivots(self, monkeypatch, n_nodes):
@@ -405,7 +408,7 @@ class TestWarmStart:
         cold, _, cold_pivots, _ = self.solve(monkeypatch, comp, bench.default_start, cold=True)
         warm, warms, warm_pivots, _ = self.solve(monkeypatch, comp, bench.default_start)
         # The inner map is affine: every LP after the first is warm.
-        assert warms[0] is None and all(w is not None for w in warms[1:])
+        assert not warms[0] and all(warms[1:])
         assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
         assert warm.J_final == pytest.approx(cold.J_final, rel=0.0,
                                              abs=1e-9 * (1.0 + abs(cold.J_final)))
@@ -421,7 +424,7 @@ class TestWarmStart:
         cold, _, cold_pivots, _ = self.solve(monkeypatch, comp, bench.default_start, cold=True)
         warm, warms, warm_pivots, certified = self.solve(monkeypatch, comp,
                                                          bench.default_start)
-        assert any(w is not None for w in warms) and certified
+        assert any(warms) and certified
         assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
         assert warm.J_final == pytest.approx(cold.J_final, rel=0.0,
                                              abs=1e-10 * (1.0 + abs(cold.J_final)))
@@ -439,7 +442,7 @@ class TestWarmStart:
         # re-solve restarts; the last record is the stationarity stop.
         rejected = [not rec.accepted for rec in result.trace]
         assert any(rejected)
-        assert [w is not None for w in warms] == [False] + rejected[:-1]
+        assert warms == [False] + rejected[:-1]
 
     def test_warm_state_after_a_rejection_or_at_an_unchanged_jacobian(self, monkeypatch):
         # J(z) = -z, affine wherever it is finite, so the Jacobian never
@@ -452,4 +455,27 @@ class TestWarmStart:
         result, warms, _, _ = self.solve(monkeypatch, comp, np.zeros(1))
         accepted = [rec.accepted for rec in result.trace]
         assert 0 < sum(accepted) < len(accepted) - 1
-        assert [w is not None for w in warms] == [False] + [True] * (len(warms) - 1)
+        assert warms == [False] + [True] * (len(warms) - 1)
+
+    @pytest.mark.parametrize("name, n_nodes", [("double-integrator-obstacle", 8),
+                                               ("dubins-car", 12), ("convex-lqr-box", 20)])
+    def test_no_other_tableau_is_alive_at_an_lp_solve(self, monkeypatch, name, n_nodes):
+        # Each LP's tableau is released before the next LP is solved, unless
+        # that LP restarts from it: a cold solve never builds its tableau
+        # beside an earlier one.  dubins-car N=12 has uncertified restarts,
+        # each followed by a cold solve of the same LP.
+        tableaux, held = [], {False: [], True: []}
+
+        def box_lp(*args, warm=None, **kwargs):
+            held[warm is not None].append(sum(
+                t is not None and (warm is None or not np.may_share_memory(t, warm.tableau))
+                for t in (ref() for ref in tableaux)))
+            sol = solve_box_lp(*args, warm=warm, **kwargs)
+            tableaux.append(weakref.ref(sol.warm.tableau))
+            return sol
+
+        monkeypatch.setattr(subproblem_module, "solve_box_lp", box_lp)
+        bench = builtin(name, n_nodes=n_nodes)
+        run_scvx(bench.build()[0], bench.default_start, TrustRegionParams(max_iterations=300))
+        assert held[False] and held[True]
+        assert held == {False: [0] * len(held[False]), True: [0] * len(held[True])}

@@ -1,6 +1,9 @@
-"""tools/lp_digest.py: the digest of solve_box_lp calls sees every bit, the sign of a zero too."""
+"""tools/lp_digest.py: the digest of solve_box_lp calls sees every bit, the sign of a zero
+too, and a workload that digests no LP fails the call."""
 
 import importlib.util
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,3 +40,17 @@ def test_digest_changes_when_one_zero_flips_sign(lp_digest):
     flipped[1][0, 1] = -0.0
     assert digest(flipped, result) != base
     assert digest(inputs, replace(result, x=np.array([0.0, -0.0]))) != base
+
+
+@pytest.mark.parametrize("argv", [[], ["--parent", "HEAD"]], ids=["checkout", "parent"])
+def test_a_workload_that_digests_no_lp_fails(lp_digest, monkeypatch, capsys, argv):
+    # Stand-ins for the workload runs and for record_bench's git archive.
+    digests = {"ocp-sweep": [3, "a" * 64], "lqr-exact": [0, lp_digest.LpDigest().hexdigest()]}
+    monkeypatch.setattr(lp_digest, "digest_checkout", lambda root: digests)
+    monkeypatch.setattr(lp_digest, "digest_in_subprocess", lambda root: digests)
+    monkeypatch.setitem(sys.modules, "record_bench",
+                        types.SimpleNamespace(unpack=lambda rev, dest: None))
+    assert lp_digest.main(argv) == 1
+    assert "FAILED lqr-exact: no LP digested" in capsys.readouterr().err
+    digests["lqr-exact"][0] = 35
+    assert lp_digest.main(argv) == 0

@@ -125,7 +125,7 @@ class TestTranscription:
     def test_component_partition(self):
         disc = transcribe(tiny_ocp(), 2.0)
         psi = disc.composite.psi
-        assert psi.n_cost == 3
+        assert len(psi.cost_range) == 3
         assert psi.n_eq == 4
         assert psi.n_ineq == 6
         assert disc.composite.g.output_dim == len(disc.labels)

@@ -373,6 +373,15 @@ class TestWarmStart:
             solve_box_lp(*floor_lp(), warm=first.warm)
         assert solve_box_lp(*floor_lp(), warm=second.warm).iterations == 0
 
+    def test_released_state_serves_no_solve(self):
+        state = solve_box_lp(*floor_lp()).warm
+        state.release()
+        assert state.tableau is None
+        with pytest.raises(ValueError, match="released"):
+            state.unique()
+        with pytest.raises(ValueError, match="released"):
+            solve_box_lp(*floor_lp(), warm=state)
+
     @pytest.mark.parametrize("change", ["fewer-rows", "more-variables", "ub-pattern"])
     def test_state_of_another_lp_shape_rejected(self, change):
         c, a_ub, b_ub, lb, ub = floor_lp()
@@ -411,7 +420,7 @@ class TestWarmStart:
 
 
 class TestUniqueOptimum:
-    """BoxLpSolution.unique: strict complementarity at the final basis."""
+    """WarmStart.unique: strict complementarity at the final basis."""
 
     @staticmethod
     def cover_lp(c):
@@ -426,27 +435,28 @@ class TestUniqueOptimum:
         # x0 may sit anywhere in [1, 2] at x1 = 0.
         sol = solve_box_lp(*self.cover_lp(c))
         assert sol.status == "optimal" and sol.objective == pytest.approx(objective, abs=1e-12)
-        assert not sol.unique
+        assert not sol.warm.unique()
 
     def test_strictly_complementary_optimum_is_certified(self):
         sol = solve_box_lp(*self.cover_lp([1.0, 2.0]))
         np.testing.assert_allclose(sol.x, [1.0, 0.0], rtol=0.0, atol=1e-12)
-        assert sol.unique
+        assert sol.warm.unique()
 
     def test_restart_reports_its_own_certificate(self):
         # A restart reads the certificate off its own final tableau.
         first = solve_box_lp(*self.cover_lp([1.0, 2.0]))
+        assert first.warm.unique()
         again = solve_box_lp(*self.cover_lp([1.0, 2.0]), warm=first.warm)
-        assert first.unique and again.unique and again.iterations == 0
+        assert again.warm.unique() and again.iterations == 0
         tied = solve_box_lp(*self.cover_lp([1.0, 1.0]))
-        assert not solve_box_lp(*self.cover_lp([1.0, 1.0]), warm=tied.warm).unique
+        assert not solve_box_lp(*self.cover_lp([1.0, 1.0]), warm=tied.warm).warm.unique()
 
     def test_certified_answers_match_highs(self, rng):
         certified = 0
         for _ in range(60):
             lp = random_bounded_lp(rng)
             sol = solve_box_lp(*lp)
-            if not sol.unique:
+            if not sol.warm.unique():
                 continue
             certified += 1
             ref = oracles.scipy_box_lp(*lp, tol=1e-10)

@@ -213,7 +213,7 @@ class TestOptimality:
             lin = linearize(comp, np.zeros(n))
             sol = solve_subproblem(lin, radius)
             grid_min, _ = oracles.model_min_on_grid(
-                lin.g_value, lin.g_jacobian, comp.psi.n_cost, comp.psi.n_eq,
+                lin.g_value, lin.g_jacobian, len(comp.psi.cost_range), comp.psi.n_eq,
                 comp.psi.penalty_weight, radius)
             assert sol.model_value == pytest.approx(grid_min, abs=1e-9)
 
@@ -358,9 +358,10 @@ class TestFailurePropagation:
 
 
 class TestRestart:
-    """solve_subproblem given a warm state: a restart at the state's own
+    """solve_subproblem given the last solution: a restart at its own
     linearization (after a rejected step) is kept only when certified
-    unique; one at another linearization with the same Jacobian is kept."""
+    unique; one at another linearization with the same Jacobian and psi is
+    kept; any other state is released and the LP solved cold."""
 
     @staticmethod
     def resolve(monkeypatch, name, same_lin):
@@ -369,19 +370,19 @@ class TestRestart:
         re-solve."""
         bench = builtin(name)
         lin = linearize(bench.build()[0], bench.default_start)
-        warm = solve_subproblem(lin, 1.0).warm
+        last = solve_subproblem(lin, 1.0)
         if not same_lin:
             lin = Linearization(lin.g_value + 1e-3, lin.g_jacobian, lin.psi)
         calls = []
 
         def box_lp(*args, **kwargs):
             sol = solve_box_lp(*args, **kwargs)
-            calls.append((kwargs.get("warm") is not None, sol.unique))
+            calls.append((kwargs.get("warm") is not None, sol.warm.unique()))
             return sol
 
         with monkeypatch.context() as patch:
             patch.setattr(subproblem_module, "solve_box_lp", box_lp)
-            again = solve_subproblem(lin, 0.5, warm)
+            again = solve_subproblem(lin, 0.5, last)
         return again, solve_subproblem(lin, 0.5), calls
 
     def test_certified_restart_is_kept(self, monkeypatch):
@@ -402,3 +403,21 @@ class TestRestart:
         again, _, calls = self.resolve(monkeypatch, "double-integrator-obstacle",
                                        same_lin=False)
         assert calls == [(True, False)]
+
+    @pytest.mark.parametrize("other", ["jacobian", "psi"])
+    def test_state_of_another_model_is_released_for_a_cold_solve(self, other):
+        # One accepted step on from the start, the Jacobian changes; at
+        # another penalty weight, only psi does.  A restart from either state
+        # would solve another LP than the one built.
+        bench = builtin("double-integrator-obstacle")
+        comp = bench.build()[0]
+        last = solve_subproblem(linearize(comp, bench.default_start), 1.0)
+        if other == "jacobian":
+            lin = linearize(comp, bench.default_start + last.step)
+        else:
+            lin = linearize(bench.build(5.0)[0], bench.default_start)
+        cold = solve_subproblem(lin, 1.0)
+        again = solve_subproblem(lin, 1.0, last)
+        assert last.warm.tableau is None
+        np.testing.assert_array_equal(again.step, cold.step)
+        assert again.model_value == cold.model_value

@@ -12,7 +12,9 @@ and digest.
 
 With --parent, the same runs on the committed files of REV, unpacked with
 git archive into a temporary directory that is deleted afterwards, and the
-call exits 1 when any workload's count or digest differs.
+call exits 1 when any workload's count or digest differs.  Either way it
+exits 1 when a workload digests no LP, which means the recording wrapper
+missed every solve_box_lp call.
 """
 
 from __future__ import annotations
@@ -120,19 +122,28 @@ def digest_in_subprocess(root: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def empty(digests: dict) -> list:
+    """The workloads of digests that digested no LP, each reported on stderr."""
+    names = [name for name, (count, _) in digests.items() if count == 0]
+    for name in names:
+        print(f"FAILED {name}: no LP digested; solve_box_lp was not wrapped", file=sys.stderr)
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="revision to compare against")
     args = parser.parse_args(argv)
     if not args.parent:
-        show("", digest_checkout(ROOT))
-        return 0
+        digests = digest_checkout(ROOT)
+        show("", digests)
+        return 1 if empty(digests) else 0
+
+    from record_bench import unpack  # here, so that loading this file alone works
 
     scratch = Path(tempfile.mkdtemp(prefix="lp-digest-parent-"))
     try:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(scratch)], input=archive, check=True)
+        unpack(args.parent, scratch)
         sides = {"parent": digest_in_subprocess(scratch), "change": digest_in_subprocess(ROOT)}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -141,8 +152,8 @@ def main(argv=None) -> int:
     same = sides["parent"] == sides["change"]
     total = sum(count for count, _ in sides["change"].values())
     print(f"{'all' if same else 'NOT all'} {total} LPs identical to {args.parent}")
-    return 0 if same else 1
-
+    missed = empty(sides["parent"]) + empty(sides["change"])
+    return 0 if same and not missed else 1
 
 if __name__ == "__main__":
     sys.exit(main())
