@@ -270,18 +270,27 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Optional[str], obj) -> None:
-    """Write obj as indented strict JSON and a newline to path, or to stdout if None."""
-    if path is not None:
+@contextlib.contextmanager
+def _output(path, what: str, newline: Optional[str] = None):
+    """path opened for writing, its directory created; what names the file
+    in errors, and an OSError becomes a ConfigError as in _read_json."""
+    try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as handle:
+        with open(path, "w", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from None
+
+
+def _write_json(path: Optional[str], obj, what: str) -> None:
+    """Write obj as indented strict JSON and a newline to path, or to stdout if None."""
+    with _output(path, what) if path is not None else contextlib.nullcontext(sys.stdout) as handle:
         json.dump(_jsonable(obj), handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
-def _write_jsonl(path: str, rows) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
+def _write_jsonl(path: str, rows, what: str) -> None:
+    with _output(path, what) as handle:
         for row in rows:
             handle.write(json.dumps(_jsonable(row), allow_nan=False) + "\n")
 
@@ -299,11 +308,11 @@ _TRACE_TYPES = {**{key: _number_or_null for key in _TRACE_FIELDS},
 
 def write_trace(path: str, trace: List[IterationRecord]) -> None:
     _write_jsonl(path, ({key: getattr(rec, name) for key, name in _TRACE_FIELDS.items()}
-                        for rec in trace))
+                        for rec in trace), "trace")
 
 
 def write_iterates(path: str, trace: List[IterationRecord]) -> None:
-    _write_jsonl(path, ({"k": rec.k, "z": rec.z} for rec in trace))
+    _write_jsonl(path, ({"k": rec.k, "z": rec.z} for rec in trace), "iterates")
 
 
 def read_trace(trace_path: str, iterates_path: Optional[str]) -> List[IterationRecord]:
@@ -337,10 +346,8 @@ _PLOT_FIELDS = {"objective.dat": "J", "step_norm.dat": "step_norm", "ratio.dat":
 
 def write_plot_data(plot_dir: str, trace: List[IterationRecord]) -> None:
     """Two-column text files: iteration index against J, step norm, ratio."""
-    root = Path(plot_dir)
-    root.mkdir(parents=True, exist_ok=True)
     for file_name, name in _PLOT_FIELDS.items():
-        with open(root / file_name, "w") as handle:
+        with _output(Path(plot_dir) / file_name, "plot data") as handle:
             for rec in trace:
                 value = getattr(rec, name)
                 if value is not None:
@@ -448,13 +455,13 @@ def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
     if config.output.iterates:
         write_iterates(config.output.iterates, result.trace)
     if config.output.summary:
-        _write_json(config.output.summary, summary)
+        _write_json(config.output.summary, summary, "summary")
     if config.output.plot_dir:
         write_plot_data(config.output.plot_dir, result.trace)
 
     summary["diagnostics"] = run_diagnostics(composite, disc, result, config, j0)
     if config.output.report:
-        _write_json(config.output.report, summary["diagnostics"])
+        _write_json(config.output.report, summary["diagnostics"], "report")
 
     if not quiet:
         print(f"{config.problem_name}: status={result.status} iterations={result.iterations} "
@@ -517,9 +524,7 @@ def cmd_bench(args) -> int:
         except Exception as exc:  # keep the batch alive
             rows.append(_bench_row(name, None, error=f"{type(exc).__name__}: {exc}"))
         print(f"bench {name}: {rows[-1]['status']}")
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as handle:
+    with _output(args.out, "bench CSV", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(BENCH_COLUMNS))
         writer.writeheader()
         writer.writerows(rows)
@@ -566,7 +571,7 @@ def cmd_check(args) -> int:
     report_target = args.report or config.output.report
     print(f"check {config.problem_name}: status={summary['status']} "
           f"report={'written' if report_target else 'stdout only'}")
-    _write_json(report_target or None, report)
+    _write_json(report_target or None, report, "report")
     return EXIT_OK
 
 

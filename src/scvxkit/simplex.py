@@ -19,6 +19,9 @@ simplex (Koberstein, "The dual simplex method, techniques for a fast and
 stable implementation", PhD thesis, Paderborn, 2005) restores a feasible
 rhs and phase 2 finishes, in place.
 
+Every failure is a SimplexError whose iterations counts the pivots the
+solve made before it; each stage raises its own.
+
 An optimal solution's warm state also says, through WarmStart.unique,
 whether its x is the LP's only optimum.  When every nonbasic reduced cost
 of the final tableau is positive beyond the optimality tolerance, any
@@ -43,10 +46,15 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 STALL_LIMIT = 30
 ITERATIONS_PER_VARIABLE = 50
+_NO_FEASIBLE_POINT = "pivot budget exhausted before a feasible point was found"
 
 
 class SimplexError(Exception):
-    """Base class for simplex failures."""
+    """Base class for simplex failures; iterations counts the pivots made."""
+
+    def __init__(self, message: str, iterations: int = 0):
+        self.iterations = iterations
+        super().__init__(message)
 
 
 class InfeasibleError(SimplexError):
@@ -54,11 +62,7 @@ class InfeasibleError(SimplexError):
 
 
 class SimplexIterationLimitError(SimplexError):
-    """Pivot budget exhausted; carries the number of pivots made."""
-
-    def __init__(self, message: str, iterations: int):
-        self.iterations = iterations
-        super().__init__(message)
+    """Pivot budget exhausted."""
 
 
 class WarmStart:
@@ -89,10 +93,13 @@ class WarmStart:
     def unique(self) -> bool:
         """Whether the kept tableau certifies its LP's optimum unique.
 
-        True when every nonbasic reduced cost exceeds _run's optimality
-        tolerance, OPT_TOL * (1 + max |reduced cost|) over the kept
+        True when every nonbasic reduced cost exceeds OPT_TOL * (1 + max
+        |reduced cost|), the max taken over the kept tableau's final
         objective row: strict complementarity at the final basis (see the
-        module docstring).  It costs no pivot.
+        module docstring).  This is not _run's tolerance, whose scale is
+        taken over the whole objective row, artificial columns included,
+        at phase-2 entry; on the double-integrator start LP at radius 1
+        _run scales OPT_TOL by 101 and this test by 51.  It costs no pivot.
         """
         tableau, basis = self._kept()
         reduced = tableau[-1, 1:]
@@ -139,13 +146,15 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> tuple[str, int]:
+def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots: int,
+         limit: str) -> tuple[str, int]:
     """Drive the tableau to optimality over its first width columns.
 
     The cost scale behind the optimality tolerance is taken over the whole
-    objective row; pivots then see only the leading width columns.  Returns
-    the status ("optimal", "unbounded", or "limit" when a pivot beyond the
-    budget is needed) and the number of pivots made.
+    objective row; pivots then see only the leading width columns.  pivots
+    is the count the solve has made so far and budget its total; a pivot
+    beyond the budget raises SimplexIterationLimitError(limit).  Returns
+    "optimal" or "unbounded" and the solve's pivot count.
     """
     m = tableau.shape[0] - 1
     cost_scale = 1.0 + float(np.max(np.abs(tableau[-1, 1:]))) if tableau.shape[1] > 1 else 1.0
@@ -153,7 +162,6 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> tup
     tableau = tableau[:, :width]
     reduced = tableau[-1, 1:]
     rhs = tableau[:m, 0]
-    pivots = 0
     bland = False
     stall = 0
     last_obj = -tableau[-1, 0]
@@ -192,7 +200,7 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> tup
             row = int(candidates[column[tie].argmax()])
 
         if pivots >= budget:
-            return "limit", pivots
+            raise SimplexIterationLimitError(limit, pivots)
         _pivot(tableau, basis, row, col, rows)
         pivots += 1
         if rhs.min() < 0.0:
@@ -262,17 +270,14 @@ def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
         tableau[-1, width:] = 1.0
         for r in art_rows:
             tableau[-1] -= tableau[r]
-        status, pivots = _run(tableau, basis, tableau.shape[1], max_iter)
-        if status == "limit":
-            raise SimplexIterationLimitError(
-                "pivot budget exhausted before a feasible point was found", pivots)
+        status, pivots = _run(tableau, basis, tableau.shape[1], max_iter, 0, _NO_FEASIBLE_POINT)
         # The phase-1 objective is bounded below, yet on badly scaled rows every
         # positive entry of the entering column can fall under PIVOT_TOL *
         # col_scale, and _run then reports it unbounded (ROADMAP item 5(a)).
         if status == "unbounded":
-            raise SimplexError("phase 1 reported unbounded")
+            raise SimplexError("phase 1 reported unbounded", pivots)
         if -tableau[-1, 0] > FEAS_TOL * feas_scale:
-            raise InfeasibleError("constraints are inconsistent")
+            raise InfeasibleError("constraints are inconsistent", pivots)
 
         # Drive leftover artificials out of the basis.  Pivots keep each
         # artificial column the exact negative of its row's slack column in
@@ -293,19 +298,19 @@ def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
     return tableau, basis, width, pivots, max_iter
 
 
-def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int) -> tuple[str, int]:
+def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int, pivots: int) -> int:
     """Dual simplex from a dual-feasible tableau until its rhs is feasible.
 
     The leaving row has the most negative rhs; the entering column has a
     negative entry in that row and the smallest ratio of reduced cost to
-    that entry, ties going to the largest entry.  Returns the status
-    ("feasible", "infeasible" when a row cannot be made feasible, or
-    "limit" when a pivot beyond the budget is needed) and the pivots made.
+    that entry, ties going to the largest entry.  pivots is the count the
+    solve has made so far and budget its total.  Returns the solve's pivot
+    count; raises InfeasibleError when a row cannot be made feasible and
+    SimplexIterationLimitError when a pivot beyond the budget is needed.
     """
     m = tableau.shape[0] - 1
     rhs = tableau[:m, 0]
     reduced = tableau[-1, 1:]
-    pivots = 0
     while m:
         rhs_scale = 1.0 + float(np.abs(rhs).max())
         row = int(rhs.argmin())
@@ -316,17 +321,17 @@ def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int) -> tuple[str,
         row_scale = 1.0 + float(np.abs(body).max())
         eligible = (body < -PIVOT_TOL * row_scale).nonzero()[0]
         if eligible.size == 0:
-            return "infeasible", pivots
+            raise InfeasibleError("constraints are inconsistent", pivots)
         # Reduced costs sit above -OPT_TOL; a slightly negative one counts as 0.
         ratios = np.maximum(reduced[eligible], 0.0) / -body[eligible]
         best = float(ratios.min())
         candidates = eligible[ratios <= best + 1e-12 * (1.0 + best)]
         col = int(candidates[body[candidates].argmin()]) + 1
         if pivots >= budget:
-            return "limit", pivots
+            raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
         _pivot(tableau, basis, row, col, tableau[:, col].nonzero()[0])
         pivots += 1
-    return "feasible", pivots
+    return pivots
 
 
 def _checked(c, a_ub, b_ub, lb, ub) -> tuple[np.ndarray, ...]:
@@ -355,7 +360,8 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     and ub may be +inf.  Anything else is a ValueError naming the argument.
     Raises InfeasibleError when the constraints are inconsistent and
     SimplexIterationLimitError when the pivot budget (50 per tableau column
-    by default) runs out.
+    by default) runs out.  Every failure is a SimplexError whose iterations
+    counts the pivots the solve made before it.
 
     warm is the WarmStart of an earlier optimal solution whose LP had the
     same c, the same a_ub and finite ub entries at the same places; only
@@ -385,20 +391,13 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
         # turns b into the objective entry the same way.
         b = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
         np.matmul(tableau[:, n + 1:width], b, out=tableau[:, 0])
-        status, pivots = _dual_run(tableau, basis, max_iter)
-        if status == "limit":
-            raise SimplexIterationLimitError(
-                "pivot budget exhausted before a feasible point was found", pivots)
-        if status == "infeasible":
-            raise InfeasibleError("constraints are inconsistent")
+        pivots = _dual_run(tableau, basis, max_iter, 0)
     else:
         tableau, basis, width, pivots, max_iter = _phase_one(c, a_ub, b_ub, lb, ub, max_iter)
 
     m = basis.size
-    status, phase2 = _run(tableau, basis, width, max_iter - pivots)
-    pivots += phase2
-    if status == "limit":
-        raise SimplexIterationLimitError("pivot budget exhausted in phase 2", pivots)
+    status, pivots = _run(tableau, basis, width, max_iter, pivots,
+                          "pivot budget exhausted in phase 2")
 
     y = np.zeros(width)
     y[basis] = tableau[:m, 0]

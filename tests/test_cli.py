@@ -47,6 +47,12 @@ def write_config(tmp_path, name="run.json", **extra):
     return str(path)
 
 
+def assert_unwritable(code, capsys, what, target):
+    """The run exited with a config error that names the output it could not write."""
+    assert code == EXIT_CONFIG
+    assert f"config error: cannot write {what} {target}: " in capsys.readouterr().err
+
+
 def with_value(data, path, value):
     """A copy of the config data whose key at the dotted path holds value."""
     data = json.loads(json.dumps(data))
@@ -419,6 +425,13 @@ class TestExitCodes:
         assert summary["stationarity_residual"] is None
         assert (out / "trace.jsonl").exists()
 
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        # An existing directory where summary.json belongs.
+        target = tmp_path / "taken"
+        target.mkdir()
+        path = write_config(tmp_path, output={"summary": str(target)})
+        assert_unwritable(main(["solve", "--config", path]), capsys, "summary", target)
+
 
 class TestBench:
     def test_csv_over_directory(self, tmp_path, capsys):
@@ -439,6 +452,15 @@ class TestBench:
         with open(out_csv) as handle:
             header = handle.readline().strip()
         assert header == ",".join(BENCH_COLUMNS)
+
+    def test_unwritable_csv_is_config_error(self, tmp_path, capsys):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        (configs / "toy.json").write_text(json.dumps(minimal_config()))
+        target = tmp_path / "taken"
+        target.mkdir()
+        code = main(["bench", "--dir", str(configs), "--out", str(target)])
+        assert_unwritable(code, capsys, "bench CSV", target)
 
     def test_missing_directory(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
@@ -574,6 +596,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error" in err
         assert (str(iterates) if sidecar == "truncated" else "output.iterates") in err
+
+    def test_check_unwritable_report_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        output = {"trace": str(out / "trace.jsonl"), "iterates": str(out / "iterates.jsonl"),
+                  "summary": str(out / "summary.json")}
+        config_path = write_config(tmp_path, output=output)
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["check", "--config", config_path, "--report", str(out)])
+        assert_unwritable(code, capsys, "report", out)
 
     def test_check_without_solve_fails(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,8 +1,12 @@
 """tools/lp_digest.py: the digest of solve_box_lp calls sees every bit, the sign of a zero
-too, and a workload that digests no LP fails the call."""
+too, a workload that digests no LP fails the call, and SIGTERM leaves no scratch behind."""
 
 import importlib.util
+import os
+import signal
+import subprocess
 import sys
+import time
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -54,3 +58,33 @@ def test_a_workload_that_digests_no_lp_fails(lp_digest, monkeypatch, capsys, arg
     assert "FAILED lqr-exact: no LP digested" in capsys.readouterr().err
     digests["lqr-exact"][0] = 35
     assert lp_digest.main(argv) == 0
+
+
+IN_GIT_CHECKOUT = subprocess.run(["git", "-C", str(TOOL.parents[1]), "rev-parse", "HEAD"],
+                                 capture_output=True).returncode == 0
+
+
+@pytest.mark.parametrize("argv, running", [
+    ([], "lp-digest-*"),
+    pytest.param(["--parent", "HEAD"], "lp-digest-parent-*/lp-digest-*",
+                 marks=pytest.mark.skipif(not IN_GIT_CHECKOUT,
+                                          reason="--parent HEAD needs a git checkout")),
+], ids=["checkout", "parent"])
+def test_sigterm_leaves_no_scratch_behind(tmp_path, argv, running):
+    proc = subprocess.Popen([sys.executable, str(TOOL), *argv],
+                            cwd=TOOL.parents[1], env={**os.environ, "TMPDIR": str(tmp_path)},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        # Signal once a digest is running, in the unpacked parent tree under
+        # --parent, so that its own scratch exists too.
+        deadline = time.monotonic() + 60.0
+        while not any(tmp_path.glob(running)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert not any(tmp_path.glob("lp-digest*"))

@@ -419,6 +419,56 @@ class TestWarmStart:
         assert sol.status == "unbounded" and sol.warm is None
 
 
+class TestFailurePivotCounts:
+    """Every failure is a SimplexError whose iterations counts the pivots made."""
+
+    @staticmethod
+    def corner_lp(b):
+        """min x0 + x1 subject to -x0 - x1 <= b0, x0 <= b1, x1 <= b2 in [0, 3]^2."""
+        return (np.ones(2), np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.asarray(b, dtype=float), np.zeros(2), np.full(2, 3.0))
+
+    def test_cold_infeasible_counts_its_phase_one_pivots(self):
+        # x0 + x1 >= 4 cannot hold with x0, x1 <= 1; phase 1 pivots twice first.
+        with pytest.raises(InfeasibleError) as err:
+            solve_box_lp(*self.corner_lp([-4.0, 1.0, 1.0]))
+        assert err.value.iterations == 2
+
+    def test_warm_infeasible_counts_its_dual_pivots(self):
+        first = solve_box_lp(*self.corner_lp([-1.0, 1.0, 1.0]))
+        with pytest.raises(InfeasibleError) as err:
+            solve_box_lp(*self.corner_lp([-4.0, 1.0, 1.0]), warm=first.warm)
+        assert err.value.iterations == 1
+
+    def test_empty_box_makes_no_pivot(self):
+        with pytest.raises(InfeasibleError) as err:
+            solve_box_lp(np.ones(2), np.zeros((0, 2)), np.zeros(0), np.zeros(2),
+                         np.array([1.0, -1.0]))
+        assert err.value.iterations == 0
+
+    def test_iterations_are_the_pivots_made(self, monkeypatch):
+        def dual_lp(b):
+            return (np.array([1.0, 2.0]), np.array([[-1.0, -1.0]]), np.array([-b]),
+                    np.zeros(2), np.full(2, 3.0))
+
+        # Cold and warm infeasible, the dual simplex's limit, and the limit in
+        # phase 1 (budgets 0-2) and in phase 2 (3-5).
+        cases = [
+            (self.corner_lp([-4.0, 1.0, 1.0]), {}),
+            (self.corner_lp([-4.0, 1.0, 1.0]),
+             {"warm": solve_box_lp(*self.corner_lp([-1.0, 1.0, 1.0])).warm}),
+            (dual_lp(5.0), {"max_iter": 0, "warm": solve_box_lp(*dual_lp(2.0)).warm}),
+        ] + [(floor_lp(), {"max_iter": max_iter}) for max_iter in range(6)]
+        pivots = []
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot", lambda *args: (pivots.append(1), pivot(*args)))
+        for lp, kwargs in cases:
+            pivots.clear()
+            with pytest.raises(simplex.SimplexError) as err:
+                solve_box_lp(*lp, **kwargs)
+            assert err.value.iterations == len(pivots)
+
+
 class TestUniqueOptimum:
     """WarmStart.unique: strict complementarity at the final basis."""
 

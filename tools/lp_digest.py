@@ -11,10 +11,11 @@ flipped -0.0 changes the digest.  One line per workload gives its LP count
 and digest.
 
 With --parent, the same runs on the committed files of REV, unpacked with
-git archive into a temporary directory that is deleted afterwards, and the
-call exits 1 when any workload's count or digest differs.  Either way it
-exits 1 when a workload digests no LP, which means the recording wrapper
-missed every solve_box_lp call.
+git archive into a temporary directory that is deleted afterwards, and
+the call exits 1 when any workload's count or digest differs.  Either way
+it exits 1 when a workload digests no LP, which means the recording
+wrapper missed every solve_box_lp call, and on SIGTERM it exits 143
+after deleting its temporary directories.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -130,30 +134,44 @@ def empty(digests: dict) -> list:
     return names
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="revision to compare against")
-    args = parser.parse_args(argv)
-    if not args.parent:
-        digests = digest_checkout(ROOT)
-        show("", digests)
-        return 1 if empty(digests) else 0
-
+def compare(rev: str) -> int:
+    """Digest rev's committed files and this checkout, each in a subprocess, and compare."""
     from record_bench import unpack  # here, so that loading this file alone works
 
     scratch = Path(tempfile.mkdtemp(prefix="lp-digest-parent-"))
     try:
-        unpack(args.parent, scratch)
-        sides = {"parent": digest_in_subprocess(scratch), "change": digest_in_subprocess(ROOT)}
+        unpack(rev, scratch)
+        # The digests make their scratch in this one too: on SIGTERM,
+        # subprocess.run kills the running digest before it can delete its own.
+        with mock.patch.dict(os.environ, TMPDIR=str(scratch)):
+            sides = {"parent": digest_in_subprocess(scratch), "change": digest_in_subprocess(ROOT)}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     show("parent  ", sides["parent"])
     show("change  ", sides["change"])
     same = sides["parent"] == sides["change"]
     total = sum(count for count, _ in sides["change"].values())
-    print(f"{'all' if same else 'NOT all'} {total} LPs identical to {args.parent}")
+    print(f"{'all' if same else 'NOT all'} {total} LPs identical to {rev}")
     missed = empty(sides["parent"]) + empty(sides["change"])
     return 0 if same and not missed else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="revision to compare against")
+    args = parser.parse_args(argv)
+    # Exit through the finally blocks on SIGTERM too, so no scratch is left
+    # behind; the caller's handler is back once main returns.
+    handler = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        if args.parent:
+            return compare(args.parent)
+        digests = digest_checkout(ROOT)
+        show("", digests)
+        return 1 if empty(digests) else 0
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+
 
 if __name__ == "__main__":
     sys.exit(main())
