@@ -57,11 +57,18 @@ _STATUS_EXIT = {
     STATUS_SUBPROBLEM: EXIT_SOLVER,
 }
 
-BENCH_COLUMNS = (
-    "name", "status", "iterations", "accepted", "J_final",
-    "stationarity_residual", "beta_hat", "gamma_hat", "small_step_pass",
-    "rate_order", "superlinear", "error",
-)
+# bench CSV column -> (section, key) of its value, the section None for the
+# summary itself and a report section's name otherwise.  A section the report
+# lacks, or one whose "defined" is false (a rate), leaves the cell empty.
+_BENCH_FIELDS = {
+    "status": (None, "status"), "iterations": (None, "iterations"),
+    "accepted": (None, "accepted"), "J_final": (None, "J_final"),
+    "stationarity_residual": (None, "stationarity_residual"),
+    "beta_hat": ("sharp_minimum", "beta_hat"), "gamma_hat": ("model_growth", "gamma_hat"),
+    "small_step_pass": ("small_step", "passed"), "rate_order": ("rate", "order_q"),
+    "superlinear": ("rate", "superlinear_evidence"),
+}
+BENCH_COLUMNS = ("name", *_BENCH_FIELDS, "error")
 
 
 class ConfigError(Exception):
@@ -478,32 +485,23 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
+def _bench_cell(value) -> str:
+    """A CSV cell: strings as they are, bools as true/false, numbers by repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
 def _bench_row(name: str, summary: Optional[dict], error: str = "") -> dict:
-    row = {key: "" for key in BENCH_COLUMNS}
-    row["name"] = name
-    row["error"] = error
+    row = dict.fromkeys(BENCH_COLUMNS, "")
+    row.update(name=name, status="error", error=error)
     if summary is None:
-        row["status"] = "error"
         return row
-    row["status"] = summary["status"]
-    row["iterations"] = summary["iterations"]
-    row["accepted"] = summary["accepted"]
-    row["J_final"] = repr(summary["J_final"])
-    row["stationarity_residual"] = repr(summary["stationarity_residual"])
-    report = summary["diagnostics"]
-    sharp = report.get("sharp_minimum")
-    if sharp is not None:
-        row["beta_hat"] = repr(sharp["beta_hat"])
-    growth = report.get("model_growth")
-    if growth is not None:
-        row["gamma_hat"] = repr(growth["gamma_hat"])
-    small = report.get("small_step")
-    if small is not None:
-        row["small_step_pass"] = "true" if small["passed"] else "false"
-    rate = report.get("rate")
-    if rate is not None and rate["defined"]:
-        row["rate_order"] = repr(rate["order_q"])
-        row["superlinear"] = "true" if rate["superlinear_evidence"] else "false"
+    sections = {**summary["diagnostics"], None: summary}
+    for column, (section, key) in _BENCH_FIELDS.items():
+        values = sections.get(section)
+        if values is not None and values.get("defined", True):
+            row[column] = _bench_cell(values[key])
     return row
 
 

@@ -56,7 +56,10 @@ ACTIVE_TOL = 1e-6
 
 def unit_directions(n: int, seed: int = 0) -> np.ndarray:
     """Deterministic unit-norm direction set: the 2n signed axes plus
-    N_DIRECTIONS seeded draws."""
+    N_DIRECTIONS seeded draws.  n must be at least 1: in R^0 every draw
+    is empty and none can be scaled to unit norm."""
+    if n < 1:
+        raise ValueError(f"unit directions need a dimension n >= 1, got n={n}")
     eye = np.eye(n)
     rows = [*eye, *-eye]
     rng = np.random.default_rng(seed)
@@ -109,18 +112,22 @@ def estimate_growth_constant(objective: CompositeObjective, z_bar) -> dict:
     as a positively homogeneous model descends most on the sphere; else the
     2n face LPs d_i = +-eps do.  Slopes divide by eps, never by a tiny ||d||.
     worst_point is the d behind gamma_hat; a failed n_lps-th LP gives NaN and failure.
+    A face LP differs from the LP before it only in its step bounds, so each
+    restarts from the last one's final basis (solve_box_lp's warm=).
     """
     eps = SUBDIFFERENTIAL_STEP
     lin = linearize(objective, z_bar)
     n = lin.n_z
     box = build_lp(lin, eps)
-    slopes, steps = [], []
+    slopes, steps, warm = [], [], None
     try:
         for i in range(-1, 2 * n):  # the box, then its faces
             lb, ub = box.lb.copy(), box.ub.copy()
             if i >= 0:
                 lb[i % n] = ub[i % n] = eps if i < n else -eps
-            steps.append(lp_solve(replace(box, lb=lb, ub=ub)).x[:n])
+            sol = lp_solve(replace(box, lb=lb, ub=ub), warm=warm)
+            warm = sol.warm
+            steps.append(sol.x[:n])
             slopes.append((lin.model_value(steps[-1]) - lin.base_value) / eps)
             if i < 0 and slopes[0] < -SUBDIFFERENTIAL_TOL * (1.0 + abs(lin.base_value)):
                 break

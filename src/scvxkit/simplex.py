@@ -279,14 +279,18 @@ def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
         if -tableau[-1, 0] > FEAS_TOL * feas_scale:
             raise InfeasibleError("constraints are inconsistent", pivots)
 
-        # Drive leftover artificials out of the basis.  Pivots keep each
-        # artificial column the exact negative of its row's slack column in
-        # the constraint rows, so where an artificial is basic (at 1) that
-        # slack reads -1: the row always has an entry to pivot on.
+        # Drive leftover artificials out of the basis, each pivot counted
+        # against the budget.  Pivots keep each artificial column the exact
+        # negative of its row's slack column in the constraint rows, so where
+        # an artificial is basic (at 1) that slack reads -1: the row always
+        # has an entry to pivot on.
         for r in range(m):
             if basis[r] >= width:
                 j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
+                if pivots >= max_iter:
+                    raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
                 _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
+                pivots += 1
 
     # Phase 2 objective row: c, without the artificial columns.
     tableau[-1, :] = 0.0

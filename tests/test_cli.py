@@ -23,6 +23,7 @@ from scvxkit.cli import (
     EXIT_SOLVER,
     ConfigError,
     OutputConfig,
+    _bench_row,
     execute_run,
     load_config,
     main,
@@ -33,6 +34,8 @@ from scvxkit.cli import (
 TRACE_FIELDS = ["k", "J", "L", "rho", "radius", "step_norm", "accepted",
                 "predicted_decrease", "actual_decrease"]
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+BENCH_HEADER = ("name,status,iterations,accepted,J_final,stationarity_residual,beta_hat,"
+                "gamma_hat,small_step_pass,rate_order,superlinear,error")
 
 
 def minimal_config(**extra):
@@ -451,7 +454,46 @@ class TestBench:
         assert "schema_version" in rows[1]["error"]
         with open(out_csv) as handle:
             header = handle.readline().strip()
-        assert header == ",".join(BENCH_COLUMNS)
+        assert header == ",".join(BENCH_COLUMNS) == BENCH_HEADER
+
+    @staticmethod
+    def row_of(status="converged-stationary", **report):
+        """The bench row of a hand-built summary whose report holds these sections."""
+        summary = {"status": status, "iterations": 3, "accepted": 2, "J_final": 1.0,
+                   "stationarity_residual": 2.5e-14, "diagnostics": {"status": status, **report}}
+        return _bench_row("run", summary)
+
+    def test_row_of_a_converged_report(self):
+        rate = {"order_q": 1.75, "defined": True, "superlinear_evidence": True}
+        row = self.row_of(sharp_minimum={"beta_hat": 8.01}, model_growth={"gamma_hat": 0.1},
+                          small_step={"passed": False}, rate=rate)
+        assert row == {"name": "run", "status": "converged-stationary", "iterations": "3",
+                       "accepted": "2", "J_final": "1.0", "stationarity_residual": "2.5e-14",
+                       "beta_hat": "8.01", "gamma_hat": "0.1", "small_step_pass": "false",
+                       "rate_order": "1.75", "superlinear": "true", "error": ""}
+        row = self.row_of(small_step={"passed": True},
+                          rate={**rate, "superlinear_evidence": False})
+        assert (row["small_step_pass"], row["rate_order"], row["superlinear"]) == (
+            "true", "1.75", "false")
+
+    def test_undefined_rate_leaves_its_cells_empty(self):
+        row = self.row_of(model_growth={"gamma_hat": 8.0},
+                          rate={"order_q": None, "defined": False, "superlinear_evidence": False})
+        assert (row["gamma_hat"], row["rate_order"], row["superlinear"]) == ("8.0", "", "")
+
+    def test_report_without_sections_leaves_the_diagnostics_empty(self):
+        row = self.row_of(status="iteration-limit", skipped="needs a converged run")
+        assert row["status"] == "iteration-limit" and row["iterations"] == "3"
+        assert [row[key] for key in ("beta_hat", "gamma_hat", "small_step_pass", "rate_order",
+                                     "superlinear")] == [""] * 5
+
+    def test_nan_growth_constant(self):
+        assert self.row_of(model_growth={"gamma_hat": float("nan")})["gamma_hat"] == "nan"
+
+    def test_row_without_summary(self):
+        row = _bench_row("broken", None, error="bad config")
+        assert row == {**dict.fromkeys(BENCH_HEADER.split(","), ""), "name": "broken",
+                       "status": "error", "error": "bad config"}
 
     def test_unwritable_csv_is_config_error(self, tmp_path, capsys):
         configs = tmp_path / "configs"

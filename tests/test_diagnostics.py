@@ -80,6 +80,16 @@ class TestDirections:
         c = unit_directions(4, seed=8)
         assert not np.array_equal(a, c)
 
+    def test_zero_dimension_raises(self):
+        # R^0 has no unit direction: the sampled probes raise instead of
+        # drawing empty vectors forever.
+        comp = oracles.affine_composite([1.0], np.zeros((1, 0)), 1, 0, 1.0)
+        assert comp.value(np.zeros(0)) == 1.0
+        with pytest.raises(ValueError, match="n=0"):
+            estimate_sharp_minimum(comp, np.zeros(0), delta=0.1)
+        with pytest.raises(ValueError, match="n=0"):
+            check_subdifferential_inequality(comp, np.zeros(0))
+
 
 class TestSharpMinimum:
     def test_abs_value_has_unit_constant(self):
@@ -201,6 +211,30 @@ class TestGrowthConstant:
             assert section["gamma_hat"] == pytest.approx(expected, abs=1e-8)
             assert np.max(np.abs(section["worst_point"])) == pytest.approx(
                 SUBDIFFERENTIAL_STEP, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["convex-lqr-box", "toy-sharp-2d"])
+    def test_face_lps_restart_from_the_last(self, bundled_final_points, monkeypatch, name):
+        # Every LP after the box restarts from the one before it; with each
+        # warm= stripped the probe gives the same constant in more pivots.
+        comp, z_bar = bundled_final_points[name]
+
+        def probe(restart):
+            warms, pivots = [], []
+
+            def recording(*args, warm=None, **kwargs):
+                warms.append(warm is not None)
+                sol = solve_box_lp(*args, warm=warm if restart else None, **kwargs)
+                pivots.append(sol.iterations)
+                return sol
+
+            monkeypatch.setattr(subproblem_module, "solve_box_lp", recording)
+            return estimate_growth_constant(comp, z_bar), warms, sum(pivots)
+
+        restarted, warms, pivots = probe(restart=True)
+        cold, _, cold_pivots = probe(restart=False)
+        assert warms == [False] + [True] * (restarted["n_lps"] - 1)
+        assert restarted["gamma_hat"] == cold["gamma_hat"]
+        assert pivots < cold_pivots
 
     def test_lp_failure_is_reported(self, bundled_final_points, monkeypatch):
         comp, z_bar = bundled_final_points["toy-sharp-2d"]

@@ -175,6 +175,8 @@ class TestKnownInstances:
         sol = solve_box_lp(*equality_pair_lp())
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert sol.x[0] + sol.x[1] == pytest.approx(2.0, abs=1e-9)
+        # One pivot in phase 1, one that drives the artificial out, one in phase 2.
+        assert sol.iterations == 3
 
     def test_degenerate_stall_reaches_blands_rule(self, monkeypatch):
         # Zero rhs and a positive first row leave x = 0 the only feasible
@@ -446,19 +448,28 @@ class TestFailurePivotCounts:
                          np.array([1.0, -1.0]))
         assert err.value.iterations == 0
 
+    def test_drive_out_limit_is_a_phase_one_limit(self):
+        # Phase 1 ends after one pivot with an artificial still basic, and
+        # the pivot that would drive it out is beyond the budget.
+        with pytest.raises(SimplexIterationLimitError) as err:
+            solve_box_lp(*equality_pair_lp(), max_iter=1)
+        assert (str(err.value), err.value.iterations) == (PHASE_ONE_LIMIT, 1)
+
     def test_iterations_are_the_pivots_made(self, monkeypatch):
         def dual_lp(b):
             return (np.array([1.0, 2.0]), np.array([[-1.0, -1.0]]), np.array([-b]),
                     np.zeros(2), np.full(2, 3.0))
 
-        # Cold and warm infeasible, the dual simplex's limit, and the limit in
-        # phase 1 (budgets 0-2) and in phase 2 (3-5).
+        # Cold and warm infeasible, the dual simplex's limit, the limit in
+        # phase 1 (budgets 0-2) and in phase 2 (3-5), and the limit in driving
+        # an artificial out (1) and in phase 2 after it (2).
         cases = [
             (self.corner_lp([-4.0, 1.0, 1.0]), {}),
             (self.corner_lp([-4.0, 1.0, 1.0]),
              {"warm": solve_box_lp(*self.corner_lp([-1.0, 1.0, 1.0])).warm}),
             (dual_lp(5.0), {"max_iter": 0, "warm": solve_box_lp(*dual_lp(2.0)).warm}),
-        ] + [(floor_lp(), {"max_iter": max_iter}) for max_iter in range(6)]
+        ] + [(floor_lp(), {"max_iter": max_iter}) for max_iter in range(6)] + [
+            (equality_pair_lp(), {"max_iter": max_iter}) for max_iter in (1, 2)]
         pivots = []
         pivot = simplex._pivot
         monkeypatch.setattr(simplex, "_pivot", lambda *args: (pivots.append(1), pivot(*args)))
