@@ -151,7 +151,7 @@ def _small_step(objective: CompositeObjective, z_bar, eta: float, epsilon: float
     for i in range(N_PROBES):
         z = z_bar + 0.99 * eta * rng.uniform(-1.0, 1.0, z_bar.size)
         try:
-            radius = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(z))))
+            radius = QUASI_INFINITE_FACTOR * (1.0 + float(np.max(np.abs(z), initial=0.0)))
             step = solve_min_norm_step(linearize(objective, z), radius).step
             norm = float(np.max(np.abs(step), initial=0.0))
             if norm >= UNBOUNDED_FRACTION * radius:
@@ -344,7 +344,8 @@ def check_level_set(trace: Sequence[IterationRecord], j0: float,
     if not 0 < norm_budget < np.inf:
         raise ValueError("norm_budget must be positive and finite")
     max_j = max((rec.J for rec in trace), default=j0)
-    max_norm = max((float(np.max(np.abs(rec.z))) for rec in trace), default=0.0)
+    max_norm = max((float(np.max(np.abs(rec.z), initial=0.0)) for rec in trace),
+                   default=0.0)
     if max_j > j0 + LEVEL_SET_TOL * (1.0 + abs(j0)):
         verdict = "objective-increase"
     elif max_norm > norm_budget:

@@ -8,7 +8,11 @@ guarantees termination on degenerate problems.  The tableau is column-major
 with the rhs in column 0 and the artificial columns last, so phase 2 runs on
 a contiguous leading slice, without a copy.  Each pivot updates only the
 rows with a nonzero pivot-column entry times the columns with a nonzero
-pivot-row entry; the other cells of the tableau cannot change.
+pivot-row entry; the other cells of the tableau cannot change.  The update
+runs in blocks of whole columns, at most PIVOT_BLOCK_CELLS cells each (one
+column where a column alone holds more), so a pivot's scratch memory stays
+bounded instead of growing with rows x columns; every cell still gets the
+one x - p*q it would get in a single update, so the blocks change no bit.
 
 An optimal solve keeps its final phase-2 tableau and basis as a WarmStart.
 An LP with the same c and a_ub and the same finite upper bounds differs
@@ -45,6 +49,11 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 STALL_LIMIT = 30
+# Cells per block of a pivot's rank-1 update: each of its three scratch
+# arrays (flat indices, products, gathered cells) then takes 64 KB at most,
+# under glibc's default 128 KB mmap threshold, so the allocator reuses them
+# from its heap instead of mapping fresh pages for every pivot.
+PIVOT_BLOCK_CELLS = 8192
 ITERATIONS_PER_VARIABLE = 50
 _NO_FEASIBLE_POINT = "pivot budget exhausted before a feasible point was found"
 
@@ -135,13 +144,19 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
     # cell outside them x the nonzero pivot-row columns would get x - a*0 or
     # x - 0*b, which leaves x as it is up to the sign of a zero.  The pivot
     # row takes the update too and is then overwritten.  The flat view holds
-    # (i, j) at j * shape[0] + i; on any other layout reshape would copy.
+    # (i, j) at j * shape[0] + i; on any other layout ravel would copy.
     if not tableau.flags.f_contiguous:
         raise ValueError("_pivot needs a Fortran-contiguous tableau")
     piv_row = tableau[row] / tableau[row, col]
     cols = piv_row.nonzero()[0]
-    flat = tableau.reshape(-1, order="F")
-    flat[(cols * tableau.shape[0])[:, None] + rows] -= piv_row[cols][:, None] * tableau[rows, col]
+    starts = (cols * tableau.shape[0])[:, None]
+    piv_vals = piv_row[cols][:, None]
+    # Gathered before any update: the block that holds column col zeroes it.
+    col_vals = tableau[rows, col]
+    flat = tableau.ravel("F")
+    step = PIVOT_BLOCK_CELLS // rows.size or 1  # whole columns per block
+    for j in range(0, cols.size, step):
+        flat[starts[j:j + step] + rows] -= piv_vals[j:j + step] * col_vals
     tableau[row] = piv_row
     basis[row] = col
 
@@ -165,6 +180,8 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots
     bland = False
     stall = 0
     last_obj = -tableau[-1, 0]
+    if reduced.size == 0:  # no priced column: optimal, as Bland's branch finds
+        return "optimal", pivots
 
     while True:
         if bland:

@@ -113,6 +113,21 @@ def dense_pivot(tableau, basis, row, col, rows):
     basis[row] = col
 
 
+def one_shot_pivot(tableau, basis, row, col, rows):
+    """Simplex pivot as one rank-1 update of the nonzero rows x columns.
+
+    Reference for scvxkit.simplex._pivot, which applies the same update in
+    blocks of at most PIVOT_BLOCK_CELLS cells; every cell gets the same
+    x - p*q, so the two must leave the same bytes, zero signs included.
+    """
+    piv_row = tableau[row] / tableau[row, col]
+    cols = piv_row.nonzero()[0]
+    flat = tableau.reshape(-1, order="F")
+    flat[(cols * tableau.shape[0])[:, None] + rows] -= piv_row[cols][:, None] * tableau[rows, col]
+    tableau[row] = piv_row
+    basis[row] = col
+
+
 def stacked_tableau(a_ub, b_ub, lb, ub):
     """Starting simplex tableau assembled by stacking and flipping copies.
 

@@ -90,6 +90,20 @@ class TestDirections:
         with pytest.raises(ValueError, match="n=0"):
             check_subdifferential_inequality(comp, np.zeros(0))
 
+    def test_zero_dimension_runs_and_reports(self):
+        # On R^0 every LP has no variable and no row, and every iterate is
+        # the empty vector: the run, the growth probe, the small-step probe
+        # and the level-set check all see empty arrays.
+        comp = oracles.affine_composite([1.0], np.zeros((1, 0)), 1, 0, 1.0)
+        result = run_scvx(comp, np.zeros(0))
+        assert result.status == "converged-stationary"
+        growth = estimate_growth_constant(comp, np.zeros(0))
+        assert (growth["gamma_hat"], growth["n_lps"]) == (0.0, 1)
+        section = find_small_step_eta(comp, np.zeros(0), 1e-3)
+        assert section["passed"] and section["max_step_norm"] == 0.0
+        level = check_level_set(result.trace, comp.value(np.zeros(0)))
+        assert (level["verdict"], level["max_norm"]) == ("ok", 0.0)
+
 
 class TestSharpMinimum:
     def test_abs_value_has_unit_constant(self):

@@ -20,8 +20,12 @@ def record_bench(monkeypatch):
     return module
 
 
+END_TO_END = [{"name": "wall_cal", "better": "lower"}, {"name": "setup_s", "better": "lower"},
+              {"name": "peak_rss_mb", "better": "lower"},
+              {"name": "feasible_fraction", "better": "higher"}]
 # No workload: should the guard let a call through, it runs nothing and writes at once.
-BENCH = {"command": ["false"], "run_seconds": 1, "workloads": []}
+BENCH = {"command": ["false"], "run_seconds": 1, "workloads": [], "end_to_end": END_TO_END}
+ONE_WORKLOAD = {**BENCH, "workloads": [{"name": "w"}]}
 
 
 @pytest.mark.parametrize("content", [
@@ -57,9 +61,8 @@ def test_pairs_record_median_pass_time_and_its_quartiles(record_bench, tmp_path,
                 "outcomes": [], "failures": []}, None
 
     monkeypatch.setattr(record_bench, "run_bench", run_bench)
-    bench = {"command": ["false"], "run_seconds": 1, "workloads": [{"name": "w"}]}
     out = tmp_path / "BENCH_pairs.json"
-    assert record_bench.pairs(bench, 4, "HEAD", 0, str(out)) == 0
+    assert record_bench.pairs(ONE_WORKLOAD, 4, "HEAD", 0, str(out)) == 0
 
     record = json.loads(out.read_text())
     assert record["fields"][-1] == "pass_wall_s"
@@ -75,7 +78,53 @@ def test_pairs_record_median_pass_time_and_its_quartiles(record_bench, tmp_path,
     assert summary["pass_wall_s_change_q1_median_q3"] == [
         round(2.0 * q, 4) for q in statistics.quantiles(parent, n=4)]
     assert summary["medians_parent_change"]["pass_wall_s"] == [2.25, 4.5]
-    assert summary["wall_cal_parent_q1_median_q3"] == summary["wall_cal_change_q1_median_q3"]
+    wall_cal = summary["end_to_end"]["wall_cal"]
+    assert wall_cal["parent_q1_median_q3"] == wall_cal["change_q1_median_q3"]
+    assert (wall_cal["median_change"], wall_cal["median_change_rel"]) == (0.0, 0.0)
+    assert (wall_cal["change_better_pairs"], wall_cal["parent_better_pairs"]) == (0, 0)
+
+
+def test_pairs_judge_every_end_to_end_metric_in_its_better_direction(
+        record_bench, tmp_path, monkeypatch):
+    # Over pairs 1..4 the change's peak_rss_mb is lower by 1 MB in pairs 1-3
+    # and higher in pair 4; its feasible_fraction is higher in pair 1 and tied
+    # otherwise; wall_cal and setup_s tie in every pair.
+    monkeypatch.setattr(record_bench, "unpack", lambda rev, dest: None)
+    calls = []
+
+    def run_bench(root, command, workload, seed, seconds, trace):
+        side = "change" if root == record_bench.ROOT else "parent"
+        pair = 1 + sum(c == (workload, side) for c in calls)
+        calls.append((workload, side))
+        rss = 40.0 + pair + (0.0 if side == "parent" else (-1.0 if pair < 4 else 1.0))
+        fraction = 0.9 if side == "change" and pair == 1 else 0.8
+        metrics = {"wall_cal": 5.0, "setup_s": 0.2, "peak_rss_mb": rss,
+                   "feasible_fraction": fraction}
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()},
+                "pass_wall_s": [1.0], "outcomes": [], "failures": []}, None
+
+    monkeypatch.setattr(record_bench, "run_bench", run_bench)
+    out = tmp_path / "BENCH_pairs.json"
+    assert record_bench.pairs(ONE_WORKLOAD, 4, "HEAD", 0, str(out)) == 0
+
+    record = json.loads(out.read_text())
+    assert record["fields"] == ["pair", "workload", "side", "failed", "wall_cal", "setup_s",
+                                "peak_rss_mb", "feasible_fraction", "pass_wall_s"]
+    judged = record["rounds"][0]["summary"]["w"]["end_to_end"]
+    assert list(judged) == [m["name"] for m in END_TO_END]
+    parent, change = [41.0, 42.0, 43.0, 44.0], [40.0, 41.0, 42.0, 45.0]
+    assert judged["peak_rss_mb"] == {
+        "better": "lower",
+        "parent_q1_median_q3": [round(q, 4) for q in statistics.quantiles(parent, n=4)],
+        "change_q1_median_q3": [round(q, 4) for q in statistics.quantiles(change, n=4)],
+        "median_change": -1.0, "median_change_rel": round(41.5 / 42.5 - 1.0, 4),
+        "change_better_pairs": 3, "parent_better_pairs": 1}
+    fraction = judged["feasible_fraction"]
+    assert fraction["better"] == "higher"
+    assert (fraction["change_better_pairs"], fraction["parent_better_pairs"]) == (1, 0)
+    assert fraction["median_change"] == 0.0
+    for name in ("wall_cal", "setup_s"):
+        assert (judged[name]["change_better_pairs"], judged[name]["parent_better_pairs"]) == (0, 0)
 
 
 def test_pairs_compare_statuses_iterations_and_j_final(record_bench, tmp_path, monkeypatch):
@@ -95,9 +144,8 @@ def test_pairs_compare_statuses_iterations_and_j_final(record_bench, tmp_path, m
                 "pass_wall_s": [1.0], "outcomes": outcomes, "failures": []}, None
 
     monkeypatch.setattr(record_bench, "run_bench", run_bench)
-    bench = {"command": ["false"], "run_seconds": 1, "workloads": [{"name": "w"}]}
     out = tmp_path / "BENCH_pairs.json"
-    assert record_bench.pairs(bench, 2, "HEAD", 0, str(out)) == 0
+    assert record_bench.pairs(ONE_WORKLOAD, 2, "HEAD", 0, str(out)) == 0
 
     summary = json.loads(out.read_text())["rounds"][0]["summary"]["w"]
     assert summary["same_outcomes"] is False

@@ -4,6 +4,8 @@ The reference answers come from scipy's HiGHS and, for tiny instances,
 from exhaustive vertex enumeration.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,17 @@ class TestKnownInstances:
         assert sol.x[0] + sol.x[1] == pytest.approx(2.0, abs=1e-9)
         # One pivot in phase 1, one that drives the artificial out, one in phase 2.
         assert sol.iterations == 3
+
+    def test_empty_lp_is_optimal(self):
+        # No variable and no row: an objective row that prices no column is
+        # optimal, cold and restarted alike.
+        lp = (np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
+        sol = solve_box_lp(*lp)
+        assert (sol.status, sol.objective, sol.iterations) == ("optimal", 0.0, 0)
+        assert sol.x.shape == (0,)
+        assert sol.warm.unique()
+        again = solve_box_lp(*lp, warm=sol.warm)
+        assert (again.status, again.objective, again.iterations) == ("optimal", 0.0, 0)
 
     def test_degenerate_stall_reaches_blands_rule(self, monkeypatch):
         # Zero rhs and a positive first row leave x = 0 the only feasible
@@ -649,3 +662,84 @@ class TestPivotMatchesDenseUpdate:
         outcome = self.assert_same_as_dense(monkeypatch, c, a_ub, b_ub, np.zeros(n),
                                             np.full(n, 3.0), max_iter=5)
         assert outcome == ("iteration-limit", PHASE_TWO_LIMIT, 5)
+
+
+def quarter_tableau(rng, m, n, density):
+    """A Fortran-order tableau of quarter-integer entries, some of them -0.0,
+    so that exact cancellations and the signs of zeros show in its bytes."""
+    values = rng.integers(-8, 9, size=(m, n)) / 4.0
+    values[rng.random((m, n)) >= density] = 0.0
+    values[rng.random((m, n)) < 0.1] = -0.0
+    return np.asfortranarray(values)
+
+
+class TestBlockedPivot:
+    """_pivot's blocks of whole columns, at most PIVOT_BLOCK_CELLS cells each,
+    must leave the bytes of one rank-1 update of the nonzero rows x columns."""
+
+    @staticmethod
+    def assert_same_as_one_shot(monkeypatch, tableau, row, col, cells):
+        monkeypatch.setattr(simplex, "PIVOT_BLOCK_CELLS", cells)
+        rows = tableau[:, col].nonzero()[0]
+        basis = np.arange(tableau.shape[0] - 1)
+        expected, expected_basis = tableau.copy(order="F"), basis.copy()
+        oracles.one_shot_pivot(expected, expected_basis, row, col, rows)
+        simplex._pivot(tableau, basis, row, col, rows)
+        assert tableau.tobytes() == expected.tobytes()
+        assert basis.tobytes() == expected_basis.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 5, 64, 10 ** 9])
+    def test_random_sparse_tableaux(self, monkeypatch, cells):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 30)), int(rng.integers(2, 60))
+            tableau = quarter_tableau(rng, m, n, 0.3)
+            tableau[0, :] = rng.integers(1, 9, size=n) / 4.0  # a pivot row for any column
+            col = int(rng.integers(1, n))
+            row = int(rng.choice(tableau[:-1, col].nonzero()[0]))
+            self.assert_same_as_one_shot(monkeypatch, tableau, row, col, cells)
+
+    @pytest.mark.parametrize("cells", [1, 5, 64, 10 ** 9])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_entering_column_in_another_block(self, monkeypatch, cells, position):
+        # At cells < 10**9 the pivot row's 40 nonzero columns span several
+        # blocks, and the entering one is the first of them or the last: the
+        # column is read before any block, in particular its own, changes it.
+        rng = np.random.default_rng(12)
+        tableau = quarter_tableau(rng, 12, 41, 0.5)
+        col = 1 if position == "first" else 40
+        tableau[:, col] = rng.integers(1, 9, size=12) / 4.0
+        tableau[4, 1:] = rng.integers(1, 9, size=40) / 4.0
+        self.assert_same_as_one_shot(monkeypatch, tableau, 4, col, cells)
+
+    @pytest.mark.parametrize("cells", [1, 5, 64, 10 ** 9])
+    def test_pivot_row_with_one_nonzero(self, monkeypatch, cells):
+        rng = np.random.default_rng(13)
+        tableau = quarter_tableau(rng, 10, 20, 0.5)
+        tableau[3, :] = 0.0
+        tableau[3, 7] = -0.75
+        self.assert_same_as_one_shot(monkeypatch, tableau, 3, 7, cells)
+
+    def test_solves_match_across_block_sizes(self, rng, monkeypatch):
+        lps = [sparse_epigraph_lp(rng) for _ in range(2)] + [cycling_lp(), floor_lp()]
+        for lp in lps:
+            monkeypatch.setattr(simplex, "PIVOT_BLOCK_CELLS", 16)
+            blocked = solve_outcome(*lp)
+            monkeypatch.setattr(simplex, "PIVOT_BLOCK_CELLS", 10 ** 9)
+            assert blocked == solve_outcome(*lp)
+
+    def test_scratch_memory_is_bounded(self):
+        # Updated in one piece, the dense 400 x 800 pivot below needs three
+        # scratch arrays of 320,000 cells each, about 7.7 MB; blocked, each
+        # holds PIVOT_BLOCK_CELLS cells at most.
+        rng = np.random.default_rng(14)
+        tableau = np.asfortranarray(rng.normal(size=(400, 800)))
+        basis = np.arange(399)
+        rows = tableau[:, 7].nonzero()[0]
+        tracemalloc.start()
+        try:
+            simplex._pivot(tableau, basis, 3, 7, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000

@@ -16,14 +16,16 @@ REV and N times on this checkout, in alternating pairs: odd pairs run the
 parent first.  The parent runs from the committed files of REV, unpacked
 with git archive into a temporary directory that is deleted afterwards.
 The file gets one round per call: every run's end-to-end metrics and the
-median of its raw pass times (pass_wall_s), and per workload the quartiles
-of wall_cal and of pass_wall_s on each side, the number of pairs in which
-the change had the lower wall_cal, whether both sides gave the same
-outcomes (status, iterations and the bits of J_final of every instance),
-whether they gave the same statuses and iterations, and the largest
-|J_final change - J_final parent| / (1 + |J_final parent|).  A round is
-appended when the file already holds rounds against the same parent; any
-other existing file is left alone, and the call exits 1 before any run.
+median of its raw pass times (pass_wall_s), and per workload, for each
+end-to-end metric of BENCHMARK.json, the quartiles on each side, the change
+of the median and the pairs each side won in the metric's better direction
+(ties count for neither), then the quartiles of pass_wall_s on each side,
+whether both sides gave the same outcomes (status, iterations and the bits
+of J_final of every instance), whether they gave the same statuses and
+iterations, and the largest |J_final change - J_final parent| /
+(1 + |J_final parent|).  A round is appended when the file already holds
+rounds against the same parent; any other existing file is left alone, and
+the call exits 1 before any run.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
-FIELDS = ["pair", "workload", "side", "failed", "wall_cal", "setup_s", "peak_rss_mb",
-          "feasible_fraction", "pass_wall_s"]
 SIDES = ("parent", "change")
 
 
@@ -89,11 +89,35 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def quartiles(values: list, digits: int = 2):
+def quartiles(values: list):
     """q1, median and q3 (statistics.quantiles, exclusive), or None below 4 values."""
     if len(values) < 4:
         return None
-    return [round(q, digits) for q in statistics.quantiles(values, n=4)]
+    return [round(q, 4) for q in statistics.quantiles(values, n=4)]
+
+
+def judge(parent: list, change: list, better: str) -> dict:
+    """One end-to-end metric over the pairs, parent[i] and change[i] from pair i.
+
+    A pair is won by the side whose value is better in the direction better
+    ("lower" or "higher"); a tie counts for neither side.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    wins = [sign * (c - p) for p, c in zip(parent, change)]
+    shift = rel = None
+    if parent:
+        median_parent, median_change = statistics.median(parent), statistics.median(change)
+        shift = round(median_change - median_parent, 4)
+        rel = round(median_change / median_parent - 1.0, 4) if median_parent else None
+    return {
+        "better": better,
+        "parent_q1_median_q3": quartiles(parent),
+        "change_q1_median_q3": quartiles(change),
+        "median_change": shift,
+        "median_change_rel": rel,
+        "change_better_pairs": sum(w < 0.0 for w in wins),
+        "parent_better_pairs": sum(w > 0.0 for w in wins),
+    }
 
 
 def outcome_key(record: dict) -> list:
@@ -140,6 +164,8 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
     if git("status", "--porcelain", "--untracked-files=no"):
         change += " with uncommitted changes"
     workloads = [w["name"] for w in bench["workloads"]]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    fields = ["pair", "workload", "side", "failed", *better, "pass_wall_s"]
     runs, failed, outcomes = [], [], {}
     scratch = Path(tempfile.mkdtemp(prefix="record-bench-"))
     parent_root = scratch / f"parent-{parent_sha}"
@@ -160,7 +186,7 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
                     metrics = {k: v["value"] for k, v in record["metrics"].items()}
                     metrics["pass_wall_s"] = statistics.median(record["pass_wall_s"])
                     runs.append([pair, workload, side, len(record["failures"])]
-                                + [round(metrics[k], 4) for k in FIELDS[4:]])
+                                + [round(metrics[k], 4) for k in fields[4:]])
                     outcomes.setdefault((workload, side), set()).add(
                         json.dumps(outcome_key(record)))
     finally:
@@ -175,24 +201,19 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
         both = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
 
         def paired(side, field):
-            return [by_pair[side][p][FIELDS.index(field)] for p in both]
+            return [by_pair[side][p][fields.index(field)] for p in both]
 
-        parent_wall, change_wall = paired("parent", "wall_cal"), paired("change", "wall_cal")
         medians = {side: {k: statistics.median(r[i] for r in by_pair[side].values())
-                          for i, k in enumerate(FIELDS[5:], start=5)}
+                          for i, k in enumerate(fields[5:], start=5)}
                    for side in SIDES if by_pair[side]}
         summary[workload] = {
             "pairs": len(both),
-            "wall_cal_parent_q1_median_q3": quartiles(parent_wall),
-            "wall_cal_change_q1_median_q3": quartiles(change_wall),
-            "pass_wall_s_parent_q1_median_q3": quartiles(paired("parent", "pass_wall_s"), 4),
-            "pass_wall_s_change_q1_median_q3": quartiles(paired("change", "pass_wall_s"), 4),
-            "change_better_pairs": sum(c < p for p, c in zip(parent_wall, change_wall)),
-            "median_change": (round(statistics.median(change_wall)
-                                    / statistics.median(parent_wall) - 1.0, 3)
-                              if both else None),
+            "end_to_end": {name: judge(paired("parent", name), paired("change", name), way)
+                           for name, way in better.items()},
+            "pass_wall_s_parent_q1_median_q3": quartiles(paired("parent", "pass_wall_s")),
+            "pass_wall_s_change_q1_median_q3": quartiles(paired("change", "pass_wall_s")),
             "medians_parent_change": {k: [round(medians[s][k], 4) if s in medians else None
-                                          for s in SIDES] for k in FIELDS[5:]},
+                                          for s in SIDES] for k in fields[5:]},
             "failed": sum(r[3] for r in runs if r[1] == workload),
             # one set of outcomes over every run of both sides
             "same_outcomes": len(outcomes.get((workload, "parent"), set())
@@ -214,8 +235,12 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
                        f"--seed {seed} {output}",
             "host": f"{os.cpu_count()}-core host, BLAS threads 1 (perfbench/run.py sets them)",
             "parent": parent_sha,
-            "fields": FIELDS,
+            "fields": fields,
             "quartiles": "statistics.quantiles(n=4), exclusive method; none below 4 pairs",
+            "end_to_end": "per end-to-end metric of BENCHMARK.json, over the pairs: the "
+                          "quartiles of each side, the change of the median (change - parent, "
+                          "and relative to the parent), and the pairs each side won in the "
+                          "metric's better direction; ties count for neither side",
             "same_outcomes": "every run of the workload, on both sides, gave the same status, "
                              "iterations and J_final bits for every instance",
             "same_status_iterations": "every run of the workload, on both sides, gave the same "
