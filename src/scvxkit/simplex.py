@@ -14,6 +14,14 @@ column where a column alone holds more), so a pivot's scratch memory stays
 bounded instead of growing with rows x columns; every cell still gets the
 one x - p*q it would get in a single update, so the blocks change no bit.
 
+The primal (_run, in both phases), the dual (_dual_run) and phase 1 share
+three steps, each written once: _scale, the 1 + max |values| base of every
+relative tolerance; _ratio_ties, the min-ratio test with its 1e-12 tie
+band, ties going to the largest divisor; and _price, which writes an
+objective row reduced against the basis, skipping the rows whose basic
+variable costs nothing.  Dantzig's and Bland's rules share one optimality
+test.
+
 An optimal solve keeps its final phase-2 tableau and basis as a WarmStart.
 An LP with the same c and a_ub and the same finite upper bounds differs
 only in its rhs column, which the tableau's slack block recomputes: that
@@ -74,6 +82,11 @@ class SimplexIterationLimitError(SimplexError):
     """Pivot budget exhausted."""
 
 
+def _scale(values: np.ndarray) -> float:
+    """1 + max |values|, or 1 for no values: the base of a relative tolerance."""
+    return 1.0 + float(np.abs(values).max(initial=0.0))
+
+
 class WarmStart:
     """The final phase-2 tableau and basis of an optimal solve.
 
@@ -114,8 +127,7 @@ class WarmStart:
         reduced = tableau[-1, 1:]
         nonbasic = np.ones(reduced.size, dtype=bool)
         nonbasic[basis - 1] = False
-        rc_tol = OPT_TOL * (1.0 + float(np.max(np.abs(reduced), initial=0.0)))
-        return bool(np.all(reduced[nonbasic] > rc_tol))
+        return bool(np.all(reduced[nonbasic] > OPT_TOL * _scale(reduced)))
 
     def take(self, m_ub: int, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tableau and basis for an LP of m_ub rows and this finite-ub pattern."""
@@ -161,6 +173,34 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
+def _ratio_ties(numerators: np.ndarray, divisors: np.ndarray,
+                indices: np.ndarray) -> tuple[np.ndarray, int]:
+    """The min-ratio test over positive divisors.
+
+    Returns the indices whose ratio numerators / divisors lies within
+    1e-12 (relative) of the smallest, and among them the first with the
+    largest divisor: the most stable pivot element.
+    """
+    ratios = numerators / divisors
+    least = float(ratios.min())
+    tie = ratios <= least + 1e-12 * (1.0 + abs(least))
+    ties = indices[tie]
+    return ties, int(ties[divisors[tie].argmax()])
+
+
+def _price(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
+    """Write the objective row of cost, one entry per tableau column.
+
+    The row is cost less cost[basis[r]] times row r, for each row r in
+    order whose basic variable has a nonzero cost.  Basic columns are unit
+    columns, so no subtraction changes another basic variable's entry.
+    """
+    tableau[-1] = cost
+    coefs = cost[basis]
+    for r in coefs.nonzero()[0]:
+        tableau[-1] -= coefs[r] * tableau[r]
+
+
 def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots: int,
          limit: str) -> tuple[str, int]:
     """Drive the tableau to optimality over its first width columns.
@@ -172,8 +212,7 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots
     "optimal" or "unbounded" and the solve's pivot count.
     """
     m = tableau.shape[0] - 1
-    cost_scale = 1.0 + float(np.max(np.abs(tableau[-1, 1:]))) if tableau.shape[1] > 1 else 1.0
-    rc_tol = OPT_TOL * cost_scale
+    rc_tol = OPT_TOL * _scale(tableau[-1, 1:])
     tableau = tableau[:, :width]
     reduced = tableau[-1, 1:]
     rhs = tableau[:m, 0]
@@ -184,45 +223,31 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots
         return "optimal", pivots
 
     while True:
-        if bland:
-            eligible = (reduced < -rc_tol).nonzero()[0]
-            if eligible.size == 0:
-                return "optimal", pivots
-            col = int(eligible[0]) + 1
-        else:
-            col = int(reduced.argmin()) + 1
-            if tableau[-1, col] >= -rc_tol:
-                return "optimal", pivots
+        # Bland's rule takes the first eligible column, or column 1 when none
+        # is eligible, which then passes the optimality test.
+        col = int((reduced < -rc_tol).argmax() if bland else reduced.argmin()) + 1
+        if tableau[-1, col] >= -rc_tol:
+            return "optimal", pivots
 
         # The entering reduced cost is negative, so the objective row is the
         # last of the column's nonzero rows.
         rows = tableau[:, col].nonzero()[0]
         body = rows[:-1]
         column = tableau[body, col]
-        col_scale = 1.0 + (float(np.abs(column).max()) if column.size else 0.0)
-        positive = column > PIVOT_TOL * col_scale
+        positive = column > PIVOT_TOL * _scale(column)
         candidates = body[positive]
         if candidates.size == 0:
             return "unbounded", pivots
-
-        column = column[positive]
-        ratios = rhs[candidates] / column
-        best = float(ratios.min())
-        tie = ratios <= best + 1e-12 * (1.0 + abs(best))
-        candidates = candidates[tie]
+        ties, row = _ratio_ties(rhs[candidates], column[positive], candidates)
         if bland:
-            row = int(candidates[basis[candidates].argmin()])
-        else:
-            # among ratio ties prefer the largest pivot element for stability
-            row = int(candidates[column[tie].argmax()])
+            row = int(ties[basis[ties].argmin()])
 
         if pivots >= budget:
             raise SimplexIterationLimitError(limit, pivots)
         _pivot(tableau, basis, row, col, rows)
         pivots += 1
         if rhs.min() < 0.0:
-            rhs_scale = 1.0 + float(np.abs(rhs).max())
-            rhs[(rhs < 0.0) & (rhs > -FEAS_TOL * rhs_scale)] = 0.0
+            rhs[(rhs < 0.0) & (rhs > -FEAS_TOL * _scale(rhs))] = 0.0
 
         obj = -tableau[-1, 0]
         if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
@@ -283,14 +308,14 @@ def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
 
     # Phase 1: minimize the sum of artificials.
     if art_rows.size:
-        feas_scale = 1.0 + float(np.max(np.abs(tableau[:m, 0])))
-        tableau[-1, width:] = 1.0
-        for r in art_rows:
-            tableau[-1] -= tableau[r]
+        feas_scale = _scale(tableau[:m, 0])
+        cost = np.zeros(tableau.shape[1])
+        cost[width:] = 1.0
+        _price(tableau, basis, cost)
         status, pivots = _run(tableau, basis, tableau.shape[1], max_iter, 0, _NO_FEASIBLE_POINT)
         # The phase-1 objective is bounded below, yet on badly scaled rows every
-        # positive entry of the entering column can fall under PIVOT_TOL *
-        # col_scale, and _run then reports it unbounded (ROADMAP item 5(a)).
+        # positive entry of the entering column can fall under PIVOT_TOL times
+        # its _scale, and _run then reports it unbounded (ROADMAP item 5(a)).
         if status == "unbounded":
             raise SimplexError("phase 1 reported unbounded", pivots)
         if -tableau[-1, 0] > FEAS_TOL * feas_scale:
@@ -301,21 +326,17 @@ def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
         # negative of its row's slack column in the constraint rows, so where
         # an artificial is basic (at 1) that slack reads -1: the row always
         # has an entry to pivot on.
-        for r in range(m):
-            if basis[r] >= width:
-                j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
-                if pivots >= max_iter:
-                    raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
-                _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
-                pivots += 1
+        for r in np.flatnonzero(basis >= width):
+            j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
+            if pivots >= max_iter:
+                raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
+            _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
+            pivots += 1
 
     # Phase 2 objective row: c, without the artificial columns.
-    tableau[-1, :] = 0.0
-    tableau[-1, 1:n + 1] = c
-    for r in range(m):
-        coef = tableau[-1, basis[r]]
-        if coef != 0.0:
-            tableau[-1] -= coef * tableau[r]
+    cost = np.zeros(tableau.shape[1])
+    cost[1:n + 1] = c
+    _price(tableau, basis, cost)
     return tableau, basis, width, pivots, max_iter
 
 
@@ -324,7 +345,7 @@ def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int, pivots: int) 
 
     The leaving row has the most negative rhs; the entering column has a
     negative entry in that row and the smallest ratio of reduced cost to
-    that entry, ties going to the largest entry.  pivots is the count the
+    minus that entry, ties going to the entry largest in magnitude.  pivots is the count the
     solve has made so far and budget its total.  Returns the solve's pivot
     count; raises InfeasibleError when a row cannot be made feasible and
     SimplexIterationLimitError when a pivot beyond the budget is needed.
@@ -333,21 +354,16 @@ def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int, pivots: int) 
     rhs = tableau[:m, 0]
     reduced = tableau[-1, 1:]
     while m:
-        rhs_scale = 1.0 + float(np.abs(rhs).max())
         row = int(rhs.argmin())
-        if rhs[row] >= -FEAS_TOL * rhs_scale:
+        if rhs[row] >= -FEAS_TOL * _scale(rhs):
             rhs[rhs < 0.0] = 0.0
             break
         body = tableau[row, 1:]
-        row_scale = 1.0 + float(np.abs(body).max())
-        eligible = (body < -PIVOT_TOL * row_scale).nonzero()[0]
+        eligible = (body < -PIVOT_TOL * _scale(body)).nonzero()[0]
         if eligible.size == 0:
             raise InfeasibleError("constraints are inconsistent", pivots)
         # Reduced costs sit above -OPT_TOL; a slightly negative one counts as 0.
-        ratios = np.maximum(reduced[eligible], 0.0) / -body[eligible]
-        best = float(ratios.min())
-        candidates = eligible[ratios <= best + 1e-12 * (1.0 + best)]
-        col = int(candidates[body[candidates].argmin()]) + 1
+        col = _ratio_ties(np.maximum(reduced[eligible], 0.0), -body[eligible], eligible)[1] + 1
         if pivots >= budget:
             raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
         _pivot(tableau, basis, row, col, tableau[:, col].nonzero()[0])

@@ -128,6 +128,54 @@ def one_shot_pivot(tableau, basis, row, col, rows):
     basis[row] = col
 
 
+def row_by_row_price(tableau, basis, cost):
+    """Objective row of cost, reduced against the basis row by row.
+
+    Reference for scvxkit.simplex._price: every row in order, with the
+    coefficient read from the objective row as it stands, and rows whose
+    coefficient is zero skipped.  With cost 1 on the artificial columns and
+    0 elsewhere it gives phase_one_price's bits: 1.0 * row is row.
+    """
+    tableau[-1] = cost
+    for r in range(basis.size):
+        coef = tableau[-1, basis[r]]
+        if coef != 0.0:
+            tableau[-1] -= coef * tableau[r]
+
+
+def phase_one_price(tableau, art_rows, width):
+    """Phase-1 objective row: the sum of the artificials (columns from width
+    on), less each row that holds one.  Reference for scvxkit.simplex._price
+    with cost 1 on the artificial columns."""
+    tableau[-1] = 0.0
+    tableau[-1, width:] = 1.0
+    for r in art_rows:
+        tableau[-1] -= tableau[r]
+
+
+def primal_ratio_row(rhs, column, candidates, basis, bland):
+    """The primal min-ratio test over candidates, rows with a positive
+    column entry (column holds those entries); returns the ties and the
+    leaving row.  Reference for scvxkit.simplex._ratio_ties in _run."""
+    ratios = rhs[candidates] / column
+    best = float(ratios.min())
+    tie = ratios <= best + 1e-12 * (1.0 + abs(best))
+    candidates = candidates[tie]
+    if bland:
+        return candidates, int(candidates[basis[candidates].argmin()])
+    return candidates, int(candidates[column[tie].argmax()])
+
+
+def dual_ratio_col(reduced, body, eligible):
+    """The dual ratio test over eligible, the indices of body's negative
+    entries; returns the ties and the entering tableau column (index + 1).
+    Reference for scvxkit.simplex._ratio_ties in _dual_run."""
+    ratios = np.maximum(reduced[eligible], 0.0) / -body[eligible]
+    best = float(ratios.min())
+    candidates = eligible[ratios <= best + 1e-12 * (1.0 + best)]
+    return candidates, int(candidates[body[candidates].argmin()]) + 1
+
+
 def stacked_tableau(a_ub, b_ub, lb, ub):
     """Starting simplex tableau assembled by stacking and flipping copies.
 

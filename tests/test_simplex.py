@@ -743,3 +743,137 @@ class TestBlockedPivot:
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+
+def unit_basis_tableau(rng, m, n):
+    """A Fortran-order (m + 1) x n tableau of normal entries, about a tenth
+    of them -0.0, and a random basis of m columns, each a unit column whose
+    zeros are partly -0.0.  The entries are not exact, so the order of the
+    subtractions shows in the bytes of a priced row."""
+    tableau = rng.normal(size=(m + 1, n))
+    tableau[rng.random((m + 1, n)) < 0.1] = -0.0
+    basis = rng.choice(np.arange(1, n), size=m, replace=False)
+    tableau[:, basis] = np.where(rng.random((m + 1, m)) < 0.3, -0.0, 0.0)
+    tableau[np.arange(m), basis] = 1.0
+    return np.asfortranarray(tableau), basis
+
+
+class TestSharedSteps:
+    """_price and _ratio_ties, which the primal, the dual and phase 1
+    share, must give the bytes of the row-by-row loops and ratio tests
+    they replace, kept in oracles."""
+
+    def test_price_matches_the_row_by_row_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            m = int(rng.integers(1, 12))
+            n = m + int(rng.integers(2, 20))
+            tableau, basis = unit_basis_tableau(rng, m, n)
+            cost = rng.normal(size=n)
+            cost[rng.random(n) < 0.3] = 0.0
+            cost[rng.random(n) < 0.1] = -0.0
+            cost[0] = 0.0
+            expected = tableau.copy(order="F")
+            oracles.row_by_row_price(expected, basis, cost)
+            simplex._price(tableau, basis, cost)
+            assert tableau.tobytes() == expected.tobytes()
+
+    def test_phase_one_price_matches_the_artificial_loop(self, rng):
+        priced = 0
+        for _ in range(20):
+            c, a_ub, b_ub, lb, ub = random_bounded_lp(rng, m=int(rng.integers(1, 7)))
+            b_ub = b_ub - np.abs(rng.normal(size=b_ub.size)) * 2.0
+            tableau, basis, art_rows, width = simplex._tableau(a_ub, b_ub, lb, ub)
+            expected = tableau.copy(order="F")
+            oracles.phase_one_price(expected, art_rows, width)
+            cost = np.zeros(tableau.shape[1])
+            cost[width:] = 1.0
+            simplex._price(tableau, basis, cost)
+            assert tableau.tobytes() == expected.tobytes()
+            priced += art_rows.size > 1
+        assert priced > 0
+
+    def test_phase_two_price_of_solved_tableaux(self, rng):
+        # _phase_one's tableaux after real pivots, priced again from c.
+        lps = [sparse_epigraph_lp(rng) for _ in range(2)] + [equality_pair_lp(), floor_lp()]
+        for c, a_ub, b_ub, lb, ub in lps:
+            tableau, basis, _, _, _ = simplex._phase_one(c, a_ub, b_ub, lb, ub, None)
+            cost = np.zeros(tableau.shape[1])
+            cost[1:c.size + 1] = c
+            expected = tableau.copy(order="F")
+            oracles.row_by_row_price(expected, basis, cost)
+            simplex._price(tableau, basis, cost)
+            assert tableau.tobytes() == expected.tobytes()
+
+    def test_primal_ratio_ties_match_the_parent_test(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            k = int(rng.integers(1, 12))
+            # Quarter-integer divisors and half-integer ratios divide exactly,
+            # so equal ratios tie exactly; some move inside the tie band and
+            # some past it.
+            column = rng.integers(1, 9, size=k) / 4.0
+            values = column * (rng.integers(0, 3, size=k) / 2.0)
+            values[rng.random(k) < 0.3] *= 1.0 + 5e-13
+            values[rng.random(k) < 0.1] *= 1.0 + 1e-9
+            values[(values == 0.0) & (rng.random(k) < 0.5)] = -0.0
+            candidates = np.sort(rng.choice(40, size=k, replace=False))
+            rhs = rng.random(40)
+            rhs[candidates] = values
+            basis = rng.permutation(60)[:40]
+            ties, row = simplex._ratio_ties(rhs[candidates], column, candidates)
+            expected_ties, expected_row = oracles.primal_ratio_row(rhs, column, candidates,
+                                                                   basis, False)
+            assert ties.tobytes() == expected_ties.tobytes()
+            assert row == expected_row
+            # Bland's rule, as _run applies it, to the same ties.
+            _, bland_row = oracles.primal_ratio_row(rhs, column, candidates, basis, True)
+            assert int(ties[basis[ties].argmin()]) == bland_row
+
+    def test_dual_ratio_ties_match_the_parent_test(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            size = int(rng.integers(1, 30))
+            body = rng.integers(-8, 9, size=size) / 4.0
+            body[0] = -rng.integers(1, 9) / 4.0  # at least one eligible column
+            body[body == 0.0] = -0.0
+            reduced = -body * (rng.integers(0, 3, size=size) / 2.0)
+            reduced[rng.random(size) < 0.3] *= 1.0 + 5e-13
+            reduced[rng.random(size) < 0.1] *= 1.0 + 1e-9
+            reduced[rng.random(size) < 0.1] = -1e-12  # counts as 0
+            reduced[rng.random(size) < 0.1] = -0.0
+            eligible = (body < 0.0).nonzero()[0]
+            ties, col = simplex._ratio_ties(np.maximum(reduced[eligible], 0.0),
+                                            -body[eligible], eligible)
+            expected_ties, expected_col = oracles.dual_ratio_col(reduced, body, eligible)
+            assert ties.tobytes() == expected_ties.tobytes()
+            assert col + 1 == expected_col
+
+    @staticmethod
+    def entering_columns(monkeypatch, stall_limit):
+        # min -3 y1 - y2 - 2 y3 s.t. y1 <= 0, y2 + y3 <= 1, y >= 0.
+        entering = []
+        pivot = simplex._pivot
+
+        def recording(tableau, basis, row, col, rows):
+            entering.append(col)
+            pivot(tableau, basis, row, col, rows)
+
+        monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
+        monkeypatch.setattr(simplex, "_pivot", recording)
+        sol = solve_box_lp(np.array([-3.0, -1.0, -2.0]),
+                           np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.array([0.0, 1.0]),
+                           np.zeros(3), np.full(3, np.inf))
+        assert sol.status == "optimal" and sol.objective == -2.0
+        assert sol.x.tolist() == [0.0, 0.0, 1.0]
+        return entering
+
+    def test_dantzig_enters_the_most_negative_column(self, monkeypatch):
+        assert self.entering_columns(monkeypatch, simplex.STALL_LIMIT) == [1, 3]
+
+    def test_blands_rule_enters_the_first_eligible_column(self, monkeypatch):
+        # y1 enters on the rhs-0 row: a degenerate pivot, so at STALL_LIMIT 1
+        # Bland's rule takes over.  It enters y2, the first eligible column,
+        # where Dantzig's rule enters y3; then y3.  No column is then
+        # eligible, and the solve ends optimal.
+        assert self.entering_columns(monkeypatch, 1) == [1, 2, 3]
