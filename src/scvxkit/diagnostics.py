@@ -28,9 +28,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .composite import CompositeObjective, linearize
-from .loop import LEVEL_SET_TOL, IterationRecord, TrustRegionParams
+from .loop import IterationRecord, TrustRegionParams
 from .subproblem import SubproblemError, build_lp, lp_solve, solve_min_norm_step
 
+# Relative rise above J(z0) that the level-set check forgives.
+LEVEL_SET_TOL = 1e-12
 # Random directions each sampled probe draws on top of the 2n signed axes.
 N_DIRECTIONS = 64
 # Probe points of each small-step section.

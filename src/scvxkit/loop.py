@@ -23,9 +23,6 @@ from .subproblem import SubproblemError, solve_subproblem
 # objective sequence strictly decreasing even when rho0 = 0.
 MIN_ACTUAL_DECREASE = 1e-12
 
-# Relative rise above J(z0) that the level-set test forgives.
-LEVEL_SET_TOL = 1e-12
-
 STATUS_CONVERGED = "converged-stationary"
 STATUS_ITERATIONS = "iteration-limit"
 STATUS_LEVEL_SET = "level-set-violation"
@@ -139,10 +136,10 @@ def run_scvx(objective: CompositeObjective, z0,
     stop_predicted_decrease * (1 + |J|).
 
     Statuses: converged-stationary, iteration-limit, level-set-violation (an
-    iterate left the norm budget or the objective rose above its starting
-    value), subproblem-failure (the LP solver gave up; the partial trace is
-    attached).  A trial point whose objective is not finite is a rejected
-    step, not an error.
+    iterate left the norm budget), subproblem-failure (the LP solver gave
+    up; the partial trace is attached).  A trial point whose objective is
+    not finite is a rejected step, not an error.  An accepted step strictly
+    decreases J, so J never rises above J(z0).
 
     Each subproblem is handed the last subproblem's solution; the rule by
     which its LP restarts from the last LP's tableau or is solved cold is
@@ -151,7 +148,7 @@ def run_scvx(objective: CompositeObjective, z0,
     if params is None:
         params = TrustRegionParams()
     z = as_decision_vector(z0, objective.n_z).copy()
-    J = J0 = objective.value(z)
+    J = objective.value(z)
     radius = params.r_init
     lin = sol = None
     trace: List[IterationRecord] = []
@@ -193,11 +190,8 @@ def run_scvx(objective: CompositeObjective, z0,
         ))
         radius = next_radius
 
-        if accepted:
-            if float(np.max(np.abs(z))) > params.norm_budget:
-                status, message = STATUS_LEVEL_SET, ("iterate norm exceeded the budget; "
-                                                     "initial level set looks unbounded")
-            elif J > J0 + LEVEL_SET_TOL * (1.0 + abs(J0)):
-                status, message = STATUS_LEVEL_SET, "objective rose above its starting value"
+        if accepted and float(np.max(np.abs(z))) > params.norm_budget:
+            status, message = STATUS_LEVEL_SET, ("iterate norm exceeded the budget; "
+                                                 "initial level set looks unbounded")
 
     return SolveResult(final_z=z, status=status, trace=trace, J_final=J, message=message)

@@ -142,50 +142,53 @@ class DiscretizedProblem:
 def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> DiscretizedProblem:
     """Stack the problem into a composite exact-penalty objective.
 
-    Rows come in one order: N cost rows (stages, then terminal), the
-    dynamics defects node by node, the boundary pins, then at each control
-    node its path inequalities followed by its finite control bounds.  The
-    inner map evaluates stacks of decision vectors, and for any stack it
-    calls each of the problem's callables once, with every node stacked;
-    its Jacobian, per point, likewise calls each derivative once.
+    Rows come in one order, laid out once by a table of row blocks: N cost
+    rows (stages, then terminal), the dynamics defects node by node, the
+    boundary pins, then at each control node its path inequalities followed
+    by its finite control bounds.  The inner map evaluates stacks of
+    decision vectors, and for any stack it calls each of the problem's
+    callables once, with every node stacked; its Jacobian, per point,
+    likewise calls each derivative once.
     """
     n_x, n_u, N = ocp.n_x, ocp.n_u, ocp.n_nodes
     n_z = ocp.n_z
+    paths = ocp.path_inequalities
 
-    # Boundary pins as (name, node, target): n_x equality rows each.
-    pins = [("initial_state", 0, np.asarray(ocp.initial_state, dtype=float))]
-    if ocp.final_state is not None:
-        pins.append(("final_state", N - 1, np.asarray(ocp.final_state, dtype=float)))
+    # Boundary pins: the initial state, and the final state when declared.
+    pin_nodes = np.array([0] if ocp.final_state is None else [0, N - 1])
+    pin_names = ("initial_state", "final_state")[:len(pin_nodes)]
+    targets = np.array([ocp.initial_state, ocp.final_state][:len(pin_nodes)], dtype=float)
     # Finite control bounds as (j, side, sign, bound): the row at node k is
     # sign * u_j - sign * bound <= 0, which is u_j - hi or lo - u_j exactly
     # (sign * (u_j - bound) would turn a +0.0 on a lower bound into -0.0).
-    bounds = []
-    for j, (lo, hi) in enumerate(ocp.control_bounds or ()):
-        if np.isfinite(hi):
-            bounds.append((j, "upper", 1.0, float(hi)))
-        if np.isfinite(lo):
-            bounds.append((j, "lower", -1.0, float(lo)))
+    bounds = [(j, side, sign, float(bound)) for j, (lo, hi) in enumerate(ocp.control_bounds or ())
+              for side, sign, bound in (("upper", 1.0, hi), ("lower", -1.0, lo)) if np.isfinite(bound)]
 
-    nodes = range(N - 1)
-    labels = [f"stage_cost[{k}]" for k in nodes] + ["terminal_cost"]
-    labels += [f"dynamics_defect[{k}][{i}]" for k in nodes for i in range(n_x)]
-    labels += [f"{name}[{i}]" for name, _, _ in pins for i in range(n_x)]
-    for k in nodes:
-        labels += [f"{pc.name}[{k}]" for pc in ocp.path_inequalities]
-        labels += [f"control_{side}[{k}][{j}]" for j, side, _, _ in bounds]
-    n_cost = N
-    n_eq = n_x * (N - 1 + len(pins))
-    n_per_node = len(ocp.path_inequalities) + len(bounds)
+    # The row table, in row order: each block's index shape and the label of
+    # its row at each index.  Each control node holds its path rows, then its
+    # bound rows, named (prefix, suffix) around the node index.
+    node_names = [(pc.name, "") for pc in paths] + [(f"control_{side}", f"[{j}]") for j, side, _, _ in bounds]
+    table = (
+        ((N,), lambda k: f"stage_cost[{k}]" if k < N - 1 else "terminal_cost"),
+        ((N - 1, n_x), lambda k, i: f"dynamics_defect[{k}][{i}]"),
+        ((len(pin_nodes), n_x), lambda p, i: f"{pin_names[p]}[{i}]"),
+        ((N - 1, len(node_names)), lambda k, c: f"{node_names[c][0]}[{k}]{node_names[c][1]}"),
+    )
+    # Lay the blocks out one after another, each a run of rows.  Labels,
+    # values (through the runs), the Jacobian (through the row indices) and
+    # the outer ranges all read this one layout.
+    labels, runs = [], []
+    for shape, label in table:
+        runs.append(slice(len(labels), len(labels) + math.prod(shape)))
+        labels += [label(*index) for index in np.ndindex(shape)]
     dim = len(labels)
-
-    # Column indices of each node's state (N, n_x) and control (N-1, n_u),
-    # and row indices of each node's dynamics defects (N-1, n_x) and of its
-    # path and bound rows (N-1, n_per_node), for assembling the Jacobian.
+    cost_run, defect_run, pin_run, node_run = runs
+    cost_rows, defect_rows, pin_rows, node_rows = (
+        np.arange(dim)[run].reshape(shape) for run, (shape, _) in zip(runs, table))
+    path_rows, bound_rows = node_rows[:, :len(paths)], node_rows[:, len(paths):]
+    # Column indices of each node's state (N, n_x) and control (N-1, n_u).
     x_cols = np.arange(N * n_x).reshape(N, n_x)
     u_cols = N * n_x + np.arange((N - 1) * n_u).reshape(N - 1, n_u)
-    defect_rows = n_cost + np.arange((N - 1) * n_x).reshape(N - 1, n_x)
-    node_rows = n_cost + n_eq + np.arange((N - 1) * n_per_node).reshape(N - 1, n_per_node)
-    cost_rows = np.arange(N - 1)[:, None]
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         # split's reshape, inline: SmoothMap.value has already checked z.
@@ -196,18 +199,14 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
         out = np.empty(lead + (dim,))
         out[..., :N - 1] = ocp.stage_cost(xs, controls)
         out[..., N - 1] = ocp.terminal_cost(states[..., -1, :]) if ocp.terminal_cost is not None else 0.0
-        defects = states[..., 1:, :] - ocp.dynamics(xs, controls)
-        out[..., n_cost:n_cost + n_x * (N - 1)] = defects.reshape(lead + (-1,))
-        pos = n_cost + n_x * (N - 1)
-        for _, node, target in pins:
-            out[..., pos:pos + n_x] = states[..., node, :] - target
-            pos += n_x
-        per_node = np.empty(lead + (N - 1, n_per_node))
-        for i, pc in enumerate(ocp.path_inequalities):
-            per_node[..., i] = pc.fun(xs, controls)
-        for i, (j, _, sign, bound) in enumerate(bounds, start=len(ocp.path_inequalities)):
-            per_node[..., i] = sign * controls[..., j] - sign * bound
-        out[..., pos:] = per_node.reshape(lead + (-1,))
+        out[..., defect_run] = (states[..., 1:, :] - ocp.dynamics(xs, controls)).reshape(lead + (-1,))
+        out[..., pin_run] = (states[..., pin_nodes, :] - targets).reshape(lead + (-1,))
+        # The node block in its (node, row) shape: a view, since it is a run.
+        nodes = out[..., node_run].reshape(lead + node_rows.shape)
+        for i, pc in enumerate(paths):
+            nodes[..., i] = pc.fun(xs, controls)
+        for i, (j, _, sign, bound) in enumerate(bounds, start=len(paths)):
+            nodes[..., i] = sign * controls[..., j] - sign * bound
         return out
 
     def jacobian(z: np.ndarray) -> np.ndarray:
@@ -215,32 +214,28 @@ def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> Discretized
         xs = states[:-1]
         jac = np.zeros((dim, n_z))
         gx, gu = ocp.stage_cost_grad(xs, controls)
-        jac[cost_rows, x_cols[:-1]] = gx
-        jac[cost_rows, u_cols] = gu
+        jac[cost_rows[:-1, None], x_cols[:-1]] = gx
+        jac[cost_rows[:-1, None], u_cols] = gu
         if ocp.terminal_cost is not None:
-            jac[N - 1, x_cols[-1]] = ocp.terminal_cost_grad(states[-1])
+            jac[cost_rows[-1], x_cols[-1]] = ocp.terminal_cost_grad(states[-1])
         a_mat, b_mat = ocp.dynamics_jac(xs, controls)
-        rows = defect_rows[:, :, None]
-        jac[rows, x_cols[1:, None, :]] = np.eye(n_x)
-        jac[rows, x_cols[:-1, None, :]] = -np.asarray(a_mat, dtype=float)
-        jac[rows, u_cols[:, None, :]] = -np.asarray(b_mat, dtype=float)
-        pos = n_cost + n_x * (N - 1)
-        for _, node, _ in pins:
-            jac[pos:pos + n_x, x_cols[node]] = np.eye(n_x)
-            pos += n_x
-        for i, pc in enumerate(ocp.path_inequalities):
+        jac[defect_rows, x_cols[1:]] = 1.0
+        jac[defect_rows[:, :, None], x_cols[:-1, None, :]] = -np.asarray(a_mat, dtype=float)
+        jac[defect_rows[:, :, None], u_cols[:, None, :]] = -np.asarray(b_mat, dtype=float)
+        jac[pin_rows, x_cols[pin_nodes]] = 1.0
+        for i, pc in enumerate(paths):
             gx, gu = pc.grad(xs, controls)
-            jac[node_rows[:, i, None], x_cols[:-1]] = gx
-            jac[node_rows[:, i, None], u_cols] = gu
-        for i, (j, _, sign, _) in enumerate(bounds, start=len(ocp.path_inequalities)):
-            jac[node_rows[:, i], u_cols[:, j]] = sign
+            jac[path_rows[:, i, None], x_cols[:-1]] = gx
+            jac[path_rows[:, i, None], u_cols] = gu
+        for i, (j, _, sign, _) in enumerate(bounds):
+            jac[bound_rows[:, i], u_cols[:, j]] = sign
         return jac
 
     smooth = SmoothMap(input_dim=n_z, output_dim=dim, evaluate=evaluate, jacobian=jacobian)
     outer = ConvexOuter(
-        cost_range=range(0, n_cost),
-        eq_range=range(n_cost, n_cost + n_eq),
-        ineq_range=range(n_cost + n_eq, dim),
+        cost_range=range(dim)[cost_run],
+        eq_range=range(defect_run.start, pin_run.stop),
+        ineq_range=range(dim)[node_run],
         penalty_weight=float(penalty_weight),
     )
     composite = CompositeObjective(g=smooth, psi=outer)
@@ -306,6 +301,19 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
+def _effort_cost(dt: float, n_x: int):
+    """Stage cost effort * |u|^2, effort = 0.05 * dt, and its gradient for n_x states."""
+    effort = 0.05 * dt
+
+    def stage_cost(x, u):
+        return effort * _dot(u, u)
+
+    def stage_cost_grad(x, u):
+        return np.zeros(n_x), 2.0 * effort * u
+
+    return stage_cost, stage_cost_grad
+
+
 def _convex_lqr_box(n_nodes: int = 6, dt: float = 0.25, control_limit: float = 1.0) -> OptimalControlProblem:
     a_mat = np.array([[1.0, dt], [0.0, 1.0]])
     b_mat = np.array([[0.0], [dt]])
@@ -348,7 +356,6 @@ def _double_integrator_obstacle(n_nodes: int = 8, dt: float = 0.6,
                                 target: Tuple[float, float] = (5.0, 0.0)) -> OptimalControlProblem:
     center = np.asarray(obstacle_center, dtype=float)
     r2 = float(obstacle_radius) ** 2
-    effort = 0.05 * dt
     a_mat = np.eye(4)
     a_mat[0, 2] = dt
     a_mat[1, 3] = dt
@@ -362,11 +369,7 @@ def _double_integrator_obstacle(n_nodes: int = 8, dt: float = 0.6,
     def dynamics_jac(x, u):
         return a_mat, b_mat
 
-    def stage_cost(x, u):
-        return effort * _dot(u, u)
-
-    def stage_cost_grad(x, u):
-        return np.zeros(4), 2.0 * effort * u
+    stage_cost, stage_cost_grad = _effort_cost(dt, 4)
 
     def keep_out(x, u):
         diff = x[..., :2] - center
@@ -391,8 +394,6 @@ def _double_integrator_obstacle(n_nodes: int = 8, dt: float = 0.6,
 
 def _dubins_car(n_nodes: int = 6, dt: float = 0.5,
                 speed_limit: float = 1.0, turn_limit: float = 1.5) -> OptimalControlProblem:
-    effort = 0.05 * dt
-
     def dynamics(x, u):
         return np.stack([
             x[..., 0] + dt * u[..., 0] * np.cos(x[..., 2]),
@@ -412,12 +413,7 @@ def _dubins_car(n_nodes: int = 6, dt: float = 0.5,
         b_mat[..., 2, 1] = dt
         return a_mat, b_mat
 
-    def stage_cost(x, u):
-        return effort * _dot(u, u)
-
-    def stage_cost_grad(x, u):
-        return np.zeros(3), 2.0 * effort * u
-
+    stage_cost, stage_cost_grad = _effort_cost(dt, 3)
     ocp = OptimalControlProblem(
         n_x=3, n_u=2, n_nodes=n_nodes,
         dynamics=dynamics, dynamics_jac=dynamics_jac,

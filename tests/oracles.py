@@ -268,32 +268,69 @@ def fd_jacobian(fun, z, h=1e-7):
     return jac
 
 
-def transcribed_values(ocp, z):
-    """Inner map of transcribe(ocp, .) at the single point z, one node at a
-    time: each callable sees one x of shape (n_x,) and one u of shape
-    (n_u,).  Rows follow the documented order: N cost rows (stages, then
-    terminal), the dynamics defects node by node, the initial and final
-    pins, then at each control node its path inequalities followed by its
-    finite control bounds, upper before lower."""
+def label_rows(ocp, z):
+    """Every row of transcribe(ocp, .) at the single point z, built label
+    by label from the problem's own callables, one node at a time.
+
+    Returns (labels, kinds, values, jac): each row's label, its kind
+    ("cost", "eq" or "ineq"), its value and its Jacobian row, in the
+    documented order: N cost rows (stages, then terminal), the dynamics
+    defects node by node, the initial and final pins, then at each control
+    node its path inequalities followed by its finite control bounds, upper
+    before lower."""
     z = np.asarray(z, dtype=float)
     n_x, n_u, n_nodes = ocp.n_x, ocp.n_u, ocp.n_nodes
     states = z[:n_nodes * n_x].reshape(n_nodes, n_x)
     controls = z[n_nodes * n_x:].reshape(n_nodes - 1, n_u)
-    rows = [ocp.stage_cost(states[k], controls[k]) for k in range(n_nodes - 1)]
-    rows.append(0.0 if ocp.terminal_cost is None else ocp.terminal_cost(states[-1]))
+    rows = []
+
+    def x_at(k):
+        return slice(k * n_x, (k + 1) * n_x)
+
+    def u_at(k):
+        start = n_nodes * n_x + k * n_u
+        return slice(start, start + n_u)
+
+    def add(label, kind, value, *entries):
+        """One row; entries are (columns, values) pairs written in order."""
+        jac_row = np.zeros(z.size)
+        for columns, part in entries:
+            jac_row[columns] = part
+        rows.append((label, kind, float(value), jac_row))
+
     for k in range(n_nodes - 1):
-        rows.extend(states[k + 1] - ocp.dynamics(states[k], controls[k]))
-    rows.extend(states[0] - ocp.initial_state)
+        gx, gu = ocp.stage_cost_grad(states[k], controls[k])
+        add(f"stage_cost[{k}]", "cost", ocp.stage_cost(states[k], controls[k]),
+            (x_at(k), gx), (u_at(k), gu))
+    if ocp.terminal_cost is None:
+        add("terminal_cost", "cost", 0.0)
+    else:
+        add("terminal_cost", "cost", ocp.terminal_cost(states[-1]),
+            (x_at(n_nodes - 1), ocp.terminal_cost_grad(states[-1])))
+    for k in range(n_nodes - 1):
+        nxt = ocp.dynamics(states[k], controls[k])
+        a_mat, b_mat = (np.asarray(m, dtype=float) for m in ocp.dynamics_jac(states[k], controls[k]))
+        for i in range(n_x):
+            add(f"dynamics_defect[{k}][{i}]", "eq", states[k + 1][i] - nxt[i],
+                ((k + 1) * n_x + i, 1.0), (x_at(k), -a_mat[i]), (u_at(k), -b_mat[i]))
+    pins = [("initial_state", 0, ocp.initial_state)]
     if ocp.final_state is not None:
-        rows.extend(states[-1] - ocp.final_state)
+        pins.append(("final_state", n_nodes - 1, ocp.final_state))
+    for name, node, target in pins:
+        for i in range(n_x):
+            add(f"{name}[{i}]", "eq", states[node][i] - float(target[i]), (node * n_x + i, 1.0))
     for k in range(n_nodes - 1):
-        rows.extend(pc.fun(states[k], controls[k]) for pc in ocp.path_inequalities)
+        for pc in ocp.path_inequalities:
+            gx, gu = pc.grad(states[k], controls[k])
+            add(f"{pc.name}[{k}]", "ineq", pc.fun(states[k], controls[k]), (x_at(k), gx), (u_at(k), gu))
         for j, (lo, hi) in enumerate(ocp.control_bounds or ()):
+            column = u_at(k).start + j
             if np.isfinite(hi):
-                rows.append(controls[k, j] - hi)
+                add(f"control_upper[{k}][{j}]", "ineq", controls[k, j] - hi, (column, 1.0))
             if np.isfinite(lo):
-                rows.append(lo - controls[k, j])
-    return np.array(rows, dtype=float)
+                add(f"control_lower[{k}][{j}]", "ineq", lo - controls[k, j], (column, -1.0))
+    labels, kinds, values, jac = zip(*rows)
+    return list(labels), list(kinds), np.array(values), np.array(jac)
 
 
 def affine_composite(g0, a_mat, n_cost, n_eq, weight):

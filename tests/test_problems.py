@@ -188,6 +188,89 @@ def points_around(start, count, seed):
     return np.vstack([start, start + scales * rng.uniform(-1.0, 1.0, (scales.size, start.size))])
 
 
+def interleaved_ocp():
+    """n_x = n_u = 2, no final pin, two path constraints, and control bounds
+    with one infinite side each: at every control node two path rows and two
+    bound rows interleave, which tiny_ocp's one of each does not show."""
+    def dynamics(x, u):
+        return np.stack([x[..., 0] + 0.5 * x[..., 1] * u[..., 0],
+                         x[..., 1] + 0.5 * np.sin(u[..., 1])], axis=-1)
+
+    def dynamics_jac(x, u):
+        a_mat = np.zeros(x.shape[:-1] + (2, 2))
+        a_mat[..., 0, 0] = a_mat[..., 1, 1] = 1.0
+        a_mat[..., 0, 1] = 0.5 * u[..., 0]
+        b_mat = np.zeros(x.shape[:-1] + (2, 2))
+        b_mat[..., 0, 0] = 0.5 * x[..., 1]
+        b_mat[..., 1, 1] = 0.5 * np.cos(u[..., 1])
+        return a_mat, b_mat
+
+    def stage_cost_grad(x, u):
+        gx, gu = np.zeros(x.shape), np.zeros(u.shape)
+        gx[..., 0], gu[..., 1] = 2.0 * x[..., 0], 2.0 * u[..., 1]
+        return gx, gu
+
+    def wall_grad(x, u):
+        gx = np.zeros(x.shape)
+        gx[..., 0] = 2.0 * x[..., 0]
+        return gx, np.array([0.0, -1.0])
+
+    return OptimalControlProblem(
+        n_x=2, n_u=2, n_nodes=4,
+        dynamics=dynamics, dynamics_jac=dynamics_jac,
+        initial_state=np.array([0.5, -1.0]),
+        stage_cost=lambda x, u: x[..., 0] * x[..., 0] + u[..., 1] * u[..., 1],
+        stage_cost_grad=stage_cost_grad,
+        terminal_cost=lambda x: x[..., 1],
+        terminal_cost_grad=lambda x: np.array([0.0, 1.0]),
+        path_inequalities=(
+            PathConstraint(fun=lambda x, u: u[..., 0] + x[..., 1] - 3.0,
+                           grad=lambda x, u: (np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+                           name="speed"),
+            PathConstraint(fun=lambda x, u: x[..., 0] * x[..., 0] - u[..., 1] - 1.0,
+                           grad=wall_grad, name="wall"),
+        ),
+        control_bounds=((-np.inf, 1.5), (-2.0, np.inf)),
+        name="interleaved",
+    )
+
+
+class TestRowLayout:
+    """Every row of the transcription against oracles.label_rows, which
+    builds each labelled row's value and Jacobian row node by node: labels,
+    values and Jacobians bit for bit, and the outer ranges by row kind."""
+
+    @staticmethod
+    def assert_rows_match(ocp, points):
+        disc = transcribe(ocp, 3.0)
+        psi = disc.composite.psi
+        for z in points:
+            labels, kinds, values, jac = oracles.label_rows(ocp, z)
+            assert list(disc.labels) == labels
+            assert list(psi.cost_range) == [r for r, kind in enumerate(kinds) if kind == "cost"]
+            assert list(psi.eq_range) == [r for r, kind in enumerate(kinds) if kind == "eq"]
+            assert list(psi.ineq_range) == [r for r, kind in enumerate(kinds) if kind == "ineq"]
+            assert same_bits(disc.composite.g.value(z), values)
+            assert same_bits(disc.composite.g.jac(z), jac)
+
+    @pytest.mark.parametrize("name, n_nodes", [
+        ("convex-lqr-box", 6), ("convex-lqr-box", 40), ("double-integrator-obstacle", 8),
+        ("double-integrator-obstacle", 16), ("dubins-car", 6), ("dubins-car", 24)])
+    def test_builtins_match_the_per_label_oracle(self, name, n_nodes):
+        bench = builtin(name, n_nodes=n_nodes)
+        self.assert_rows_match(bench.problem, points_around(bench.default_start, 2, seed=n_nodes))
+
+    def test_interleaved_path_and_bound_rows_match_the_per_label_oracle(self, rng):
+        ocp = interleaved_ocp()
+        self.assert_rows_match(ocp, rng.normal(size=(6, ocp.n_z)))
+        labels = transcribe(ocp, 1.0).labels
+        assert labels[-4:] == ("speed[2]", "wall[2]", "control_upper[2][0]", "control_lower[2][1]")
+        assert "final_state[0]" not in labels
+
+    def test_tiny_problem_matches_the_per_label_oracle(self, rng):
+        self.assert_rows_match(tiny_ocp(), rng.normal(size=(6, 5)))
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_value_many_matches_one_point_at_a_time(self, name):
@@ -199,7 +282,7 @@ class TestStackedEvaluation:
         assert same_bits(comp.value(points), [comp.value(z) for z in points])
         assert all(type(comp.value(z)) is float for z in points)
         if disc is not None:
-            assert same_bits(values, [oracles.transcribed_values(disc.ocp, z) for z in points])
+            assert same_bits(values, [oracles.label_rows(disc.ocp, z)[2] for z in points])
 
     def test_stacked_products_round_like_one_vector(self, rng):
         # The built-ins' sums of products go through these two, so each
@@ -214,7 +297,7 @@ class TestStackedEvaluation:
         disc = transcribe(tiny_ocp(), 2.0)
         points = rng.normal(size=(10, 5))
         assert same_bits(disc.composite.g.value(points),
-                         [oracles.transcribed_values(disc.ocp, z) for z in points])
+                         [oracles.label_rows(disc.ocp, z)[2] for z in points])
 
     def test_value_many_checks_its_points(self):
         comp, _ = builtin("toy-sharp-2d").build()
