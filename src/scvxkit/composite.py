@@ -115,9 +115,8 @@ class ConvexOuter:
                         ("ineq_range", self.ineq_range)):
             if r.step != 1:
                 raise ValueError(f"{name} must have unit step")
-        dim = len(self.cost_range) + len(self.eq_range) + len(self.ineq_range)
         covered = sorted(list(self.cost_range) + list(self.eq_range) + list(self.ineq_range))
-        if covered != list(range(dim)):
+        if covered != list(range(self.output_dim)):
             raise ValueError("cost/eq/ineq ranges must partition the output index set")
         if not (np.isfinite(self.penalty_weight) and self.penalty_weight > 0):
             raise ValueError("penalty_weight must be positive and finite")

@@ -267,7 +267,7 @@ def active_set_report(problem, z_final) -> dict:
     ineq = values[psi.ineq_range.start:psi.ineq_range.stop]
     labels = problem.labels[psi.ineq_range.start:psi.ineq_range.stop]
     active = [label for label, v in zip(labels, ineq) if abs(v) <= ACTIVE_TOL * (1.0 + abs(v))]
-    threshold = problem.active_set_threshold
+    threshold = problem.ocp.n_u * (problem.ocp.n_nodes - 1)
     count = len(active)
     if count == threshold:
         verdict = "exact"

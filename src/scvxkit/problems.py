@@ -133,11 +133,6 @@ class DiscretizedProblem:
     ocp: OptimalControlProblem
     labels: Tuple[str, ...]
 
-    @property
-    def active_set_threshold(self) -> int:
-        """Inequality count that full control authority would activate."""
-        return self.ocp.n_u * (self.ocp.n_nodes - 1)
-
 
 def transcribe(ocp: OptimalControlProblem, penalty_weight: float) -> DiscretizedProblem:
     """Stack the problem into a composite exact-penalty objective.

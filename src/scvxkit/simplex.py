@@ -26,10 +26,18 @@ An optimal solve keeps its final phase-2 tableau and basis as a WarmStart.
 An LP with the same c and a_ub and the same finite upper bounds differs
 only in its rhs column, which the tableau's slack block recomputes: that
 block holds B^-1 times the row flips, and the rhs is the same product
-applied to the flipped b.  The old basis stays dual feasible, so a dual
+applied to the flipped rhs.  The old basis stays dual feasible, so a dual
 simplex (Koberstein, "The dual simplex method, techniques for a fast and
 stable implementation", PhD thesis, Paderborn, 2005) restores a feasible
 rhs and phase 2 finishes, in place.
+
+Both starts share what solve_box_lp works out once: the shifted rhs,
+b_ub - a_ub @ lb on the a_ub rows and ub - lb on the finite upper-bound
+rows, which the cold start (_tableau, then _phase_one) writes into its
+tableau and the restart multiplies by the slack block; and the default
+pivot budget, ITERATIONS_PER_VARIABLE per column of the starting tableau
+past the rhs, the cold start's artificial columns included.  Only a cold
+start prices its phase-2 objective row; a restart keeps the old one.
 
 Every failure is a SimplexError whose iterations counts the pivots the
 solve made before it; each stage raises its own.
@@ -129,11 +137,11 @@ class WarmStart:
         nonbasic[basis - 1] = False
         return bool(np.all(reduced[nonbasic] > OPT_TOL * _scale(reduced)))
 
-    def take(self, m_ub: int, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tableau and basis for an LP of m_ub rows and this finite-ub pattern."""
+    def take(self, m: int, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tableau and basis for an LP of m constraint rows, upper-bound rows
+        included, and this finite-ub pattern."""
         tableau, basis = self._kept()
-        if (not np.array_equal(self.finite_ub, finite_ub)
-                or basis.size != m_ub + np.count_nonzero(finite_ub)):
+        if not np.array_equal(self.finite_ub, finite_ub) or basis.size != m:
             raise ValueError("warm start comes from an LP of another shape or another "
                              "pattern of finite ub entries")
         self.release()
@@ -259,29 +267,29 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots
         last_obj = obj
 
 
-def _tableau(a_ub: np.ndarray, b_ub: np.ndarray, lb: np.ndarray,
-             ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Starting tableau of the LP in y = x - lb >= 0, written in place.
+def _tableau(a_ub: np.ndarray, rhs: np.ndarray,
+             finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Cold starting tableau of the LP in y = x - lb >= 0, written in place.
 
-    Rows are the a_ub rows, one row y_j <= ub_j - lb_j per finite ub_j and
-    a zero objective row.  A row with a negative rhs is negated, its slack
-    enters with -1 and an artificial starts basic in it; upper-bound rows
-    have rhs >= 0.  Returns the tableau, the basis, those rows and the
-    width of the rhs, structural and slack columns: all phase 2 sees.
+    rhs is solve_box_lp's shifted rhs, which a warm restart uses too: the
+    a_ub rows' b_ub - a_ub @ lb, then ub_j - lb_j for each j where the mask
+    finite_ub holds.  Rows are the a_ub rows, one row y_j <= ub_j - lb_j per
+    finite ub_j and a zero objective row.  A row with a negative rhs is
+    negated, its slack enters with -1 and an artificial starts basic in it;
+    upper-bound rows have rhs >= 0 because ub >= lb.  Returns the tableau,
+    the basis, those rows and the width of the rhs, structural and slack
+    columns: all phase 2 sees.
     """
     m_ub, n = a_ub.shape
-    rhs = b_ub - a_ub @ lb
-    finite_ub = np.flatnonzero(np.isfinite(ub))
-    m = m_ub + finite_ub.size
+    m = rhs.size
     art_rows = np.flatnonzero(rhs < 0.0)
     width = n + m + 1
 
     # Column-major, so the phase-2 slice and _pivot's flat view are views.
     tableau = np.zeros((m + 1, width + art_rows.size), order="F")
-    tableau[:m_ub, 0] = rhs
-    tableau[m_ub:m, 0] = ub[finite_ub] - lb[finite_ub]
+    tableau[:m, 0] = rhs
     tableau[:m_ub, 1:n + 1] = a_ub
-    tableau[np.arange(m_ub, m), 1 + finite_ub] = 1.0
+    tableau[np.arange(m_ub, m), 1 + np.flatnonzero(finite_ub)] = 1.0
     slack = n + 1 + np.arange(m)
     tableau[np.arange(m), slack] = 1.0
     tableau[art_rows, :n + 1] *= -1.0
@@ -293,51 +301,43 @@ def _tableau(a_ub: np.ndarray, b_ub: np.ndarray, lb: np.ndarray,
     return tableau, basis, art_rows, width
 
 
-def _phase_one(c, a_ub, b_ub, lb, ub, max_iter):
-    """A cold start: the tableau, its basis feasible and its objective row c.
+def _phase_one(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> int:
+    """Phase 1 on a cold tableau of _tableau: make its basis feasible.
 
-    Returns the tableau, the basis, the phase-2 width, the pivots made and
-    the pivot budget of the whole solve.
+    The artificial columns are those past width; without one the slack
+    basis is feasible already.  budget is the pivot budget of the whole
+    solve, which solve_box_lp sets for both starts.  Minimizes the sum of
+    the artificials, then drives those left basic out of the basis, and
+    returns the pivots made; the objective row is left for the caller to
+    price.
     """
-    n = c.size
-    tableau, basis, art_rows, width = _tableau(a_ub, b_ub, lb, ub)
-    m = basis.size
-    if max_iter is None:
-        max_iter = ITERATIONS_PER_VARIABLE * (tableau.shape[1] - 1)
-    pivots = 0
-
-    # Phase 1: minimize the sum of artificials.
-    if art_rows.size:
-        feas_scale = _scale(tableau[:m, 0])
-        cost = np.zeros(tableau.shape[1])
-        cost[width:] = 1.0
-        _price(tableau, basis, cost)
-        status, pivots = _run(tableau, basis, tableau.shape[1], max_iter, 0, _NO_FEASIBLE_POINT)
-        # The phase-1 objective is bounded below, yet on badly scaled rows every
-        # positive entry of the entering column can fall under PIVOT_TOL times
-        # its _scale, and _run then reports it unbounded (ROADMAP item 5(a)).
-        if status == "unbounded":
-            raise SimplexError("phase 1 reported unbounded", pivots)
-        if -tableau[-1, 0] > FEAS_TOL * feas_scale:
-            raise InfeasibleError("constraints are inconsistent", pivots)
-
-        # Drive leftover artificials out of the basis, each pivot counted
-        # against the budget.  Pivots keep each artificial column the exact
-        # negative of its row's slack column in the constraint rows, so where
-        # an artificial is basic (at 1) that slack reads -1: the row always
-        # has an entry to pivot on.
-        for r in np.flatnonzero(basis >= width):
-            j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
-            if pivots >= max_iter:
-                raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
-            _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
-            pivots += 1
-
-    # Phase 2 objective row: c, without the artificial columns.
+    if tableau.shape[1] == width:
+        return 0
+    feas_scale = _scale(tableau[:-1, 0])
     cost = np.zeros(tableau.shape[1])
-    cost[1:n + 1] = c
+    cost[width:] = 1.0
     _price(tableau, basis, cost)
-    return tableau, basis, width, pivots, max_iter
+    status, pivots = _run(tableau, basis, tableau.shape[1], budget, 0, _NO_FEASIBLE_POINT)
+    # The phase-1 objective is bounded below, yet on badly scaled rows every
+    # positive entry of the entering column can fall under PIVOT_TOL times
+    # its _scale, and _run then reports it unbounded (ROADMAP item 5(a)).
+    if status == "unbounded":
+        raise SimplexError("phase 1 reported unbounded", pivots)
+    if -tableau[-1, 0] > FEAS_TOL * feas_scale:
+        raise InfeasibleError("constraints are inconsistent", pivots)
+
+    # Drive leftover artificials out of the basis, each pivot counted
+    # against the budget.  Pivots keep each artificial column the exact
+    # negative of its row's slack column in the constraint rows, so where
+    # an artificial is basic (at 1) that slack reads -1: the row always
+    # has an entry to pivot on.
+    for r in np.flatnonzero(basis >= width):
+        j = int(np.abs(tableau[r, 1:width]).argmax()) + 1
+        if pivots >= budget:
+            raise SimplexIterationLimitError(_NO_FEASIBLE_POINT, pivots)
+        _pivot(tableau, basis, r, j, tableau[:, j].nonzero()[0])
+        pivots += 1
+    return pivots
 
 
 def _dual_run(tableau: np.ndarray, basis: np.ndarray, budget: int, pivots: int) -> int:
@@ -417,27 +417,34 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     finite_ub = np.isfinite(ub)
     if np.any(ub < lb):
         raise InfeasibleError("empty box: some ub < lb")
+    # The rhs in y = x - lb of the a_ub rows, then of y_j <= ub_j - lb_j.
+    rhs = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
+    width = n + rhs.size + 1
 
-    if warm is not None:
-        tableau, basis = warm.take(a_ub.shape[0], finite_ub)
-        width = tableau.shape[1]
-        if max_iter is None:
-            max_iter = ITERATIONS_PER_VARIABLE * (width - 1)
-        # The slack block is B^-1 D, with D the row flips of the first LP,
-        # and the rhs column is B^-1 D b; the objective row's slack block
-        # turns b into the objective entry the same way.
-        b = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
-        np.matmul(tableau[:, n + 1:width], b, out=tableau[:, 0])
-        pivots = _dual_run(tableau, basis, max_iter, 0)
+    if warm is None:
+        tableau, basis, _, _ = _tableau(a_ub, rhs, finite_ub)
     else:
-        tableau, basis, width, pivots, max_iter = _phase_one(c, a_ub, b_ub, lb, ub, max_iter)
+        tableau, basis = warm.take(rhs.size, finite_ub)
+    if max_iter is None:  # artificial columns included on a cold start
+        max_iter = ITERATIONS_PER_VARIABLE * (tableau.shape[1] - 1)
+    if warm is None:
+        pivots = _phase_one(tableau, basis, width, max_iter)
+        # Phase 2 objective row: c, without the artificial columns.
+        cost = np.zeros(tableau.shape[1])
+        cost[1:n + 1] = c
+        _price(tableau, basis, cost)
+    else:
+        # The slack block is B^-1 D, with D the row flips of the first LP,
+        # and the rhs column is B^-1 D rhs; the objective row's slack block
+        # turns rhs into the objective entry the same way.
+        np.matmul(tableau[:, n + 1:width], rhs, out=tableau[:, 0])
+        pivots = _dual_run(tableau, basis, max_iter, 0)
 
-    m = basis.size
     status, pivots = _run(tableau, basis, width, max_iter, pivots,
                           "pivot budget exhausted in phase 2")
 
     y = np.zeros(width)
-    y[basis] = tableau[:m, 0]
+    y[basis] = tableau[:-1, 0]
     x = y[1:n + 1] + lb
     if status == "unbounded":
         return BoxLpSolution(x=x, objective=-np.inf, status="unbounded", iterations=pivots)

@@ -129,7 +129,6 @@ class TestTranscription:
         assert psi.n_eq == 4
         assert psi.n_ineq == 6
         assert disc.composite.g.output_dim == len(disc.labels)
-        assert disc.active_set_threshold == 2
 
     def test_component_values_by_hand(self):
         disc = transcribe(tiny_ocp(), 2.0)

@@ -73,11 +73,14 @@ def test_pairs_record_median_pass_time_and_its_quartiles(record_bench, tmp_path,
                       for pair in range(1, 5) for side in ("parent", "change")}
     summary = round_["summary"]["w"]
     parent = [2.1, 2.2, 2.3, 2.4]
-    assert summary["pass_wall_s_parent_q1_median_q3"] == [
+    pass_wall_s = summary["pass_wall_s"]
+    assert pass_wall_s["parent_q1_median_q3"] == [
         round(q, 4) for q in statistics.quantiles(parent, n=4)]
-    assert summary["pass_wall_s_change_q1_median_q3"] == [
+    assert pass_wall_s["change_q1_median_q3"] == [
         round(2.0 * q, 4) for q in statistics.quantiles(parent, n=4)]
-    assert summary["medians_parent_change"]["pass_wall_s"] == [2.25, 4.5]
+    assert (pass_wall_s["parent_q1_median_q3"][1], pass_wall_s["change_q1_median_q3"][1]) == (
+        2.25, 4.5)
+    assert (pass_wall_s["median_change"], pass_wall_s["median_change_rel"]) == (2.25, 1.0)
     wall_cal = summary["end_to_end"]["wall_cal"]
     assert wall_cal["parent_q1_median_q3"] == wall_cal["change_q1_median_q3"]
     assert (wall_cal["median_change"], wall_cal["median_change_rel"]) == (0.0, 0.0)
@@ -125,6 +128,40 @@ def test_pairs_judge_every_end_to_end_metric_in_its_better_direction(
     assert fraction["median_change"] == 0.0
     for name in ("wall_cal", "setup_s"):
         assert (judged[name]["change_better_pairs"], judged[name]["parent_better_pairs"]) == (0, 0)
+
+
+def test_pairs_judge_pass_time_once_and_keep_no_median_table(record_bench, tmp_path,
+                                                             monkeypatch):
+    # pass_wall_s is judged like an end-to-end metric, lower better: the
+    # change's median pass is 0.5 s shorter in pairs 1-3 and 0.5 s longer in
+    # pair 4.  No other table of medians repeats it, or leaves wall_cal out.
+    monkeypatch.setattr(record_bench, "unpack", lambda rev, dest: None)
+    calls = []
+
+    def run_bench(root, command, workload, seed, seconds, trace):
+        side = "change" if root == record_bench.ROOT else "parent"
+        pair = 1 + sum(c == (workload, side) for c in calls)
+        calls.append((workload, side))
+        shift = 0.0 if side == "parent" else (-0.5 if pair < 4 else 0.5)
+        metrics = {"wall_cal": 5.0 + pair, "setup_s": 0.2, "peak_rss_mb": 40.0,
+                   "feasible_fraction": 1.0}
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()},
+                "pass_wall_s": [2.0 + pair + shift], "outcomes": [], "failures": []}, None
+
+    monkeypatch.setattr(record_bench, "run_bench", run_bench)
+    out = tmp_path / "BENCH_pairs.json"
+    assert record_bench.pairs(ONE_WORKLOAD, 4, "HEAD", 0, str(out)) == 0
+
+    summary = json.loads(out.read_text())["rounds"][0]["summary"]["w"]
+    parent, change = [3.0, 4.0, 5.0, 6.0], [2.5, 3.5, 4.5, 6.5]
+    assert summary["pass_wall_s"] == {
+        "better": "lower",
+        "parent_q1_median_q3": [round(q, 4) for q in statistics.quantiles(parent, n=4)],
+        "change_q1_median_q3": [round(q, 4) for q in statistics.quantiles(change, n=4)],
+        "median_change": -0.5, "median_change_rel": round(4.0 / 4.5 - 1.0, 4),
+        "change_better_pairs": 3, "parent_better_pairs": 1}
+    assert [key for key in summary if "median" in key] == []
+    assert list(summary["end_to_end"]) == [m["name"] for m in END_TO_END]
 
 
 def test_pairs_compare_statuses_iterations_and_j_final(record_bench, tmp_path, monkeypatch):

@@ -98,6 +98,14 @@ def equality_pair_lp():
     return c, a_ub, np.array([2.0, -2.0]), np.zeros(2), np.array([5.0, 5.0])
 
 
+def cold_tableau(a_ub, b_ub, lb, ub):
+    """simplex._tableau of the LP, from the shifted rhs and finite-ub mask
+    that solve_box_lp works out for both of its starts."""
+    finite_ub = np.isfinite(ub)
+    rhs = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
+    return simplex._tableau(a_ub, rhs, finite_ub)
+
+
 def cycling_lp():
     """A textbook degenerate LP that cycles under naive pivoting."""
     c = np.array([-0.75, 150.0, -0.02, 6.0])
@@ -545,7 +553,7 @@ class TestTableauAssembly:
 
     @staticmethod
     def assert_same_as_stacked(a_ub, b_ub, lb, ub):
-        tableau, basis, art_rows, width = simplex._tableau(a_ub, b_ub, lb, ub)
+        tableau, basis, art_rows, width = cold_tableau(a_ub, b_ub, lb, ub)
         ref, ref_basis, ref_art_rows, ref_width = oracles.stacked_tableau(a_ub, b_ub, lb, ub)
         assert tableau.flags.f_contiguous
         assert tableau.shape == ref.shape
@@ -578,7 +586,7 @@ class TestTableauAssembly:
         b_ub = np.array([-0.0, -3.0])
         lb = np.zeros(2)
         ub = np.array([1.0, np.inf])
-        tableau, _, art_rows, _ = simplex._tableau(a_ub, b_ub, lb, ub)
+        tableau, _, art_rows, _ = cold_tableau(a_ub, b_ub, lb, ub)
         np.testing.assert_array_equal(art_rows, [1])
         assert np.signbit(tableau[0, 0])
         self.assert_same_as_stacked(a_ub, b_ub, lb, ub)
@@ -783,7 +791,7 @@ class TestSharedSteps:
         for _ in range(20):
             c, a_ub, b_ub, lb, ub = random_bounded_lp(rng, m=int(rng.integers(1, 7)))
             b_ub = b_ub - np.abs(rng.normal(size=b_ub.size)) * 2.0
-            tableau, basis, art_rows, width = simplex._tableau(a_ub, b_ub, lb, ub)
+            tableau, basis, art_rows, width = cold_tableau(a_ub, b_ub, lb, ub)
             expected = tableau.copy(order="F")
             oracles.phase_one_price(expected, art_rows, width)
             cost = np.zeros(tableau.shape[1])
@@ -794,10 +802,12 @@ class TestSharedSteps:
         assert priced > 0
 
     def test_phase_two_price_of_solved_tableaux(self, rng):
-        # _phase_one's tableaux after real pivots, priced again from c.
+        # _phase_one's tableaux after real pivots, priced from c.
         lps = [sparse_epigraph_lp(rng) for _ in range(2)] + [equality_pair_lp(), floor_lp()]
         for c, a_ub, b_ub, lb, ub in lps:
-            tableau, basis, _, _, _ = simplex._phase_one(c, a_ub, b_ub, lb, ub, None)
+            tableau, basis, _, width = cold_tableau(a_ub, b_ub, lb, ub)
+            budget = simplex.ITERATIONS_PER_VARIABLE * (tableau.shape[1] - 1)
+            simplex._phase_one(tableau, basis, width, budget)
             cost = np.zeros(tableau.shape[1])
             cost[1:c.size + 1] = c
             expected = tableau.copy(order="F")

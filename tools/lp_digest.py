@@ -11,7 +11,8 @@ flipped -0.0 changes the digest.  One line per workload gives its LP count
 and digest.
 
 With --parent, the same runs on the committed files of REV, unpacked with
-git archive into a temporary directory that is deleted afterwards, and
+git archive into a temporary directory that is deleted afterwards
+(record_bench.parent_tree, the tree of record_bench.py --pairs too), and
 the call exits 1 when any workload's count or digest differs.  Either way
 it exits 1 when a workload digests no LP, which means the recording
 wrapper missed every solve_box_lp call, and on SIGTERM it exits 143
@@ -33,6 +34,9 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # so that loading this file alone works
+from record_bench import parent_tree  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
@@ -136,17 +140,11 @@ def empty(digests: dict) -> list:
 
 def compare(rev: str) -> int:
     """Digest rev's committed files and this checkout, each in a subprocess, and compare."""
-    from record_bench import unpack  # here, so that loading this file alone works
-
-    scratch = Path(tempfile.mkdtemp(prefix="lp-digest-parent-"))
-    try:
-        unpack(rev, scratch)
-        # The digests make their scratch in this one too: on SIGTERM,
-        # subprocess.run kills the running digest before it can delete its own.
-        with mock.patch.dict(os.environ, TMPDIR=str(scratch)):
-            sides = {"parent": digest_in_subprocess(scratch), "change": digest_in_subprocess(ROOT)}
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    # The digests make their scratch in the parent tree too: on SIGTERM,
+    # subprocess.run kills the running digest before it can delete its own.
+    with parent_tree(rev, "lp-digest-parent-") as tree, \
+            mock.patch.dict(os.environ, TMPDIR=str(tree)):
+        sides = {"parent": digest_in_subprocess(tree), "change": digest_in_subprocess(ROOT)}
     show("parent  ", sides["parent"])
     show("change  ", sides["change"])
     same = sides["parent"] == sides["change"]

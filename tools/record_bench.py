@@ -13,19 +13,20 @@ without their span lists, into one JSON file.
 
 With --pairs N, each workload runs untraced N times on the parent commit
 REV and N times on this checkout, in alternating pairs: odd pairs run the
-parent first.  The parent runs from the committed files of REV, unpacked
-with git archive into a temporary directory that is deleted afterwards.
-The file gets one round per call: every run's end-to-end metrics and the
-median of its raw pass times (pass_wall_s), and per workload, for each
-end-to-end metric of BENCHMARK.json, the quartiles on each side, the change
-of the median and the pairs each side won in the metric's better direction
-(ties count for neither), then the quartiles of pass_wall_s on each side,
-whether both sides gave the same outcomes (status, iterations and the bits
-of J_final of every instance), whether they gave the same statuses and
-iterations, and the largest |J_final change - J_final parent| /
-(1 + |J_final parent|).  A round is appended when the file already holds
-rounds against the same parent; any other existing file is left alone, and
-the call exits 1 before any run.
+parent first.  The parent runs from parent_tree(REV): the committed files
+of REV, unpacked with git archive into a temporary directory that is
+deleted afterwards, on SIGTERM too.  tools/lp_digest.py --parent uses the
+same tree.  The file gets one round per call: every run's end-to-end
+metrics and the median of its raw pass times (pass_wall_s), and per
+workload, for each end-to-end metric of BENCHMARK.json and then for
+pass_wall_s (lower is better), the quartiles on each side, the change of
+the median and the pairs each side won in the metric's better direction
+(ties count for neither), then whether both sides gave the same outcomes
+(status, iterations and the bits of J_final of every instance), whether
+they gave the same statuses and iterations, and the largest
+|J_final change - J_final parent| / (1 + |J_final parent|).  A round is
+appended when the file already holds rounds against the same parent; any
+other existing file is left alone, and the call exits 1 before any run.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,11 +169,7 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     fields = ["pair", "workload", "side", "failed", *better, "pass_wall_s"]
     runs, failed, outcomes = [], [], {}
-    scratch = Path(tempfile.mkdtemp(prefix="record-bench-"))
-    parent_root = scratch / f"parent-{parent_sha}"
-    try:
-        parent_root.mkdir()
-        unpack(parent_sha, parent_root)
+    with parent_tree(parent_sha, f"record-bench-parent-{parent_sha}-") as parent_root:
         roots = {"parent": parent_root, "change": ROOT}
         for pair in range(1, n_pairs + 1):
             for workload in workloads:
@@ -189,8 +187,6 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
                                 + [round(metrics[k], 4) for k in fields[4:]])
                     outcomes.setdefault((workload, side), set()).add(
                         json.dumps(outcome_key(record)))
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
     summary = {}
     for workload in workloads:
@@ -203,17 +199,12 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
         def paired(side, field):
             return [by_pair[side][p][fields.index(field)] for p in both]
 
-        medians = {side: {k: statistics.median(r[i] for r in by_pair[side].values())
-                          for i, k in enumerate(fields[5:], start=5)}
-                   for side in SIDES if by_pair[side]}
         summary[workload] = {
             "pairs": len(both),
             "end_to_end": {name: judge(paired("parent", name), paired("change", name), way)
                            for name, way in better.items()},
-            "pass_wall_s_parent_q1_median_q3": quartiles(paired("parent", "pass_wall_s")),
-            "pass_wall_s_change_q1_median_q3": quartiles(paired("change", "pass_wall_s")),
-            "medians_parent_change": {k: [round(medians[s][k], 4) if s in medians else None
-                                          for s in SIDES] for k in fields[5:]},
+            "pass_wall_s": judge(paired("parent", "pass_wall_s"),
+                                 paired("change", "pass_wall_s"), "lower"),
             "failed": sum(r[3] for r in runs if r[1] == workload),
             # one set of outcomes over every run of both sides
             "same_outcomes": len(outcomes.get((workload, "parent"), set())
@@ -241,6 +232,8 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
                           "quartiles of each side, the change of the median (change - parent, "
                           "and relative to the parent), and the pairs each side won in the "
                           "metric's better direction; ties count for neither side",
+            "pass_wall_s": "the median raw pass time of each run, judged over the pairs as "
+                           "the end-to-end metrics are; lower is better",
             "same_outcomes": "every run of the workload, on both sides, gave the same status, "
                              "iterations and J_final bits for every instance",
             "same_status_iterations": "every run of the workload, on both sides, gave the same "
@@ -260,6 +253,24 @@ def unpack(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+@contextmanager
+def parent_tree(rev: str, prefix: str):
+    """The committed files of rev, unpacked into a new temporary directory
+    whose name starts with prefix, and deleted on exit.
+
+    SIGTERM exits through the deletion too, with status 128 + SIGTERM; the
+    caller's handler is back on exit.
+    """
+    handler = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    tree = Path(tempfile.mkdtemp(prefix=prefix))
+    try:
+        unpack(rev, tree)
+        yield tree
+    finally:
+        shutil.rmtree(tree, ignore_errors=True)
+        signal.signal(signal.SIGTERM, handler)
+
+
 def report(failed: list) -> int:
     for message in failed:
         print("FAILED " + message, file=sys.stderr)
@@ -274,8 +285,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="parent revision of the paired runs")
     parser.add_argument("--seed", type=int, default=SEED, help="seed of the paired runs")
     args = parser.parse_args(argv)
-    # Exit through the finally blocks on SIGTERM too, so no parent tree is left behind.
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.pairs < 0 or (args.pairs and not args.parent):
         parser.error("--pairs needs a positive count and --parent")
