@@ -26,8 +26,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import diagnostics as diag
-from .composite import CompositeError, CompositeObjective
+from .composite import CompositeError
+from .diagnostics import certify, run_diagnostics
 from .loop import (
     STATUS_CONVERGED,
     STATUS_ITERATIONS,
@@ -36,11 +36,9 @@ from .loop import (
     IterationRecord,
     SolveResult,
     TrustRegionParams,
-    check_stationarity,
     run_scvx,
 )
-from .problems import BUILTIN_NAMES, DiscretizedProblem, builtin
-from .subproblem import SubproblemError
+from .problems import BUILTIN_NAMES, builtin
 
 SCHEMA_VERSION = 1
 
@@ -374,40 +372,11 @@ def _prepare(config: RunConfig):
     return composite, disc, start
 
 
-def run_diagnostics(composite: CompositeObjective, disc: Optional[DiscretizedProblem],
-                    result: SolveResult, config: RunConfig, j0: float) -> dict:
-    """Assemble the full diagnostics report for one finished run.
-
-    The small-step probe's epsilon is half the sharp-minimum shell radius delta.
-    """
-    cfg = config.diagnostics
-    z_bar = result.final_z
-    report: dict = {"status": result.status}
-
-    report["level_set"] = diag.check_level_set(result.trace, j0,
-                                               norm_budget=config.trust_region.norm_budget)
-    report["ratio_tail"] = diag.check_ratio_limit(result.trace)
-
-    if result.status != STATUS_CONVERGED:
-        report["skipped"] = "minimizer-centric probes need a converged run"
-        return report
-
-    report["sharp_minimum"] = diag.estimate_sharp_minimum(composite, z_bar, cfg.delta,
-                                                          seed=config.seed)
-    report["model_growth"] = diag.estimate_growth_constant(composite, z_bar)
-    report["strong_convergence"] = diag.check_strong_convergence(
-        result.trace, z_bar, report["sharp_minimum"]["beta_hat"])
-    report["rate"] = diag.estimate_rate(result.trace, z_bar)
-    report["subdifferential"] = diag.check_subdifferential_inequality(composite, z_bar,
-                                                                      seed=config.seed)
-
-    if cfg.small_step:
-        report["small_step"] = diag.find_small_step_eta(composite, z_bar, cfg.delta / 2.0,
-                                                        seed=config.seed)
-
-    if disc is not None:
-        report["active_set"] = diag.active_set_report(disc, z_bar)
-    return report
+def _diagnose(composite, disc, result: SolveResult, config: RunConfig, j0: float) -> dict:
+    """run_diagnostics with the settings config gives."""
+    return run_diagnostics(composite, result, j0, seed=config.seed,
+                           norm_budget=config.trust_region.norm_budget, disc=disc,
+                           **asdict(config.diagnostics))
 
 
 def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
@@ -418,20 +387,6 @@ def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
     result = run_scvx(composite, start, config.trust_region)
     runtime = time.perf_counter() - t0
     exit_code = _STATUS_EXIT[result.status]
-
-    last_radius = result.trace[-1].radius if result.trace else config.trust_region.r_init
-    probe_radius = min(1.0, last_radius)
-    if result.status == STATUS_CONVERGED and last_radius <= 1.0:
-        # The terminal record solved this very LP: the final point's
-        # linearization over a box of the probe radius.
-        residual = result.trace[-1].predicted_decrease
-    else:
-        try:
-            residual = check_stationarity(composite, result.final_z, probe_radius)
-        except SubproblemError:
-            # A run that failed in the LP usually fails the probe's LP too.
-            residual = math.nan
-
     summary = {
         # The run's inputs as the object parse_config reads, output paths
         # left out; lambda is the weight the problem was built with.
@@ -448,11 +403,7 @@ def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
         "accepted": result.accepted_count,
         "J0": j0,
         "J_final": result.J_final,
-        "stationarity_residual": residual,
-        "stationarity_probe_radius": probe_radius,
-        "max_equality_violation": composite.max_equality_violation(result.final_z),
-        "max_inequality_violation": composite.max_inequality_violation(result.final_z),
-        "final_radius": last_radius,
+        **certify(composite, result, config.trust_region.r_init),
         "final_z": list(result.final_z),
         "runtime_s": runtime,
     }
@@ -466,14 +417,14 @@ def execute_run(config: RunConfig, quiet: bool = False) -> tuple[int, dict]:
     if config.output.plot_dir:
         write_plot_data(config.output.plot_dir, result.trace)
 
-    summary["diagnostics"] = run_diagnostics(composite, disc, result, config, j0)
+    summary["diagnostics"] = _diagnose(composite, disc, result, config, j0)
     if config.output.report:
         _write_json(config.output.report, summary["diagnostics"], "report")
 
     if not quiet:
         print(f"{config.problem_name}: status={result.status} iterations={result.iterations} "
               f"accepted={result.accepted_count} J={result.J_final:.9g} "
-              f"stationarity={residual:.3g}")
+              f"stationarity={summary['stationarity_residual']:.3g}")
     return exit_code, summary
 
 
@@ -565,7 +516,7 @@ def cmd_check(args) -> int:
         final_z=np.asarray(summary["final_z"], dtype=float),
         status=summary["status"], trace=trace, J_final=summary["J_final"],
     )
-    report = run_diagnostics(composite, disc, result, config, summary["J0"])
+    report = _diagnose(composite, disc, result, config, summary["J0"])
     report_target = args.report or config.output.report
     print(f"check {config.problem_name}: status={summary['status']} "
           f"report={'written' if report_target else 'stdout only'}")

@@ -18,6 +18,10 @@ are left for the writer to turn into JSON.
 The trust-region ratio tail is reported but never asserted against: a ratio
 limit of one is not something the method guarantees, so the report is
 observational only.
+
+certify and run_diagnostics turn one finished run into its evidence: the
+summary's certificate fields and the full report, in the order they are
+written.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .composite import CompositeObjective, linearize
-from .loop import IterationRecord, TrustRegionParams
+from .loop import (STATUS_CONVERGED, IterationRecord, SolveResult, TrustRegionParams,
+                   check_stationarity)
 from .subproblem import SubproblemError, build_lp, lp_solve, solve_min_norm_step
 
 # Relative rise above J(z0) that the level-set check forgives.
@@ -356,3 +361,62 @@ def check_level_set(trace: Sequence[IterationRecord], j0: float,
         verdict = "ok"
     return {"passed": verdict == "ok", "verdict": verdict, "max_objective": float(max_j),
             "j0": float(j0), "max_norm": float(max_norm), "norm_budget": float(norm_budget)}
+
+
+def certify(objective: CompositeObjective, result: SolveResult, r_init: float) -> dict:
+    """The run's certificate: the summary fields that measure its final point.
+
+    stationarity_residual is the model decrease that one subproblem finds at
+    the final point within the box of half-width stationarity_probe_radius
+    = min(1, final radius).  final_radius is the last record's radius, or
+    r_init for a run without one.  A converged run at a final radius <= 1
+    reuses its terminal record's predicted decrease; otherwise the probe
+    solves the LP, and a SubproblemError gives NaN.
+    """
+    final_radius = result.trace[-1].radius if result.trace else r_init
+    probe_radius = min(1.0, final_radius)
+    if result.status == STATUS_CONVERGED and final_radius <= 1.0:
+        # The terminal record solved this very LP: the final point's
+        # linearization over a box of the probe radius.
+        residual = result.trace[-1].predicted_decrease
+    else:
+        try:
+            residual = check_stationarity(objective, result.final_z, probe_radius)
+        except SubproblemError:
+            # A run that failed in the LP usually fails the probe's LP too.
+            residual = np.nan
+    return {"stationarity_residual": residual, "stationarity_probe_radius": probe_radius,
+            "max_equality_violation": objective.max_equality_violation(result.final_z),
+            "max_inequality_violation": objective.max_inequality_violation(result.final_z),
+            "final_radius": final_radius}
+
+
+def run_diagnostics(objective: CompositeObjective, result: SolveResult, j0: float, *,
+                    delta: float, small_step: bool, seed: int, norm_budget: float,
+                    disc=None) -> dict:
+    """The full diagnostics report of one finished run that started at J = j0.
+
+    The level-set and ratio-tail sections always run; the probes centred on
+    the final point need a converged run, else "skipped" says why.  The
+    small-step probe runs if small_step, with epsilon half the sharp-minimum
+    shell radius delta, and the active-set section needs the discretized
+    problem disc.
+    """
+    z_bar = result.final_z
+    report: dict = {"status": result.status,
+                    "level_set": check_level_set(result.trace, j0, norm_budget=norm_budget),
+                    "ratio_tail": check_ratio_limit(result.trace)}
+    if result.status != STATUS_CONVERGED:
+        report["skipped"] = "minimizer-centric probes need a converged run"
+        return report
+    report["sharp_minimum"] = estimate_sharp_minimum(objective, z_bar, delta, seed=seed)
+    report["model_growth"] = estimate_growth_constant(objective, z_bar)
+    report["strong_convergence"] = check_strong_convergence(
+        result.trace, z_bar, report["sharp_minimum"]["beta_hat"])
+    report["rate"] = estimate_rate(result.trace, z_bar)
+    report["subdifferential"] = check_subdifferential_inequality(objective, z_bar, seed=seed)
+    if small_step:
+        report["small_step"] = find_small_step_eta(objective, z_bar, delta / 2.0, seed=seed)
+    if disc is not None:
+        report["active_set"] = active_set_report(disc, z_bar)
+    return report

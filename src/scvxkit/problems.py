@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -425,27 +426,15 @@ def _dubins_car(n_nodes: int = 6, dt: float = 0.5,
 
 # z ** 2 below is np.float_power, which rounds like the scalar z[0] ** 2;
 # an array ** 2 squares and can differ in the last bit.
-def _toy_sharp_1d_composite(weight: float) -> CompositeObjective:
+def _toy_sharp_composite(n: int, weight: float) -> CompositeObjective:
+    """J(z) = |z|^2 + weight * sum_i |z_i - 1| on R^n."""
     smooth = SmoothMap(
-        input_dim=1, output_dim=2,
-        evaluate=lambda z: np.stack([np.float_power(z[..., 0], 2), z[..., 0] - 1.0], axis=-1),
-        jacobian=lambda z: np.array([[2.0 * z[0]], [1.0]]),
+        input_dim=n, output_dim=1 + n,
+        evaluate=lambda z: np.concatenate(
+            [np.add.reduce(np.float_power(z, 2), axis=-1)[..., None], z - 1.0], axis=-1),
+        jacobian=lambda z: np.vstack([2.0 * z, np.eye(n)]),
     )
-    outer = ConvexOuter(range(0, 1), range(1, 2), range(2, 2), weight)
-    return CompositeObjective(g=smooth, psi=outer)
-
-
-def _toy_sharp_2d_composite(weight: float) -> CompositeObjective:
-    def evaluate(z):
-        squares = np.float_power(z, 2)
-        return np.stack([squares[..., 0] + squares[..., 1], z[..., 0] - 1.0, z[..., 1] - 1.0],
-                        axis=-1)
-
-    smooth = SmoothMap(
-        input_dim=2, output_dim=3, evaluate=evaluate,
-        jacobian=lambda z: np.array([[2.0 * z[0], 2.0 * z[1]], [1.0, 0.0], [0.0, 1.0]]),
-    )
-    outer = ConvexOuter(range(0, 1), range(1, 3), range(3, 3), weight)
+    outer = ConvexOuter(range(0, 1), range(1, 1 + n), range(1 + n, 1 + n), weight)
     return CompositeObjective(g=smooth, psi=outer)
 
 
@@ -491,11 +480,11 @@ _BUILTINS = {
     # J(1) = 1.  One-sided slopes at the minimizer are 8 (left) and 12
     # (right): sharp with constant 8, and the model growth constant there
     # is also 8.
-    "toy-sharp-1d": (lambda: (_toy_sharp_1d_composite, np.array([3.0])), 10.0),
+    "toy-sharp-1d": (lambda: (partial(_toy_sharp_composite, 1), np.array([3.0])), 10.0),
     # J(z) = |z|^2 + 10(|z1 - 1| + |z2 - 1|).  Minimizer (1, 1) for any
     # weight above 2, J = 2.  Sharp and model growth constants both 8 in
     # the inf norm; the worst direction is a single signed axis.
-    "toy-sharp-2d": (lambda: (_toy_sharp_2d_composite, np.array([3.0, -2.0])), 10.0),
+    "toy-sharp-2d": (lambda: (partial(_toy_sharp_composite, 2), np.array([3.0, -2.0])), 10.0),
     # J(z) = -z + exp(-z), unbounded below (see _noncompact_composite).  Runs
     # end by exhausting the iterate norm budget, never by claiming convergence.
     "noncompact-levelset": (lambda: (_noncompact_composite, np.array([0.0])), 1.0),

@@ -829,13 +829,13 @@ class TestExecuteRun:
     def test_converged_small_radius_reuses_terminal_lp(self, monkeypatch):
         # At a final radius <= 1 the terminal record solved the probe's LP:
         # the same linearization over the same box.
-        from scvxkit import builtin, check_stationarity, cli
+        from scvxkit import builtin, check_stationarity, diagnostics
         from scvxkit.cli import DiagnosticsConfig, RunConfig
 
         def refuse(*args):
             raise AssertionError("the stationarity LP was solved a second time")
 
-        monkeypatch.setattr(cli, "check_stationarity", refuse)
+        monkeypatch.setattr(diagnostics, "check_stationarity", refuse)
         config = RunConfig(problem_name="dubins-car",
                            diagnostics=DiagnosticsConfig(small_step=False))
         _, summary = execute_run(config, quiet=True)
@@ -847,11 +847,11 @@ class TestExecuteRun:
         assert summary["stationarity_residual"] == expected
 
     def test_large_final_radius_still_probes(self, monkeypatch):
-        from scvxkit import cli
+        from scvxkit import diagnostics
         from scvxkit.cli import DiagnosticsConfig, RunConfig
         calls = []
-        probe = cli.check_stationarity
-        monkeypatch.setattr(cli, "check_stationarity",
+        probe = diagnostics.check_stationarity
+        monkeypatch.setattr(diagnostics, "check_stationarity",
                             lambda *args: calls.append(args[2]) or probe(*args))
         config = RunConfig(problem_name="toy-sharp-1d",
                            diagnostics=DiagnosticsConfig(small_step=False))

@@ -2,6 +2,7 @@
 small-step probes, convergence-tail reports, and level-set checks."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -655,3 +656,47 @@ class TestSampledConstantsOverstate:
         comp, z_bar, _, _ = di_descent
         section = check_subdifferential_inequality(comp, z_bar, seed=0)
         assert section["min_estimate"] < 0.0 and not section["passed"]
+
+
+CERTIFICATE_FIELDS = ["stationarity_residual", "stationarity_probe_radius",
+                      "max_equality_violation", "max_inequality_violation", "final_radius"]
+
+
+class TestEvidenceWithoutTheCli:
+    """certify and run_diagnostics on a run_scvx result give the summary
+    fields and the report that the CLI writes, as the same strict JSON."""
+
+    @pytest.mark.parametrize("name, converged, radius_above_one", [
+        ("toy-sharp-2d", True, True),
+        ("dubins-car", True, False),  # reuses the terminal record's LP
+        ("noncompact-levelset", False, True),
+    ])
+    def test_matches_execute_run(self, tmp_path, name, converged, radius_above_one):
+        from scvxkit.cli import OutputConfig, _jsonable, execute_run
+
+        config = load_config(str(CONFIG_DIR / f"{name}.json"))
+        output = OutputConfig(summary=str(tmp_path / "summary.json"),
+                              report=str(tmp_path / "report.json"))
+        execute_run(replace(config, output=output), quiet=True)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+
+        bench = builtin(config.problem_name, **config.overrides)
+        comp, disc = bench.build(config.penalty_weight)
+        params = config.trust_region
+        result = run_scvx(comp, bench.default_start, params)
+        certificate = diagnostics_module.certify(comp, result, params.r_init)
+        report = diagnostics_module.run_diagnostics(
+            comp, result, comp.value(bench.default_start), delta=config.diagnostics.delta,
+            small_step=config.diagnostics.small_step, seed=config.seed,
+            norm_budget=params.norm_budget, disc=disc)
+
+        assert (result.status == "converged-stationary") == converged
+        assert (certificate["final_radius"] > 1.0) == radius_above_one
+        assert list(certificate) == CERTIFICATE_FIELDS
+        keys = list(summary)
+        start = keys.index(CERTIFICATE_FIELDS[0])
+        assert keys[start:start + len(CERTIFICATE_FIELDS)] == CERTIFICATE_FIELDS
+        assert (json.dumps(_jsonable(certificate), allow_nan=False)
+                == json.dumps({key: summary[key] for key in CERTIFICATE_FIELDS}))
+        assert (json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
+                == (tmp_path / "report.json").read_text())

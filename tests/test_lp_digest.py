@@ -1,13 +1,13 @@
 """tools/lp_digest.py: the digest of solve_box_lp calls sees every bit, the sign of a zero
 too, a workload that digests no LP fails the call, and SIGTERM leaves no scratch behind."""
 
+import contextlib
 import importlib.util
 import os
 import signal
 import subprocess
 import sys
 import time
-import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,13 +47,18 @@ def test_digest_changes_when_one_zero_flips_sign(lp_digest):
 
 
 @pytest.mark.parametrize("argv", [[], ["--parent", "HEAD"]], ids=["checkout", "parent"])
-def test_a_workload_that_digests_no_lp_fails(lp_digest, monkeypatch, capsys, argv):
-    # Stand-ins for the workload runs and for record_bench's git archive.
+def test_a_workload_that_digests_no_lp_fails(lp_digest, monkeypatch, capsys, tmp_path, argv):
+    # Stand-ins for the workload runs and for the parent tree that git
+    # archive would unpack, so that no git checkout is needed.
     digests = {"ocp-sweep": [3, "a" * 64], "lqr-exact": [0, lp_digest.LpDigest().hexdigest()]}
     monkeypatch.setattr(lp_digest, "digest_checkout", lambda root: digests)
     monkeypatch.setattr(lp_digest, "digest_in_subprocess", lambda root: digests)
-    monkeypatch.setitem(sys.modules, "record_bench",
-                        types.SimpleNamespace(unpack=lambda rev, dest: None))
+
+    @contextlib.contextmanager
+    def parent_tree(rev, prefix):
+        yield tmp_path
+
+    monkeypatch.setattr(lp_digest, "parent_tree", parent_tree)
     assert lp_digest.main(argv) == 1
     assert "FAILED lqr-exact: no LP digested" in capsys.readouterr().err
     digests["lqr-exact"][0] = 35
