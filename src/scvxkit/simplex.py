@@ -25,19 +25,33 @@ test.
 An optimal solve keeps its final phase-2 tableau and basis as a WarmStart.
 An LP with the same c and a_ub and the same finite upper bounds differs
 only in its rhs column, which the tableau's slack block recomputes: that
-block holds B^-1 times the row flips, and the rhs is the same product
-applied to the flipped rhs.  The old basis stays dual feasible, so a dual
-simplex (Koberstein, "The dual simplex method, techniques for a fast and
-stable implementation", PhD thesis, Paderborn, 2005) restores a feasible
-rhs and phase 2 finishes, in place.
+block holds B^-1 times the row flips (none after a dual start, which
+negates no row), and the rhs is the same product applied to the flipped
+rhs.  The old basis stays dual feasible, so a dual simplex (Koberstein,
+"The dual simplex method, techniques for a fast and stable
+implementation", PhD thesis, Paderborn, 2005) restores a feasible rhs and
+phase 2 finishes, in place.
 
-Both starts share what solve_box_lp works out once: the shifted rhs,
+A third start, dual_start, needs no earlier solve.  It takes the slack
+basis with every negative-cost variable at its upper bound, written in
+closed form (_dual_tableau): each such variable is basic in its
+upper-bound row, so every reduced cost is c_j >= 0 or -c_j > 0.  That
+basis is dual feasible whenever every negative-cost variable has a finite
+ub, as on every LP of subproblem.build_lp, whose only negative costs are
+on the boxed step variables.  The same dual simplex then makes its rhs
+feasible, with no artificial column and no phase 1.  It may reach another
+optimal vertex than a cold solve, so its caller keeps its answer only
+where WarmStart.unique certifies the optimum (see below).
+
+All starts share what solve_box_lp works out once: the shifted rhs,
 b_ub - a_ub @ lb on the a_ub rows and ub - lb on the finite upper-bound
-rows, which the cold start (_tableau, then _phase_one) writes into its
-tableau and the restart multiplies by the slack block; and the default
-pivot budget, ITERATIONS_PER_VARIABLE per column of the starting tableau
-past the rhs, the cold start's artificial columns included.  Only a cold
-start prices its phase-2 objective row; a restart keeps the old one.
+rows, which the cold and dual starts write into their tableau, on the rows
+and slack basis of _slack_tableau, and the restart multiplies by the slack
+block; and the default pivot budget, ITERATIONS_PER_VARIABLE per column of
+the starting tableau past the rhs, the cold start's artificial columns
+included.  The cold start (_tableau, then _phase_one) prices its phase-2
+objective row; the dual start writes its own and a restart keeps the old
+one.
 
 Every failure is a SimplexError whose iterations counts the pivots the
 solve made before it; each stage raises its own.
@@ -267,31 +281,42 @@ def _run(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int, pivots
         last_obj = obj
 
 
-def _tableau(a_ub: np.ndarray, rhs: np.ndarray,
-             finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Cold starting tableau of the LP in y = x - lb >= 0, written in place.
+def _slack_tableau(a_ub: np.ndarray, rhs: np.ndarray, finite_ub: np.ndarray,
+                   extra: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of the LP in y = x - lb >= 0 as given, on a slack basis.
 
-    rhs is solve_box_lp's shifted rhs, which a warm restart uses too: the
-    a_ub rows' b_ub - a_ub @ lb, then ub_j - lb_j for each j where the mask
+    rhs is solve_box_lp's shifted rhs, which every start uses: the a_ub
+    rows' b_ub - a_ub @ lb, then ub_j - lb_j for each j where the mask
     finite_ub holds.  Rows are the a_ub rows, one row y_j <= ub_j - lb_j per
-    finite ub_j and a zero objective row.  A row with a negative rhs is
-    negated, its slack enters with -1 and an artificial starts basic in it;
-    upper-bound rows have rhs >= 0 because ub >= lb.  Returns the tableau,
-    the basis, those rows and the width of the rhs, structural and slack
-    columns: all phase 2 sees.
+    finite ub_j and a zero objective row.  The first width columns are the
+    rhs, structural and slack columns, all phase 2 sees; extra zero
+    columns follow them.  Returns the tableau, the slack basis and width.
     """
     m_ub, n = a_ub.shape
     m = rhs.size
-    art_rows = np.flatnonzero(rhs < 0.0)
     width = n + m + 1
-
     # Column-major, so the phase-2 slice and _pivot's flat view are views.
-    tableau = np.zeros((m + 1, width + art_rows.size), order="F")
+    tableau = np.zeros((m + 1, width + extra), order="F")
     tableau[:m, 0] = rhs
     tableau[:m_ub, 1:n + 1] = a_ub
     tableau[np.arange(m_ub, m), 1 + np.flatnonzero(finite_ub)] = 1.0
     slack = n + 1 + np.arange(m)
     tableau[np.arange(m), slack] = 1.0
+    return tableau, slack, width
+
+
+def _tableau(a_ub: np.ndarray, rhs: np.ndarray,
+             finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Cold starting tableau of _slack_tableau, made feasible for phase 1.
+
+    A row with a negative rhs is negated, its slack enters with -1 and an
+    artificial starts basic in it; upper-bound rows have rhs >= 0 because
+    ub >= lb.  Returns the tableau, the basis, those rows and the width of
+    the rhs, structural and slack columns.
+    """
+    n = a_ub.shape[1]
+    art_rows = np.flatnonzero(rhs < 0.0)
+    tableau, slack, width = _slack_tableau(a_ub, rhs, finite_ub, art_rows.size)
     tableau[art_rows, :n + 1] *= -1.0
     tableau[art_rows, slack[art_rows]] = -1.0
     tableau[art_rows, width + np.arange(art_rows.size)] = 1.0
@@ -299,6 +324,33 @@ def _tableau(a_ub: np.ndarray, rhs: np.ndarray,
     basis = slack.copy()
     basis[art_rows] = width + np.arange(art_rows.size)
     return tableau, basis, art_rows, width
+
+
+def _dual_tableau(c: np.ndarray, a_ub: np.ndarray, rhs: np.ndarray,
+                  finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-feasible starting tableau: _slack_tableau, priced, with every
+    negative-cost variable at its upper bound.
+
+    Each such y_j is basic in its upper-bound row, in closed form: the a_ub
+    rows' rhs drops by a_ub[:, J] @ (ub - lb)[J], that row's slack column
+    takes -a_ub[:, j] and -c_j, and the objective entry is
+    -c[J] @ (ub - lb)[J].  Every reduced cost is then >= 0; the rhs may be
+    negative.  Returns the tableau and the basis.
+    """
+    m_ub, n = a_ub.shape
+    flip = np.flatnonzero(c < 0.0)
+    if not np.all(finite_ub[flip]):
+        raise ValueError("dual_start needs a finite ub on every negative-cost variable")
+    tableau, basis, _ = _slack_tableau(a_ub, rhs, finite_ub, 0)
+    ub_rows = m_ub + np.cumsum(finite_ub)[flip] - 1
+    rows = np.r_[:m_ub, -1]  # the a_ub rows and the objective row
+    coef = np.vstack([a_ub[:, flip], c[flip]])
+    tableau[-1, 1:n + 1] = c
+    tableau[rows, 0] -= coef @ rhs[ub_rows]
+    tableau[np.ix_(rows, n + 1 + ub_rows)] = -coef
+    tableau[np.ix_(rows, 1 + flip)] = 0.0
+    basis[ub_rows] = 1 + flip
+    return tableau, basis
 
 
 def _phase_one(tableau: np.ndarray, basis: np.ndarray, width: int, budget: int) -> int:
@@ -389,7 +441,7 @@ def _checked(c, a_ub, b_ub, lb, ub) -> tuple[np.ndarray, ...]:
 
 
 def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
-                 warm: WarmStart | None = None) -> BoxLpSolution:
+                 warm: WarmStart | None = None, dual_start: bool = False) -> BoxLpSolution:
     """Solve min c@x s.t. a_ub@x <= b_ub, lb <= x <= ub.
 
     c must be 1-D of some length n, a_ub of shape (m, n), b_ub of shape
@@ -409,10 +461,18 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     earlier solve already took, is a ValueError.  c and a_ub are not
     compared: passing a state for other ones gives a wrong answer.
 
+    dual_start=True starts from the slack basis with every negative-cost
+    variable at its upper bound, which is dual feasible, and runs a dual
+    simplex instead of phase 1 (see the module docstring).  It is a
+    ValueError together with warm, or when a variable of negative cost has
+    an infinite ub.
+
     An optimal solution's warm.unique() says whether its final tableau
     certifies x as the LP's only optimum (see the module docstring).
     """
     c, a_ub, b_ub, lb, ub = _checked(c, a_ub, b_ub, lb, ub)
+    if dual_start and warm is not None:
+        raise ValueError("solve_box_lp takes warm or dual_start, not both")
     n = c.size
     finite_ub = np.isfinite(ub)
     if np.any(ub < lb):
@@ -421,23 +481,26 @@ def solve_box_lp(c, a_ub, b_ub, lb, ub, max_iter: int | None = None,
     rhs = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
     width = n + rhs.size + 1
 
-    if warm is None:
+    cold = warm is None and not dual_start
+    if cold:
         tableau, basis, _, _ = _tableau(a_ub, rhs, finite_ub)
+    elif dual_start:
+        tableau, basis = _dual_tableau(c, a_ub, rhs, finite_ub)
     else:
         tableau, basis = warm.take(rhs.size, finite_ub)
+        # The slack block is B^-1 D, with D the row flips of the first LP,
+        # and the rhs column is B^-1 D rhs; the objective row's slack block
+        # turns rhs into the objective entry the same way.
+        np.matmul(tableau[:, n + 1:width], rhs, out=tableau[:, 0])
     if max_iter is None:  # artificial columns included on a cold start
         max_iter = ITERATIONS_PER_VARIABLE * (tableau.shape[1] - 1)
-    if warm is None:
+    if cold:
         pivots = _phase_one(tableau, basis, width, max_iter)
         # Phase 2 objective row: c, without the artificial columns.
         cost = np.zeros(tableau.shape[1])
         cost[1:n + 1] = c
         _price(tableau, basis, cost)
     else:
-        # The slack block is B^-1 D, with D the row flips of the first LP,
-        # and the rhs column is B^-1 D rhs; the objective row's slack block
-        # turns rhs into the objective entry the same way.
-        np.matmul(tableau[:, n + 1:width], rhs, out=tableau[:, 0])
         pivots = _dual_run(tableau, basis, max_iter, 0)
 
     status, pivots = _run(tableau, basis, width, max_iter, pivots,

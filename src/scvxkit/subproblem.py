@@ -140,15 +140,18 @@ def build_lp(lin: Linearization, radius: float) -> LpStandardForm:
     return step_box.extend(zeros + psi.penalty_weight, zeros, zeros + np.inf, b, blocks)
 
 
-def lp_solve(lp: LpStandardForm, warm: WarmStart | None = None) -> BoxLpSolution:
-    """Solve an LP, warm from solve_box_lp's warm state if one is given.
+def lp_solve(lp: LpStandardForm, warm: WarmStart | None = None,
+             dual_start: bool = False) -> BoxLpSolution:
+    """Solve an LP, warm from solve_box_lp's warm state if one is given, or
+    from its dual start.
 
     The objective includes the offset.  Simplex failures become
     SubproblemError; an iteration-limit failure keeps the simplex message
     as it is.
     """
     try:
-        sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub, warm=warm)
+        sol = solve_box_lp(lp.c, lp.a_ub, lp.b_ub, lp.lb, lp.ub, warm=warm,
+                           dual_start=dual_start)
     except SimplexIterationLimitError as exc:
         raise SubproblemError(str(exc)) from exc
     except SimplexError as exc:
@@ -173,20 +176,27 @@ def solve_subproblem(lin: Linearization, radius: float,
     - From a linearization with an equal g_jacobian, entry for entry, and
       an equal psi (an affine inner map, say), the LP differs only in b_ub
       and the box, and it restarts from last's final basis, kept as it is.
-    - From any other linearization, last's tableau is released before the
-      LP is built and solved cold.
+    - From any other linearization whose last LP certified its optimum
+      unique, last's tableau is released and the LP solved from
+      solve_box_lp's dual start, which skips phase 1.  That answer is kept
+      under the same certificate as a rejection's restart; otherwise its
+      tableau is released and the LP is solved cold.
+    - Otherwise, last's tableau (if any) is released before the LP is
+      built and solved cold.
 
     So two tableaux are never held at once.
     """
     warm = last.warm if last is not None else None
     rejection = warm is not None and last.lin is lin
+    dual_start = False
     if warm is not None and not rejection and not (
             last.lin.psi == lin.psi and np.array_equal(last.lin.g_jacobian, lin.g_jacobian)):
+        dual_start = warm.unique()
         warm.release()
         warm = None
     lp = build_lp(lin, radius)
-    sol = lp_solve(lp, warm)
-    if rejection and not sol.warm.unique():
+    sol = lp_solve(lp, warm, dual_start)
+    if (rejection or dual_start) and not sol.warm.unique():
         sol.warm.release()
         sol = lp_solve(lp)
     return SubproblemSolution(step=sol.x[:lin.n_z].copy(), model_value=sol.objective,

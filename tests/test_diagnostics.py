@@ -297,8 +297,8 @@ class TestSmallStep:
         assert report["eta"] == pytest.approx(1e-6 / 2.0 ** SMALL_STEP_HALVINGS)
 
     @pytest.mark.parametrize("name, max_step_norm", [
-        ("double-integrator-obstacle", "2.99663199018687"),
-        ("dubins-car", "2.0805378099903464"),
+        ("double-integrator-obstacle", "2.9966198727488518"),
+        ("dubins-car", "2.080536443274468"),
     ])
     def test_failing_halvings_stop_at_first_large_step(self, monkeypatch, name, max_step_norm):
         # At these final points probe 0 already reaches epsilon in every

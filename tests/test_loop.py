@@ -373,15 +373,19 @@ def test_one_solve_per_record_at_its_radius(monkeypatch, name, r_init):
 class TestWarmStart:
     """The LP after a rejection restarts from the rejected LP's tableau,
     kept only when certified unique, and a fresh linearization at an
-    unchanged Jacobian restarts from the last LP's tableau; every other LP
-    is solved cold.  Restarts are seen at solve_box_lp's warm=."""
+    unchanged Jacobian restarts from the last LP's tableau; at any other
+    linearization the LP takes the dual start when the last LP certified
+    its optimum unique, kept only when certified unique too; every other LP
+    is solved cold.  Restarts are seen at solve_box_lp's warm=, dual starts
+    at its dual_start=."""
 
     @staticmethod
     def solve(monkeypatch, comp, z0, cold=False):
         """run_scvx, whether each subproblem's first LP solve restarted, the
-        pivots, and the LP arguments and x of each restarted LP solve
-        certified unique."""
-        starts, restarted, pivots, certified = [], [], [], []
+        pivots, the LP arguments and x of each restarted or dual-started LP
+        solve certified unique, and whether each dual start certified (was
+        kept)."""
+        starts, restarted, pivots, certified, dual = [], [], [], [], []
 
         def subproblem(lin, radius, last=None):
             starts.append(len(restarted))
@@ -391,7 +395,9 @@ class TestWarmStart:
             sol = solve_box_lp(*args, **kwargs)
             restarted.append(kwargs.get("warm") is not None)
             pivots.append(sol.iterations)
-            if restarted[-1] and sol.warm.unique():
+            if kwargs.get("dual_start"):
+                dual.append(sol.warm.unique())
+            if (restarted[-1] or kwargs.get("dual_start")) and sol.warm.unique():
                 certified.append((args, sol.x))
             return sol
 
@@ -399,14 +405,15 @@ class TestWarmStart:
             patch.setattr(loop_module, "solve_subproblem", subproblem)
             patch.setattr(subproblem_module, "solve_box_lp", box_lp)
             result = run_scvx(comp, z0, TrustRegionParams(max_iterations=300))
-        return result, [restarted[i] for i in starts], sum(pivots), certified
+        return result, [restarted[i] for i in starts], sum(pivots), certified, dual
 
     @pytest.mark.parametrize("n_nodes", [20, 24, 32, 40])
     def test_convex_lqr_box_matches_cold_run_in_fewer_pivots(self, monkeypatch, n_nodes):
         bench = builtin("convex-lqr-box", n_nodes=n_nodes)
         comp, _ = bench.build(100.0)
-        cold, _, cold_pivots, _ = self.solve(monkeypatch, comp, bench.default_start, cold=True)
-        warm, warms, warm_pivots, _ = self.solve(monkeypatch, comp, bench.default_start)
+        cold, _, cold_pivots, _, _ = self.solve(monkeypatch, comp, bench.default_start,
+                                                cold=True)
+        warm, warms, warm_pivots, _, _ = self.solve(monkeypatch, comp, bench.default_start)
         # The inner map is affine: every LP after the first is warm.
         assert not warms[0] and all(warms[1:])
         assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
@@ -417,14 +424,16 @@ class TestWarmStart:
     @pytest.mark.parametrize("name, n_nodes", [("double-integrator-obstacle", 8),
                                                ("dubins-car", 12)])
     def test_rejection_restarts_keep_results(self, monkeypatch, name, n_nodes):
-        # Every LP forced cold gives the same run; each certified restart
-        # gives the x of HiGHS at tight tolerances.
+        # Every LP forced cold gives the same run; each certified restart or
+        # dual start gives the x of HiGHS at tight tolerances.
         bench = builtin(name, n_nodes=n_nodes)
         comp, _ = bench.build()
-        cold, _, cold_pivots, _ = self.solve(monkeypatch, comp, bench.default_start, cold=True)
-        warm, warms, warm_pivots, certified = self.solve(monkeypatch, comp,
-                                                         bench.default_start)
+        cold, _, cold_pivots, _, cold_dual = self.solve(monkeypatch, comp, bench.default_start,
+                                                        cold=True)
+        warm, warms, warm_pivots, certified, dual = self.solve(monkeypatch, comp,
+                                                               bench.default_start)
         assert any(warms) and certified
+        assert not cold_dual and any(dual)
         assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
         assert warm.J_final == pytest.approx(cold.J_final, rel=0.0,
                                              abs=1e-10 * (1.0 + abs(cold.J_final)))
@@ -436,7 +445,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("name", ["double-integrator-obstacle", "dubins-car"])
     def test_nonlinear_maps_pass_a_warm_state_only_after_a_rejection(self, monkeypatch, name):
         bench = builtin(name)
-        result, warms, _, _ = self.solve(monkeypatch, bench.build()[0], bench.default_start)
+        result, warms, _, _, _ = self.solve(monkeypatch, bench.build()[0], bench.default_start)
         assert result.status == STATUS_CONVERGED
         # Each accepted step changes the Jacobian, so only a rejection's
         # re-solve restarts; the last record is the stationarity stop.
@@ -452,7 +461,7 @@ class TestWarmStart:
         smooth = SmoothMap(1, 1, lambda z: np.where(z > 1.5, np.inf, -z),
                            lambda z: np.full((1, 1), -1.0))
         comp = CompositeObjective(smooth, ConvexOuter(range(0, 1), range(1, 1), range(1, 1), 1.0))
-        result, warms, _, _ = self.solve(monkeypatch, comp, np.zeros(1))
+        result, warms, _, _, _ = self.solve(monkeypatch, comp, np.zeros(1))
         accepted = [rec.accepted for rec in result.trace]
         assert 0 < sum(accepted) < len(accepted) - 1
         assert warms == [False] + [True] * (len(warms) - 1)
@@ -461,15 +470,17 @@ class TestWarmStart:
                                                ("dubins-car", 12), ("convex-lqr-box", 20)])
     def test_no_other_tableau_is_alive_at_an_lp_solve(self, monkeypatch, name, n_nodes):
         # Each LP's tableau is released before the next LP is solved, unless
-        # that LP restarts from it: a cold solve never builds its tableau
-        # beside an earlier one.  dubins-car N=12 has uncertified restarts,
-        # each followed by a cold solve of the same LP.
-        tableaux, held = [], {False: [], True: []}
+        # that LP restarts from it: a cold solve or a dual start never builds
+        # its tableau beside an earlier one.  dubins-car N=12 has uncertified
+        # restarts, each followed by a cold solve of the same LP; the
+        # nonlinear maps take dual starts, counted among the cold-side builds.
+        tableaux, held, dual_starts = [], {False: [], True: []}, []
 
         def box_lp(*args, warm=None, **kwargs):
             held[warm is not None].append(sum(
                 t is not None and (warm is None or not np.may_share_memory(t, warm.tableau))
                 for t in (ref() for ref in tableaux)))
+            dual_starts.append(kwargs.get("dual_start", False))
             sol = solve_box_lp(*args, warm=warm, **kwargs)
             tableaux.append(weakref.ref(sol.warm.tableau))
             return sol
@@ -478,4 +489,5 @@ class TestWarmStart:
         bench = builtin(name, n_nodes=n_nodes)
         run_scvx(bench.build()[0], bench.default_start, TrustRegionParams(max_iterations=300))
         assert held[False] and held[True]
+        assert any(dual_starts) == (name != "convex-lqr-box")
         assert held == {False: [0] * len(held[False]), True: [0] * len(held[True])}

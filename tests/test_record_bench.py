@@ -186,8 +186,9 @@ def test_pairs_compare_statuses_iterations_and_j_final(record_bench, tmp_path, m
 
     summary = json.loads(out.read_text())["rounds"][0]["summary"]["w"]
     assert summary["same_outcomes"] is False
-    assert summary["same_status_iterations"] is True
+    assert summary["same_status"] is summary["same_status_iterations"] is True
     assert summary["max_rel_dJ_final"] == abs((2.0 + 3e-12) - 2.0) / 3.0
+    assert summary["max_rel_rise_J_final"] == summary["max_rel_dJ_final"]
 
 
 def test_compare_outcomes_sees_a_changed_iteration_count(record_bench):
@@ -197,3 +198,27 @@ def test_compare_outcomes_sees_a_changed_iteration_count(record_bench):
     assert record_bench.compare_outcomes({key(7)}, {key(7)}) == (True, 0.0)
     assert record_bench.compare_outcomes({key(7)}, {key(8)}) == (False, 0.0)
     assert record_bench.compare_outcomes({key(7)}, set()) == (True, None)
+
+
+def test_outcome_changes_judge_results_as_perfbench_check_does(record_bench):
+    # A signed rise: a J_final drop reads negative, a rise positive; a changed
+    # iteration count keeps the same statuses but not the same iterations.
+    def key(iterations, j_final, status="converged-stationary"):
+        return json.dumps([["a", status, iterations, float(j_final).hex()]])
+
+    drop = record_bench.outcome_changes({key(66, 2.0)}, {key(65, 2.0 - 3e-8)})
+    assert (drop["same_status"], drop["same_status_iterations"]) == (True, False)
+    assert drop["max_rel_rise_J_final"] == pytest.approx(-1e-8, rel=1e-6)
+    assert drop["max_rel_dJ_final"] == pytest.approx(1e-8, rel=1e-6)
+    rise = record_bench.outcome_changes({key(7, 2.0)}, {key(7, 2.0 + 3e-8)})
+    assert (rise["same_status"], rise["same_status_iterations"]) == (True, True)
+    assert rise["max_rel_rise_J_final"] == pytest.approx(1e-8, rel=1e-6)
+    same = record_bench.outcome_changes({key(7, 2.0)}, {key(7, 2.0)})
+    assert (same["max_rel_rise_J_final"], same["max_rel_dJ_final"]) == (0.0, 0.0)
+    status = record_bench.outcome_changes({key(7, 2.0)}, {key(7, 2.0, "iteration-limit")})
+    assert (status["same_status"], status["same_status_iterations"]) == (False, False)
+    none = record_bench.outcome_changes({key(7, 2.0)}, set())
+    assert (none["max_rel_rise_J_final"], none["max_rel_dJ_final"]) == (None, None)
+    # The older keys read as compare_outcomes gives them.
+    assert record_bench.compare_outcomes({key(66, 2.0)}, {key(65, 2.0 - 3e-8)}) == (
+        False, drop["max_rel_dJ_final"])

@@ -442,6 +442,94 @@ class TestWarmStart:
         assert sol.status == "unbounded" and sol.warm is None
 
 
+class TestDualStart:
+    """solve_box_lp(..., dual_start=True): the slack basis with every
+    negative-cost variable at its upper bound, then the dual simplex."""
+
+    @staticmethod
+    def lps(rng):
+        """Random LPs with negative rhs rows and infinite ub on some variables
+        of nonnegative cost, and the first LPs of two built-ins."""
+        for _ in range(30):
+            c, a_ub, b_ub, lb, ub = random_bounded_lp(rng)
+            b_ub = b_ub - np.abs(rng.normal(size=b_ub.size)) * 2.0
+            yield c, a_ub, b_ub, lb, np.where((c >= 0.0) & (rng.random(c.size) < 0.4), np.inf, ub)
+        yield sparse_epigraph_lp(rng, n=20, n_eq=12, n_ineq=12)
+        yield floor_lp()
+        for name in ("double-integrator-obstacle", "dubins-car"):
+            yield builtin_subproblem_lp(name, 1.0)
+
+    def test_closed_form_matches_price_and_pivots(self, rng):
+        flipped = 0
+        for c, a_ub, b_ub, lb, ub in self.lps(rng):
+            finite_ub = np.isfinite(ub)
+            rhs = np.concatenate([b_ub - a_ub @ lb, ub[finite_ub] - lb[finite_ub]])
+            tableau, basis = simplex._dual_tableau(c, a_ub, rhs, finite_ub)
+            ref, ref_basis, width = simplex._slack_tableau(a_ub, rhs, finite_ub, 0)
+            cost = np.zeros(width)
+            cost[1:c.size + 1] = c
+            simplex._price(ref, ref_basis, cost)
+            ub_row = a_ub.shape[0] + np.cumsum(finite_ub) - 1
+            for j in np.flatnonzero(c < 0.0):
+                simplex._pivot(ref, ref_basis, ub_row[j], 1 + j, ref[:, 1 + j].nonzero()[0])
+                flipped += 1
+            assert tableau.flags.f_contiguous
+            np.testing.assert_array_equal(basis, ref_basis)
+            np.testing.assert_allclose(tableau, ref, rtol=0.0, atol=1e-12)
+            assert np.all(tableau[-1, 1:] >= 0.0)
+        assert flipped
+
+    def test_matches_a_cold_solve(self, rng):
+        outcomes = set()
+        for lp in self.lps(rng):
+            try:
+                cold = solve_box_lp(*lp)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_box_lp(*lp, dual_start=True)
+                outcomes.add("infeasible")
+                continue
+            dual = solve_box_lp(*lp, dual_start=True)
+            assert dual.status == cold.status == "optimal"
+            assert dual.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            if dual.warm.unique() and cold.warm.unique():
+                np.testing.assert_allclose(dual.x, cold.x, rtol=0.0,
+                                           atol=1e-9 * (1.0 + np.abs(cold.x).max()))
+                outcomes.add("certified")
+        assert outcomes == {"infeasible", "certified"}
+
+    def test_floor_lp_starts_optimal(self):
+        # Every variable at its ub of 3 satisfies every floor row: no pivot.
+        sol = solve_box_lp(*floor_lp(), dual_start=True)
+        assert (sol.status, sol.iterations) == ("optimal", 0)
+        np.testing.assert_array_equal(sol.x, [3.0, 3.0, 3.0])
+        assert sol.warm.unique()
+
+    def test_failures_raise_as_a_cold_solve_does(self):
+        c, a_ub, b_ub, lb, ub = floor_lp()
+        with pytest.raises(InfeasibleError):
+            solve_box_lp(c, a_ub, b_ub - 4.0, lb, ub, dual_start=True)
+        # At c = 1 no variable flips, and the floor rows need a dual pivot each.
+        with pytest.raises(SimplexIterationLimitError) as err:
+            solve_box_lp(-c, a_ub, b_ub, lb, ub, max_iter=2, dual_start=True)
+        assert (str(err.value), err.value.iterations) == (PHASE_ONE_LIMIT, 2)
+
+    def test_with_a_warm_state_rejected(self):
+        state = solve_box_lp(*floor_lp()).warm
+        with pytest.raises(ValueError, match="not both"):
+            solve_box_lp(*floor_lp(), warm=state, dual_start=True)
+        assert state.tableau is not None
+
+    def test_negative_cost_with_infinite_ub_rejected(self):
+        c, a_ub, b_ub, lb, ub = floor_lp()
+        ub[1] = np.inf
+        with pytest.raises(ValueError, match="finite ub"):
+            solve_box_lp(c, a_ub, b_ub, lb, ub, dual_start=True)
+        # A zero cost needs no finite ub.
+        c[1] = 0.0
+        assert solve_box_lp(c, a_ub, b_ub, lb, ub, dual_start=True).status == "optimal"
+
+
 class TestFailurePivotCounts:
     """Every failure is a SimplexError whose iterations counts the pivots made."""
 

@@ -6,7 +6,9 @@ integers in [-5, 5], so rows and costs stay within a factor of 20 of each
 other; badly scaled rows are a known weakness of the feasibility tolerances
 and are left out here.  The status must match HiGHS, and the objective must
 agree within 1e-6 (1 + |f|).  A fifth property restarts solved LPs warm at a
-new rhs and box and holds the warm solve to the same test.
+new rhs and box and holds the warm solve to the same test; a sixth holds
+the dual start to it, on LPs with a finite ub on every negative-cost
+variable.
 """
 
 import numpy as np
@@ -42,9 +44,9 @@ def box_lps(draw, max_n=6, max_m=8):
     return c, a_ub, lb, ub, x0
 
 
-def outcome(c, a_ub, b_ub, lb, ub, warm=None):
+def outcome(c, a_ub, b_ub, lb, ub, **start):
     try:
-        sol = solve_box_lp(c, a_ub, b_ub, lb, ub, warm=warm)
+        sol = solve_box_lp(c, a_ub, b_ub, lb, ub, **start)
     except InfeasibleError:
         return "infeasible", None
     if sol.status == "optimal":
@@ -54,9 +56,9 @@ def outcome(c, a_ub, b_ub, lb, ub, warm=None):
     return sol.status, sol.objective
 
 
-def assert_agrees_with_highs(c, a_ub, b_ub, lb, ub, warm=None):
+def assert_agrees_with_highs(c, a_ub, b_ub, lb, ub, **start):
     ref = oracles.scipy_box_lp(c, a_ub, b_ub, lb, ub)
-    status, objective = outcome(c, a_ub, b_ub, lb, ub, warm)
+    status, objective = outcome(c, a_ub, b_ub, lb, ub, **start)
     assert status == HIGHS_STATUS[ref.status]
     if status == "optimal":
         assert abs(objective - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
@@ -127,3 +129,24 @@ def test_warm_restart_at_new_rhs_and_box(lp, data):
     ub = np.where(np.isfinite(ub), lb + width, np.inf)
     cold = assert_agrees_with_highs(c, a_ub, b_ub, lb, ub)
     assert assert_agrees_with_highs(c, a_ub, b_ub, lb, ub, warm=sol.warm) == cold
+
+
+@PROPERTY_SETTINGS
+@given(box_lps(), st.data())
+def test_dual_start(lp, data):
+    # Every negative-cost variable gets a finite ub, so the LP is bounded
+    # and the dual start applies; b_ub moves as in the warm restart, so the
+    # LP may be infeasible.  A certified optimum is the cold solve's x.
+    c, a_ub, lb, ub, x0 = lp
+    shifts = st.integers(-8, 8).map(lambda k: k / 4.0)
+    width = data.draw(hnp.arrays(float, c.size, elements=st.integers(1, 20).map(
+        lambda k: k / 4.0)))
+    ub = np.where(np.isinf(ub) & (c < 0.0), lb + width, ub)
+    b_ub = a_ub @ x0 + 1.0 + data.draw(hnp.arrays(float, a_ub.shape[0], elements=shifts))
+    if assert_agrees_with_highs(c, a_ub, b_ub, lb, ub, dual_start=True) != "optimal":
+        return
+    sol = solve_box_lp(c, a_ub, b_ub, lb, ub, dual_start=True)
+    if sol.warm.unique():
+        cold = solve_box_lp(c, a_ub, b_ub, lb, ub)
+        np.testing.assert_allclose(sol.x, cold.x, rtol=0.0,
+                                   atol=1e-9 * (1.0 + np.abs(sol.x).max()))

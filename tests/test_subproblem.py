@@ -15,7 +15,7 @@ from scvxkit.diagnostics import QUASI_INFINITE_FACTOR, UNBOUNDED_FRACTION, check
 from scvxkit.loop import STATUS_CONVERGED, run_scvx
 from scvxkit.problems import builtin
 import scvxkit.subproblem as subproblem_module
-from scvxkit.simplex import solve_box_lp
+from scvxkit.simplex import WarmStart, solve_box_lp
 from scvxkit.subproblem import (
     MIN_NORM_VALUE_SLACK,
     LpStandardForm,
@@ -361,7 +361,9 @@ class TestRestart:
     """solve_subproblem given the last solution: a restart at its own
     linearization (after a rejected step) is kept only when certified
     unique; one at another linearization with the same Jacobian and psi is
-    kept; any other state is released and the LP solved cold."""
+    kept; at any other linearization a last LP certified unique leads to a
+    dual start, kept only when certified unique too; any other state is
+    released and the LP solved cold."""
 
     @staticmethod
     def resolve(monkeypatch, name, same_lin):
@@ -421,3 +423,67 @@ class TestRestart:
         assert last.warm.tableau is None
         np.testing.assert_array_equal(again.step, cold.step)
         assert again.model_value == cold.model_value
+
+    @staticmethod
+    def new_jacobian(monkeypatch, name, refuse=False):
+        """The LP at a 0.1% larger Jacobian from the radius-1 solution, a cold
+        solve of it, (dual start, certified unique) for each LP solve, and
+        the dual starts' states.  With refuse, no dual start's answer
+        certifies."""
+        bench = builtin(name)
+        lin = linearize(bench.build()[0], bench.default_start)
+        last = solve_subproblem(lin, 1.0)
+        lin = Linearization(lin.g_value, lin.g_jacobian * 1.001, lin.psi)
+        calls, dual = [], []
+        unique = WarmStart.unique
+
+        def box_lp(*args, **kwargs):
+            assert kwargs.get("warm") is None
+            sol = solve_box_lp(*args, **kwargs)
+            if kwargs.get("dual_start"):
+                dual.append(sol.warm)
+            calls.append((kwargs.get("dual_start", False), sol.warm.unique()))
+            return sol
+
+        with monkeypatch.context() as patch:
+            patch.setattr(subproblem_module, "solve_box_lp", box_lp)
+            if refuse:
+                patch.setattr(WarmStart, "unique",
+                              lambda state: all(state is not d for d in dual) and unique(state))
+            again = solve_subproblem(lin, 1.0, last)
+        assert last.warm.tableau is None
+        return again, solve_subproblem(lin, 1.0), calls, dual
+
+    def test_certified_dual_start_is_kept(self, monkeypatch):
+        again, cold, calls, _ = self.new_jacobian(monkeypatch, "convex-lqr-box")
+        assert calls == [(True, True)]
+        np.testing.assert_allclose(again.step, cold.step, rtol=0.0,
+                                   atol=1e-9 * (1.0 + np.abs(cold.step).max()))
+        assert again.model_value == pytest.approx(cold.model_value, rel=1e-12, abs=1e-12)
+
+    def test_uncertified_last_lp_leads_to_a_cold_solve(self, monkeypatch):
+        # The first LP of the double integrator has a non-unique optimum.
+        again, cold, calls, _ = self.new_jacobian(monkeypatch, "double-integrator-obstacle")
+        assert [start for start, _ in calls] == [False]
+        np.testing.assert_array_equal(again.step, cold.step)
+
+    def test_uncertified_dual_start_falls_back_cold(self, monkeypatch):
+        again, cold, calls, dual = self.new_jacobian(monkeypatch, "convex-lqr-box",
+                                                     refuse=True)
+        assert [start for start, _ in calls] == [True, False] and not calls[0][1]
+        assert dual[0].tableau is None
+        np.testing.assert_array_equal(again.step, cold.step)
+        assert again.model_value == cold.model_value
+
+    def test_no_last_solution_is_solved_cold(self, monkeypatch):
+        bench = builtin("convex-lqr-box")
+        lin = linearize(bench.build()[0], bench.default_start)
+        starts = []
+
+        def box_lp(*args, **kwargs):
+            starts.append((kwargs.get("warm") is not None, kwargs.get("dual_start", False)))
+            return solve_box_lp(*args, **kwargs)
+
+        monkeypatch.setattr(subproblem_module, "solve_box_lp", box_lp)
+        solve_subproblem(lin, 1.0)
+        assert starts == [(False, False)]

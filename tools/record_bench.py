@@ -22,11 +22,14 @@ workload, for each end-to-end metric of BENCHMARK.json and then for
 pass_wall_s (lower is better), the quartiles on each side, the change of
 the median and the pairs each side won in the metric's better direction
 (ties count for neither), then whether both sides gave the same outcomes
-(status, iterations and the bits of J_final of every instance), whether
-they gave the same statuses and iterations, and the largest
-|J_final change - J_final parent| / (1 + |J_final parent|).  A round is
-appended when the file already holds rounds against the same parent; any
-other existing file is left alone, and the call exits 1 before any run.
+(status, iterations and the bits of J_final of every instance), the same
+statuses, and the same statuses and iterations; the largest
+|J_final change - J_final parent| / (1 + |J_final parent|); and the largest
+signed rise (J_final change - J_final parent) / (1 + |J_final parent|),
+<= 0 when no J_final rose.  The statuses and the signed rise judge a
+result that moved as perfbench's check does.  A round is appended when
+the file already holds rounds against the same parent; any other existing
+file is left alone, and the call exits 1 before any run.
 """
 
 from __future__ import annotations
@@ -127,25 +130,37 @@ def outcome_key(record: dict) -> list:
             for o in record["outcomes"]]
 
 
-def compare_outcomes(parent: set, change: set) -> tuple[bool, float | None]:
-    """Whether every run of both sides gave the same statuses and iterations,
-    and the largest |dJ_final| / (1 + |J_final|) of an instance between a
-    parent run and a change run (None without a run on each side).
+def outcome_changes(parent: set, change: set) -> dict:
+    """How the outcomes of the change's runs differ from the parent's.
 
-    parent and change hold the JSON of outcome_key of each run.
+    parent and change hold the JSON of outcome_key of each run.  Returns
+    same_status and same_status_iterations, whether every run of both sides
+    gave the same statuses (and iterations) for every instance;
+    max_rel_dJ_final, the largest |dJ_final| / (1 + |J_final parent|) of an
+    instance between a parent run and a change run; and
+    max_rel_rise_J_final, the largest signed (J_final change - J_final
+    parent) / (1 + |J_final parent|), <= 0 when no J_final rose.  Both
+    maxima are None without a run on each side.
     """
     runs = {side: [json.loads(key) for key in keys] for side, keys in
             (("parent", parent), ("change", change))}
-    same = len({json.dumps([o[:3] for o in run])
-                for run in runs["parent"] + runs["change"]}) == 1
-    worst = None
-    for p_run in runs["parent"]:
-        for c_run in runs["change"]:
-            for p, c in zip(p_run, c_run):
-                j_p, j_c = float.fromhex(p[3]), float.fromhex(c[3])
-                delta = 0.0 if p[3] == c[3] else abs(j_c - j_p) / (1.0 + abs(j_p))
-                worst = delta if worst is None else max(worst, delta)
-    return same, worst
+    every = runs["parent"] + runs["change"]
+    rises = [0.0 if p[3] == c[3] else
+             (float.fromhex(c[3]) - float.fromhex(p[3])) / (1.0 + abs(float.fromhex(p[3])))
+             for p_run in runs["parent"] for c_run in runs["change"]
+             for p, c in zip(p_run, c_run)]
+    return {
+        "same_status": len({json.dumps([o[:2] for o in run]) for run in every}) == 1,
+        "same_status_iterations": len({json.dumps([o[:3] for o in run]) for run in every}) == 1,
+        "max_rel_dJ_final": max((abs(r) for r in rises), default=None),
+        "max_rel_rise_J_final": max(rises, default=None),
+    }
+
+
+def compare_outcomes(parent: set, change: set) -> tuple[bool, float | None]:
+    """outcome_changes' same_status_iterations and max_rel_dJ_final."""
+    changes = outcome_changes(parent, change)
+    return changes["same_status_iterations"], changes["max_rel_dJ_final"]
 
 
 def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int:
@@ -190,8 +205,8 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
 
     summary = {}
     for workload in workloads:
-        same_status_iterations, max_rel_dj = compare_outcomes(
-            outcomes.get((workload, "parent"), set()), outcomes.get((workload, "change"), set()))
+        changes = outcome_changes(outcomes.get((workload, "parent"), set()),
+                                  outcomes.get((workload, "change"), set()))
         by_pair = {side: {r[0]: r for r in runs if r[1] == workload and r[2] == side}
                    for side in SIDES}
         both = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
@@ -209,8 +224,7 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
             # one set of outcomes over every run of both sides
             "same_outcomes": len(outcomes.get((workload, "parent"), set())
                                  | outcomes.get((workload, "change"), set())) == 1,
-            "same_status_iterations": same_status_iterations,
-            "max_rel_dJ_final": max_rel_dj,
+            **changes,
         }
 
     round_ = {"change": change, "seed": seed, "order": "alternating: odd pairs run the parent first",
@@ -236,10 +250,15 @@ def pairs(bench: dict, n_pairs: int, parent: str, seed: int, output: str) -> int
                            "the end-to-end metrics are; lower is better",
             "same_outcomes": "every run of the workload, on both sides, gave the same status, "
                              "iterations and J_final bits for every instance",
+            "same_status": "every run of the workload, on both sides, gave the same status "
+                           "for every instance",
             "same_status_iterations": "every run of the workload, on both sides, gave the same "
                                       "status and iterations for every instance",
             "max_rel_dJ_final": "largest |J_final change - J_final parent| / "
                                 "(1 + |J_final parent|) over instances and parent/change runs",
+            "max_rel_rise_J_final": "largest (J_final change - J_final parent) / "
+                                    "(1 + |J_final parent|) over instances and parent/change "
+                                    "runs; <= 0 when no J_final rose",
             "rounds": [round_],
         }
     path.write_text(json.dumps(out, indent=1) + "\n")
